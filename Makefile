@@ -84,9 +84,10 @@ sched-smoke: build
 
 # Crash-safe resume: journal a campaign to a checkpoint, SIGINT it
 # mid-flight, resume from the journal, and require the resumed report
-# to be byte-identical to an uninterrupted run.  The interrupted run
-# may legitimately finish before the signal lands (exit 0); what must
-# never happen is a corrupt journal or a drifted resumed report.
+# to be byte-identical to an uninterrupted run, at --jobs 1 and 2.
+# The interrupted run may legitimately finish before the signal lands
+# (exit 0); what must never happen is a corrupt journal or a drifted
+# resumed report.
 resume-smoke: build
 	rm -f /tmp/resume.ckpt.jsonl
 	dune exec bin/repro.exe -- faults --seed 42 --standard bluetooth --json > /tmp/resume-fresh.out
@@ -98,6 +99,17 @@ resume-smoke: build
 	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --json \
 	  --checkpoint /tmp/resume.ckpt.jsonl --resume > /tmp/resume-resumed.out
 	cmp /tmp/resume-fresh.out /tmp/resume-resumed.out
+	# Same again on a pooled engine: pooled batches journal on the main
+	# domain as results are delivered, so the cut lands elsewhere.
+	rm -f /tmp/resume-jobs2.ckpt.jsonl
+	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --json --jobs 2 \
+	  --checkpoint /tmp/resume-jobs2.ckpt.jsonl > /tmp/resume-jobs2-interrupted.out & \
+	pid=$$!; sleep 1; kill -INT $$pid 2>/dev/null || true; \
+	wait $$pid; status=$$?; test $$status -eq 130 -o $$status -eq 0
+	grep -q '"type":"cell"' /tmp/resume-jobs2.ckpt.jsonl
+	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --json --jobs 2 \
+	  --checkpoint /tmp/resume-jobs2.ckpt.jsonl --resume > /tmp/resume-jobs2-resumed.out
+	cmp /tmp/resume-fresh.out /tmp/resume-jobs2-resumed.out
 
 # Live monitoring, end to end: run a monitored campaign, scrape
 # /metrics and /healthz mid-flight, and require a valid OpenMetrics

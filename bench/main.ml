@@ -134,15 +134,15 @@ let bench_afe_measure () = ignore (Afe.Afe_chain.measure (Lazy.force afe_fixture
 
 (* ENGINE kernels: the evaluation service's own costs.  Hit vs miss
    bounds what the cache buys per evaluation; the batch kernels time
-   the same 8-key batch on the sequential backend and on 2-, 4- and
-   8-lane domain pools (caching off, so every iteration re-simulates —
-   this measures throughput, not cache warmth; the scheduler sizes
-   lanes to the hardware, so the sweep must be monotone, DESIGN §13). *)
+   the same 8-key batch (a drained stream) on the sequential backend
+   and on a 2-lane domain pool (caching off, so every iteration
+   re-simulates — this measures throughput, not cache warmth).  Wider
+   pools are not swept: the scheduler caps spawned workers at the
+   hardware's parallelism (DESIGN §13), so on a 2-core host a 4- or
+   8-lane request gets the same single worker as the 2-lane one. *)
 let engine_cached = lazy (Engine.Service.create ~jobs:1 ~cache:true ())
 let engine_uncached = lazy (Engine.Service.create ~jobs:1 ~cache:false ())
 let engine_pool2 = lazy (Engine.Service.create ~jobs:2 ~cache:false ())
-let engine_pool4 = lazy (Engine.Service.create ~jobs:4 ~cache:false ())
-let engine_pool8 = lazy (Engine.Service.create ~jobs:8 ~cache:false ())
 
 let engine_request =
   lazy
@@ -179,29 +179,16 @@ let bench_engine_batch engine () =
 let steal_pool = lazy (Engine.Pool.create ~eager:true 3)
 
 let bench_pool_steal () =
-  Engine.Pool.run ~chunk:1 (Lazy.force steal_pool) (fun _ -> ()) 256
+  Engine.Pool.drain (Engine.Pool.submit_stream ~chunk:1 (Lazy.force steal_pool) ignore 256)
 
-(* STREAM kernels (DESIGN §14).  [engine:stream-grid] pushes the same
-   8-key grid through submit/next_result/drain instead of the joined
-   batch — against engine:batch8-1domain the difference is the
-   streaming layer's own tax (ticket, completion queue, per-item
-   delivery) now that the submit barrier is gone.  [pool:wakeup-capped]
-   times a default-chunk submit small enough that the wakeup budget
-   engages a single lane: the eager workers stay parked, so the figure
-   is the cost of posting and completing a batch without poking any
-   sleeping domain. *)
-let bench_engine_stream () =
-  let stream =
-    Engine.Service.eval_stream ~engine:(Lazy.force engine_uncached) (Lazy.force engine_batch)
-  in
-  match Engine.Service.stream_drain stream with
-  | Ok ms -> ignore ms
-  | Error _ -> assert false (* no per-stream deadline is attached here *)
-
+(* [pool:wakeup-capped] times a default-chunk submit small enough that
+   the wakeup budget (DESIGN §14) engages a single lane: the eager
+   workers stay parked, so the figure is the cost of posting and
+   completing a batch without poking any sleeping domain. *)
 let bench_pool_wakeup_capped () =
   (* 8 no-op items under the default layout: ⌈8 / max_chunk⌉ = 1 lane
      engaged, three eager workers left asleep. *)
-  Engine.Pool.run (Lazy.force steal_pool) (fun _ -> ()) 8
+  Engine.Pool.drain (Engine.Pool.submit_stream (Lazy.force steal_pool) ignore 8)
 
 (* TELEMETRY kernels: the instrumentation's own cost.  The disabled
    span is the price every instrumented call site pays on a plain run
@@ -266,14 +253,11 @@ let tests =
     Test.make ~name:"engine:cache-miss" (Staged.stage bench_engine_miss);
     Test.make ~name:"engine:batch8-1domain" (Staged.stage (bench_engine_batch engine_uncached));
     Test.make ~name:"engine:batch8-2domains" (Staged.stage (bench_engine_batch engine_pool2));
-    Test.make ~name:"engine:batch8-4domains" (Staged.stage (bench_engine_batch engine_pool4));
-    Test.make ~name:"engine:batch8-8domains" (Staged.stage (bench_engine_batch engine_pool8));
-    (* stream-grid must run before any pool:* kernel forces the eager
-       3-worker fixture into existence: from that point on every minor
-       GC pays the parked-domain barrier tax (§13), which would double
-       an allocation-heavy kernel's figure.  The zero-allocation pool
-       kernels are immune to the ordering. *)
-    Test.make ~name:"engine:stream-grid" (Staged.stage bench_engine_stream);
+    (* The engine kernels must run before any pool:* kernel forces the
+       eager 3-worker fixture into existence: from that point on every
+       minor GC pays the parked-domain barrier tax (§13), which would
+       double an allocation-heavy kernel's figure.  The zero-allocation
+       pool kernels are immune to the ordering. *)
     Test.make ~name:"pool:steal" (Staged.stage bench_pool_steal);
     Test.make ~name:"pool:wakeup-capped" (Staged.stage bench_pool_wakeup_capped);
     Test.make ~name:"telemetry:span-disabled" (Staged.stage bench_span_disabled);

@@ -307,9 +307,6 @@ let arena_kernels =
     "engine:cache-miss";
     "engine:batch8-1domain";
     "engine:batch8-2domains";
-    "engine:batch8-4domains";
-    "engine:batch8-8domains";
-    "engine:stream-grid";
     "faults:campaign-cell";
     "fig7:snr-mod-per-key";
     "fig9:snr-rx-per-key";
@@ -339,9 +336,6 @@ let alloc_budgets =
     ("engine:cache-miss", 30_000.0);
     ("engine:batch8-1domain", 340_000.0);
     ("engine:batch8-2domains", 340_000.0);
-    ("engine:batch8-4domains", 340_000.0);
-    ("engine:batch8-8domains", 340_000.0);
-    ("engine:stream-grid", 340_000.0);
     ("faults:campaign-cell", 80_000.0);
     ("fig7:snr-mod-per-key", 24_000.0);
   ]

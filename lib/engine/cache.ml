@@ -11,7 +11,6 @@ type value = {
 type entry = {
   key : string;
   mutable value : value;
-  mutable touched : int;        (* operation tick of the last hit/insert *)
   mutable prev : entry option;  (* towards most-recent *)
   mutable next : entry option;  (* towards least-recent *)
 }
@@ -22,23 +21,11 @@ type t = {
   mutable head : entry option;  (* most recently used *)
   mutable tail : entry option;  (* least recently used *)
   mutable peak : int;  (* high-water occupancy, for capacity planning *)
-  mutable ticks : int;  (* operation clock: one tick per find/add *)
 }
 
 let hit_counter = Telemetry.Counter.make "engine.cache.hit"
 let miss_counter = Telemetry.Counter.make "engine.cache.miss"
 let evict_counter = Telemetry.Counter.make "engine.cache.evict"
-
-(* Policy evidence (ROADMAP: LRU vs generation clock).  Hits that land
-   while the cache is full are the ones a different eviction policy
-   could lose: hit_at_capacity / (hit_at_capacity + miss-at-capacity)
-   is the saturated hit rate.  The eviction-age histogram records, in
-   cache operations, how stale an entry was when LRU dropped it — a
-   mass near the capacity mark means pure scan traffic (a generation
-   clock would do as well for less bookkeeping); a long tail means LRU
-   is actively protecting re-used entries. *)
-let hit_at_capacity_counter = Telemetry.Counter.make "engine.cache.hit_at_capacity"
-let evict_age_hist = Telemetry.Histogram.make "engine.cache.evict_age"
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Cache.create: capacity must be positive";
@@ -48,7 +35,6 @@ let create ~capacity =
     head = None;
     tail = None;
     peak = 0;
-    ticks = 0;
   }
 
 let capacity t = t.capacity
@@ -75,13 +61,9 @@ let touch t e =
     push_front t e
 
 let find t key =
-  t.ticks <- t.ticks + 1;
   match Hashtbl.find_opt t.table key with
   | Some e ->
     Telemetry.Counter.incr hit_counter;
-    if Hashtbl.length t.table >= t.capacity then
-      Telemetry.Counter.incr hit_at_capacity_counter;
-    e.touched <- t.ticks;
     touch t e;
     Some e.value
   | None ->
@@ -94,18 +76,15 @@ let evict_lru t =
   | Some e ->
     unlink t e;
     Hashtbl.remove t.table e.key;
-    Telemetry.Counter.incr evict_counter;
-    Telemetry.Histogram.observe evict_age_hist (float_of_int (t.ticks - e.touched))
+    Telemetry.Counter.incr evict_counter
 
 let add t key value =
-  t.ticks <- t.ticks + 1;
   match Hashtbl.find_opt t.table key with
   | Some e ->
     e.value <- value;
-    e.touched <- t.ticks;
     touch t e
   | None ->
-    let e = { key; value; touched = t.ticks; prev = None; next = None } in
+    let e = { key; value; prev = None; next = None } in
     Hashtbl.add t.table key e;
     push_front t e;
     if Hashtbl.length t.table > t.capacity then evict_lru t;

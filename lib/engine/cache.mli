@@ -6,16 +6,9 @@
     accounting identical to a cold run.  Telemetry counters
     [engine.cache.hit] / [engine.cache.miss] / [engine.cache.evict]
     track behaviour.  Single-domain: only the main domain touches the
-    cache (workers receive pre-missed work).
-
-    Policy evidence for the ROADMAP's LRU-vs-generation-clock question:
-    [engine.cache.hit_at_capacity] counts hits that land while the
-    cache is full (the hits a coarser policy could lose), and the
-    [engine.cache.evict_age] histogram records how many cache
-    operations each evicted entry had gone untouched — mass near the
-    capacity mark means pure scan traffic, a long tail means LRU is
-    protecting genuinely re-used entries.  Both advance on a
-    deterministic operation clock, never wall time. *)
+    cache (workers receive pre-missed work).  Why LRU and not a
+    cheaper policy: DESIGN §8 — below capacity the policy is moot, and
+    neither [repro all] nor [repro lot] reaches capacity. *)
 
 type value = {
   measurement : Metrics.Spec.measurement;

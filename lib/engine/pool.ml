@@ -1,16 +1,18 @@
 (* Sharded work-stealing worker pool over Domain/Mutex/Condition — no
    dependencies beyond the stdlib, per the repo's no-new-deps rule.
 
-   The pool runs index-parallel jobs: [run t f n] evaluates [f i] for
-   every [i] in [0..n-1].  The calling (main) domain participates as a
-   lane, so a pool built with [create (jobs - 1)] workers gives [jobs]
-   evaluation lanes total.  Determinism is the caller's contract: [f]
-   must write result [i] to slot [i] only, so claim order never shows
-   in the output.
+   The pool runs index-parallel jobs: [submit_stream t f n] posts
+   [f i] for every [i] in [0..n-1] and returns a ticket; the caller
+   consumes completed indices with [next_result] (one at a time, in
+   completion order) or [drain] (all of them).  The calling (main)
+   domain participates as a lane while it consumes, so a pool built
+   with [create (jobs - 1)] workers gives [jobs] evaluation lanes
+   total.  Determinism is the caller's contract: [f] must write result
+   [i] to slot [i] only, so claim order never shows in the output.
 
    Scheduling (DESIGN §13).  The previous design kept one shared claim
    cursor under one pool mutex with [Condition.broadcast] on every
-   post, orphan and completion; its own histograms (DESIGN §12) showed
+   post and completion; its own histograms (DESIGN §12) showed
    first-claim latency growing past the work-item cost as lanes were
    added.  This design shards the schedule instead:
 
@@ -20,51 +22,28 @@
      and condition variable.
    - A lane claims whole chunks from its own queue; when that drains
      it steals a chunk from the busiest other queue.  Items inside a
-     claimed chunk run without touching any lock.
+     claimed chunk run without touching any queue lock.
    - Wakeups are targeted: submit [signal]s exactly the worker lanes
-     that received chunks; the completion of the last item [signal]s
-     the one lane (the caller) waiting in [run]; an orphan requeue
-     signals only the main lane, which is guaranteed alive.  No
-     broadcast remains on the submit/steal/complete path, and a lane
-     that wakes to find nothing claimable counts
+     that received chunks, and each completion [signal]s the one
+     consumer.  No broadcast remains on the submit/steal/complete
+     path, and a lane that wakes to find nothing claimable counts
      [pool.wakeup.spurious].
-   - Completion is an atomic counter; the job-lifecycle mutex [t.m] is
-     taken only at submit, on the final completion, on failure and on
-     orphan requeue — never per claim.
 
-   Lock order: [t.m] may be held while taking a lane mutex (submit,
-   stats); a lane mutex is never held while taking [t.m].
+   Lock order: [t.m] may be held while taking a lane mutex (stats); a
+   lane mutex is never held while taking [t.m].
 
-   Supervision: each worker domain runs under a supervisor wrapper.
-   If a worker dies (any exception escaping its loop — [Worker_killed]
-   is the test hook that simulates an abrupt domain death), the
-   supervisor requeues the in-flight remainder of the chunk the lane
-   had claimed (current index included) onto the *main* lane's queue,
-   bumps [pool.worker.restarts], and spawns a replacement domain.
-   Chunks still queued on the dead lane are not lost either: the
-   replacement pops them, and until it arrives they are stealable like
-   any other queue.  Orphaned work therefore delays, but never loses,
-   its indices, and [run] still returns only when every index has
-   actually completed.
+   Completion (DESIGN §14).  Every item runs under one exception
+   handler in [run_chunk]: an exception raised by [f i] is recorded on
+   the ticket as that item's failure and re-raised by the consumer
+   when it delivers [i].  Completed indices go into one completion
+   buffer that the pool owns and reuses across jobs, guarded by [cm];
+   a lane appends its index and bumps the job's retire count in the
+   same critical section, so once the consumer has seen [n] retired
+   items no lane will touch the job again and the buffer is free for
+   the next job.  When nothing has completed yet the consumer does
+   not idle: it claims and runs a chunk on the main lane like any
+   other lane. *)
 
-   Streaming (DESIGN §14): [submit_stream] posts a whole job at once
-   and returns a ticket instead of blocking.  Completions are pushed —
-   index by index, from whichever lane finished the item — onto a
-   per-job completion queue guarded by the job's own mutex, and
-   [next_result] pops them in completion order.  When nothing has
-   completed yet the consumer does not idle: it claims work on the
-   main lane exactly like [run] does, but one item at a time (the
-   remainder of a claimed chunk is pushed back, where a thief can
-   still take it), so delivery granularity on a worker-less host is a
-   single item.  Ordering inside [complete_one] is what makes teardown
-   safe: the completion counter is incremented *before* the index is
-   pushed, so once the consumer has popped all [n] completions every
-   increment has happened and no lane will touch the job state
-   again. *)
-
-exception Worker_killed
-
-let restarts_counter = Telemetry.Counter.make "pool.worker.restarts"
 let steal_counter = Telemetry.Counter.make "pool.steal.count"
 let spurious_counter = Telemetry.Counter.make "pool.wakeup.spurious"
 
@@ -89,47 +68,47 @@ type lane = {
   ready : Condition.t;  (* this lane's private wakeup (workers only) *)
   mutable chunks : (int * int) list;  (* queued [lo, hi) ranges, FIFO *)
   queued : int Atomic.t;  (* items across queued chunks *)
-  (* In-flight range of the chunk being run: [cur] is the item under
-     evaluation (-1 idle), [hi] the range end.  Written only by the
-     owning domain; read by its own supervisor after a death and
-     (racily, monitoring-grade) by [stats]. *)
+  (* The item under evaluation (-1 idle).  Written only by the owning
+     domain; read racily (monitoring-grade) by [stats] and the
+     occupancy histogram. *)
   mutable cur : int;
-  mutable hi : int;
   (* Generation of the lane's last first-claim, owner-private: stamps
      one [pool.queue.wait_ns] observation per lane per job. *)
   mutable claim_gen : int;
 }
 
-(* Per-streaming-job completion channel.  [completions] holds the
-   indices of finished items in completion order, guarded by [cm];
-   lanes push under [cm] and signal [cready], the consumer (always the
-   main domain) pops.  The queue is monomorphic — results themselves
-   live in the ticket's array, written by the job closure — so the
-   pool type stays unparameterised. *)
-type stream_state = {
-  cm : Mutex.t;
-  cready : Condition.t;
-  completions : int Queue.t;
-}
-
 type t = {
-  m : Mutex.t;  (* job lifecycle: submit, final completion, failure, orphans *)
-  work_done : Condition.t;  (* only the caller blocked in [run] waits here *)
+  m : Mutex.t;  (* job lifecycle: post and release *)
   lanes : lane array;  (* slot [workers] is the main lane *)
-  completed : int Atomic.t;
-  mutable job : (int -> unit) option;
-  mutable total : int;
-  mutable failure : exn option;
+  mutable job : ticket option;
   mutable generation : int;
   mutable posted_ns : int64;  (* when the current job was posted *)
   mutable shutdown : bool;
   mutable domains : unit Domain.t list;
   steals : int Atomic.t;  (* lifetime stolen chunks, for [stats] *)
   workers : int;  (* worker domains actually spawned (lanes - 1) *)
-  (* Completion channel of the active streaming job, [None] for [run]
-     jobs and between jobs.  Atomic because lanes read it on every
-     completion without holding any lock. *)
-  stream : stream_state option Atomic.t;
+  (* The completion channel, reused by every job.  [completions] holds
+     finished indices in completion order ([pushed] of them);
+     [retired] also counts items [discard] dropped unrun, and the job
+     is over once it reaches the job's [n]. *)
+  cm : Mutex.t;
+  cready : Condition.t;  (* the consumer's wakeup *)
+  mutable waiting : bool;  (* the consumer is blocked on [cready] *)
+  mutable completions : int array;  (* grown to the largest job seen *)
+  mutable pushed : int;
+  mutable retired : int;
+}
+
+(* A job in flight.  Only the domain that called [submit_stream] (the
+   pool's main lane) may consume it. *)
+and ticket = {
+  pool : t;
+  f : int -> unit;
+  n : int;
+  mutable delivered : int;  (* consumer's read cursor into [completions] *)
+  mutable seen : int;  (* [pushed] at the consumer's last look *)
+  mutable failed : (int * exn) option;  (* first failing item, under [cm] *)
+  mutable closed : bool;  (* job state torn down (drained or discarded) *)
 }
 
 let new_lane () =
@@ -139,19 +118,10 @@ let new_lane () =
     chunks = [];
     queued = Atomic.make 0;
     cur = -1;
-    hi = -1;
     claim_gen = 0;
   }
 
-(* Queue ops; caller holds [lane.lm]. *)
-let push_back lane ((lo, hi) as chunk) =
-  lane.chunks <- lane.chunks @ [ chunk ];
-  ignore (Atomic.fetch_and_add lane.queued (hi - lo))
-
-let push_front lane ((lo, hi) as chunk) =
-  lane.chunks <- chunk :: lane.chunks;
-  ignore (Atomic.fetch_and_add lane.queued (hi - lo))
-
+(* Caller holds [lane.lm]. *)
 let pop lane =
   match lane.chunks with
   | [] -> None
@@ -177,8 +147,7 @@ let observe_claim t lane =
    busiest, then pop under that queue's own mutex (re-checking, since
    the owner may have drained it meanwhile).  One pass over descending
    candidates is enough — a miss means the work is in flight, not
-   queued, and nothing queued can appear behind our back except on the
-   main lane (which is woken explicitly). *)
+   queued: queues only grow at submit. *)
 let steal t thief =
   let best = ref None in
   Array.iter
@@ -219,93 +188,31 @@ let get_work t lane =
       Some chunk
     | None -> None)
 
-let complete_one t i =
-  (* Capture the stream identity *before* the increment: a [discard]
-     may observe the counter hit [total] (via a sibling's signal),
-     release the job and let a new one post while this lane is still
-     between its increment and its push — the capture pins the push to
-     the old job's (now unreferenced, harmless) queue instead of
-     corrupting the new job's.  The increment itself comes strictly
-     before the push: the streaming consumer treats "popped all [n]
-     completions" as proof that all [n] increments have landed (each
-     push happens-after its own increment in program order and the
-     pushes are serialised by [cm]), which is what lets it tear the
-     job state down without a second synchronisation. *)
-  let stream = Atomic.get t.stream in
-  let before = Atomic.fetch_and_add t.completed 1 in
-  (match stream with
-  | Some st ->
-    Mutex.lock st.cm;
-    Queue.push i st.completions;
-    Condition.signal st.cready;
-    Mutex.unlock st.cm
-  | None -> ());
-  if before + 1 >= t.total then begin
-    (* Last item: wake the caller blocked in [run].  Exactly one lane
-       ever waits on [work_done], so a targeted signal suffices. *)
-    Mutex.lock t.m;
-    Condition.signal t.work_done;
-    Mutex.unlock t.m
-  end
+(* Publish item [i] as completed.  Appending the index and retiring
+   the item happen in one critical section: the consumer treats
+   [retired = n] as proof that no lane will touch the job (or the
+   shared buffer) again. *)
+let complete t tk i failure =
+  Mutex.lock t.cm;
+  (match failure with
+  | Some e when tk.failed = None -> tk.failed <- Some (i, e)
+  | _ -> ());
+  t.completions.(t.pushed) <- i;
+  t.pushed <- t.pushed + 1;
+  t.retired <- t.retired + 1;
+  if t.waiting then Condition.signal t.cready;
+  Mutex.unlock t.cm
 
-let set_failure t e =
-  Mutex.lock t.m;
-  if t.failure = None then t.failure <- Some e;
-  Mutex.unlock t.m
-
-(* Requeue the in-flight remainder of [lane]'s chunk (current index
-   included) onto the main lane's queue — the one lane guaranteed to
-   still be alive — and wake only the caller, which mops it up.  Used
-   by the [Worker_killed] hook and by the supervisor after any death. *)
-let requeue_inflight t lane =
-  if lane.cur >= 0 then begin
-    let chunk = (lane.cur, lane.hi) in
-    lane.cur <- -1;
-    let main = t.lanes.(t.workers) in
-    Mutex.lock main.lm;
-    push_front main chunk;
-    Mutex.unlock main.lm;
-    Mutex.lock t.m;
-    Condition.signal t.work_done;
-    Mutex.unlock t.m;
-    (* A streaming consumer may be blocked on the completion condition
-       waiting for progress; the orphan landing on the main queue *is*
-       the progress (the consumer claims it), so poke that condition
-       too. *)
-    match Atomic.get t.stream with
-    | Some st ->
-      Mutex.lock st.cm;
-      Condition.signal st.cready;
-      Mutex.unlock st.cm
-    | None -> ()
-  end
-
-(* Run one claimed chunk.  No lock is held while items execute.  A
-   worker lane hit by [Worker_killed] requeues the unfinished
-   remainder and re-raises so the supervisor can replace the domain;
-   on the main lane the remainder is requeued and claiming continues
-   (the caller's domain cannot be respawned).  Ordinary exceptions are
-   the job's failure: recorded once, and the item still counts as
-   completed so [run] can finish and re-raise. *)
-let run_chunk t f lane ~is_worker (lo, hi) =
-  lane.hi <- hi;
-  lane.cur <- lo;
-  let i = ref lo in
-  let live = ref true in
-  while !live && !i < hi do
-    (match f !i with
-    | () -> complete_one t !i
-    | exception Worker_killed ->
-      requeue_inflight t lane;
-      if is_worker then raise Worker_killed;
-      live := false
-    | exception e ->
-      set_failure t e;
-      complete_one t !i);
-    if !live then begin
-      incr i;
-      lane.cur <- !i
-    end
+(* Run a claimed range.  No queue lock is held while items execute;
+   this handler is the pool's only exception boundary — whatever [f i]
+   raises becomes that item's failure, so no exception escapes into a
+   lane's loop. *)
+let run_chunk t tk lane (lo, hi) =
+  for i = lo to hi - 1 do
+    lane.cur <- i;
+    match tk.f i with
+    | () -> complete t tk i None
+    | exception e -> complete t tk i (Some e)
   done;
   lane.cur <- -1
 
@@ -315,15 +222,13 @@ let worker_loop t lane =
     match if t.shutdown then None else get_work t lane with
     | Some chunk -> (
       match t.job with
-      | Some f -> run_chunk t f lane ~is_worker:true chunk
+      | Some tk -> run_chunk t tk lane chunk
       | None -> () (* unreachable: chunks never outlive their job *))
     | None ->
       (* Nothing local, nothing stealable: sleep on the private
          condition until a submit deals this lane new chunks (or
-         shutdown).  Queues only grow at submit (this lane is then
-         signalled) and at orphan requeue (main lane only, and the
-         main lane never sleeps here), so sleeping cannot strand
-         claimable work. *)
+         shutdown).  Queues only grow at submit, which signals this
+         lane, so sleeping cannot strand claimable work. *)
       Mutex.lock lane.lm;
       if lane.chunks = [] && not t.shutdown then begin
         Condition.wait lane.ready lane.lm;
@@ -334,41 +239,11 @@ let worker_loop t lane =
       Mutex.unlock lane.lm
   done
 
-(* Worker supervisor.  An exception escaping the loop means the lane is
-   gone: requeue whatever remained of its claimed chunk, count the
-   restart, and spawn a replacement that joins the job already in
-   flight (its queue — including any chunks the dead lane never got
-   to — survives untouched). *)
-let rec supervise t ~slot () =
-  let lane = t.lanes.(slot) in
-  try worker_loop t lane
-  with e ->
-    requeue_inflight t lane;
-    (match e with
-    | Worker_killed ->
-      Telemetry.Log.debug
-        ~fields:[ ("slot", string_of_int slot) ]
-        "pool: worker killed (test hook), respawning"
-    | e ->
-      set_failure t e;
-      Telemetry.Log.warn
-        ~fields:[ ("slot", string_of_int slot); ("exn", Printexc.to_string e) ]
-        "pool: worker domain died, respawning");
-    Telemetry.Counter.incr restarts_counter;
-    Mutex.lock t.m;
-    if not t.shutdown then
-      t.domains <- Domain.spawn (supervise t ~slot) :: t.domains;
-    Condition.signal t.work_done;
-    Mutex.unlock t.m
-
 let shutdown t =
   Mutex.lock t.m;
   if t.shutdown then Mutex.unlock t.m
   else begin
     t.shutdown <- true;
-    (* Snapshot after the flag is set: any supervisor that locks the
-       mutex later sees [shutdown] and does not spawn a replacement, so
-       the snapshot covers every domain that will ever exist. *)
     let domains = t.domains in
     t.domains <- [];
     Mutex.unlock t.m;
@@ -396,8 +271,8 @@ let shutdown t =
    default [create] spawns at most [recommended_domain_count () - 1]
    workers — possibly zero, leaving the stealing caller as the only
    lane — and the requested surplus simply never exists.  [~eager]
-   spawns the full request regardless, for supervision tests and
-   deliberate oversubscription. *)
+   spawns the full request regardless, for tests and benchmarks that
+   need real worker lanes. *)
 let create ?(eager = false) workers =
   if workers <= 0 then invalid_arg "Pool.create: need at least one worker";
   let workers =
@@ -407,22 +282,23 @@ let create ?(eager = false) workers =
   let t =
     {
       m = Mutex.create ();
-      work_done = Condition.create ();
       lanes = Array.init (workers + 1) (fun _ -> new_lane ());
-      completed = Atomic.make 0;
       job = None;
-      total = 0;
-      failure = None;
       generation = 0;
       posted_ns = 0L;
       shutdown = false;
       domains = [];
       steals = Atomic.make 0;
       workers;
-      stream = Atomic.make None;
+      cm = Mutex.create ();
+      cready = Condition.create ();
+      waiting = false;
+      completions = [||];
+      pushed = 0;
+      retired = 0;
     }
   in
-  t.domains <- List.init workers (fun slot -> Domain.spawn (supervise t ~slot));
+  t.domains <- List.init workers (fun slot -> Domain.spawn (fun () -> worker_loop t t.lanes.(slot)));
   (* Idle workers block on their lane condition; make sure process exit
      does not hang waiting for them. *)
   at_exit (fun () -> shutdown t);
@@ -456,25 +332,33 @@ let stats t =
 
 (* Deal [0..n-1] into contiguous chunks round-robin across the first
    [lanes_cap] lanes in deal order (main lane first, so the caller's
-   first claim is always local). *)
+   first claim is always local).  Chunks are dealt from the last one
+   down, so each lane's list comes out in index order without an
+   append per chunk; every queue is empty between jobs.  Returns which
+   lanes received work. *)
 let distribute (t : t) n chunk ~lanes_cap =
   let lanes = Array.length t.lanes in
   let use = min lanes (max 1 lanes_cap) in
-  let order = Array.init use (fun k -> (t.workers + k) mod lanes) in
-  let got = Array.make lanes false in
-  let l = ref 0 in
-  let lo = ref 0 in
-  while !lo < n do
-    let hi = min n (!lo + chunk) in
-    let lane = t.lanes.(order.(!l)) in
-    Mutex.lock lane.lm;
-    push_back lane (!lo, hi);
-    Mutex.unlock lane.lm;
-    got.(order.(!l)) <- true;
-    l := (!l + 1) mod use;
-    lo := hi
+  let dealt = Array.make lanes [] in
+  let items = Array.make lanes 0 in
+  for k = ((n + chunk - 1) / chunk) - 1 downto 0 do
+    let slot = (t.workers + (k mod use)) mod lanes in
+    let lo = k * chunk in
+    let hi = min n (lo + chunk) in
+    dealt.(slot) <- (lo, hi) :: dealt.(slot);
+    items.(slot) <- items.(slot) + (hi - lo)
   done;
-  got
+  Array.iteri
+    (fun slot chunks ->
+      if chunks <> [] then begin
+        let lane = t.lanes.(slot) in
+        Mutex.lock lane.lm;
+        lane.chunks <- chunks;
+        ignore (Atomic.fetch_and_add lane.queued items.(slot));
+        Mutex.unlock lane.lm
+      end)
+    dealt;
+  items
 
 (* Batch-size-aware submit layout.  By default a submit engages only
    ⌈n / max_chunk⌉ lanes — waking a domain costs a condvar signal, an
@@ -494,210 +378,135 @@ let job_layout (t : t) n chunk =
     let cap = min lanes (max 1 ((n + max_chunk - 1) / max_chunk)) in
     (max 1 (min max_chunk ((n + cap - 1) / cap)), cap)
 
-(* Post a job's bookkeeping (under [t.m]) and deal its chunks; shared
-   by [run] and [submit_stream].  Exactly one job may be in flight:
-   posting while another job (streaming or not) is active is a
-   caller bug, reported rather than deadlocked on. *)
-let post ~api (t : t) f n chunk stream =
-  Mutex.lock t.m;
-  if t.shutdown then begin
-    Mutex.unlock t.m;
-    invalid_arg (api ^ ": pool is shut down")
-  end;
-  if t.job <> None then begin
-    Mutex.unlock t.m;
-    invalid_arg (api ^ ": a job is already in flight (drain or discard it first)")
-  end;
-  t.job <- Some f;
-  t.total <- n;
-  Atomic.set t.completed 0;
-  t.failure <- None;
-  t.generation <- t.generation + 1;
-  t.posted_ns <- now_ns ();
-  Atomic.set t.stream stream;
-  Mutex.unlock t.m;
-  let chunk, lanes_cap = job_layout t n chunk in
-  let got = distribute t n chunk ~lanes_cap in
-  (* Targeted wakeups: only the worker lanes that actually received a
-     chunk are signalled; everyone else keeps sleeping. *)
-  Array.iteri
-    (fun slot lane ->
-      if slot < t.workers && got.(slot) then Condition.signal lane.ready)
-    t.lanes
-
-let run ?chunk (t : t) f n =
+(* Post the job and deal its chunks.  Exactly one job may be in
+   flight: posting over an undrained ticket is a caller bug, reported
+   rather than deadlocked on. *)
+let submit_stream ?chunk (t : t) f n =
+  let tk =
+    { pool = t; f; n = max n 0; delivered = 0; seen = 0; failed = None; closed = n <= 0 }
+  in
   if n > 0 then begin
-    post ~api:"Pool.run" t f n chunk None;
-    (* The caller is a lane too: drain its own queue, then steal.  It
-       also mops up orphans left by dead workers (requeued onto its
-       queue), so completion never depends on a respawn racing in. *)
-    let main = t.lanes.(t.workers) in
-    let driving = ref true in
-    while !driving do
-      match get_work t main with
-      | Some chunk -> run_chunk t f main ~is_worker:false chunk
-      | None ->
-        if Atomic.get t.completed >= t.total then driving := false
-        else begin
-          Mutex.lock t.m;
-          while
-            Atomic.get t.completed < t.total && Atomic.get main.queued = 0
-          do
-            Condition.wait t.work_done t.m
-          done;
-          Mutex.unlock t.m;
-          if Atomic.get t.completed >= t.total then driving := false
-          (* else: an orphan landed on our queue — go claim it. *)
-        end
-    done;
-    (* Leave no job state behind even when re-raising, so the pool is
-       immediately reusable after a failed run. *)
     Mutex.lock t.m;
-    t.job <- None;
-    let fail = t.failure in
-    t.failure <- None;
+    if t.shutdown then begin
+      Mutex.unlock t.m;
+      invalid_arg "Pool.submit_stream: pool is shut down"
+    end;
+    if t.job <> None then begin
+      Mutex.unlock t.m;
+      invalid_arg "Pool.submit_stream: a job is already in flight (drain or discard it first)"
+    end;
+    t.job <- Some tk;
+    t.generation <- t.generation + 1;
+    t.posted_ns <- now_ns ();
     Mutex.unlock t.m;
-    match fail with Some e -> raise e | None -> ()
-  end
+    (* No lane touches the channel between jobs, so resetting it here,
+       before any chunk is dealt, cannot race. *)
+    Mutex.lock t.cm;
+    if Array.length t.completions < n then t.completions <- Array.make n 0;
+    t.pushed <- 0;
+    t.retired <- 0;
+    Mutex.unlock t.cm;
+    let chunk, lanes_cap = job_layout t n chunk in
+    let items = distribute t n chunk ~lanes_cap in
+    (* Targeted wakeups: only the worker lanes that actually received a
+       chunk are signalled; everyone else keeps sleeping. *)
+    Array.iteri
+      (fun slot lane ->
+        if slot < t.workers && items.(slot) > 0 then Condition.signal lane.ready)
+      t.lanes
+  end;
+  tk
 
-(* ------------------------------------------------------- streaming *)
-
-type 'a ticket = {
-  pool : t;
-  results : ('a, exn) result option array;  (* slot [i] written by item [i] only *)
-  tn : int;
-  st : stream_state;
-  mutable delivered : int;
-  mutable closed : bool;  (* job state torn down (drained or discarded) *)
-}
-
-(* Clear the pool's job state once no lane can touch it again — the
-   caller has either popped all [tn] completions or waited out the
-   in-flight stragglers. *)
+(* Clear the pool's job state once no lane can touch it again — every
+   item has retired. *)
 let release tk =
   let t = tk.pool in
   tk.closed <- true;
   Mutex.lock t.m;
   t.job <- None;
-  Atomic.set t.stream None;
-  t.failure <- None;
   Mutex.unlock t.m
 
-let submit_stream ?chunk (t : t) f n =
-  let st =
-    { cm = Mutex.create (); cready = Condition.create (); completions = Queue.create () }
-  in
-  let results = Array.make (max n 0) None in
-  (* The posted job computes and slots the result; ordinary exceptions
-     become the item's [Error] (delivered, then re-raised, by
-     [next_result]) rather than the job's failure, so one bad item
-     cannot poison the rest of the grid mid-flight.  [Worker_killed]
-     must keep escaping for the supervision machinery to retry the
-     item. *)
-  let g i =
-    match f i with
-    | v -> results.(i) <- Some (Ok v)
-    | exception Worker_killed -> raise Worker_killed
-    | exception e -> results.(i) <- Some (Error e)
-  in
-  if n > 0 then post ~api:"Pool.submit_stream" t g n chunk (Some st);
-  { pool = t; results; tn = max n 0; st; delivered = 0; closed = n <= 0 }
+(* Block on [cready] until [ready ()]; caller holds [t.cm]. *)
+let await t ready =
+  while not (ready ()) do
+    t.waiting <- true;
+    Condition.wait t.cready t.cm
+  done;
+  t.waiting <- false
 
-(* Abort: drop every still-queued chunk (counting the dropped items as
-   completed), then wait out the in-flight ones — each signals [cready]
-   as it lands.  Undelivered results are discarded; the pool is ready
-   for the next job on return.  Idempotent, and a no-op after the
-   ticket drained naturally. *)
+(* Abort: drop every still-queued chunk (retiring the dropped items
+   unrun), then wait out the in-flight ones — each signals [cready] as
+   it lands.  Undelivered results are discarded; the pool is ready for
+   the next job on return.  Idempotent, and a no-op after the ticket
+   drained naturally. *)
 let discard tk =
   if not tk.closed then begin
     let t = tk.pool in
-    let st = tk.st in
+    let dropped = ref 0 in
     Array.iter
       (fun lane ->
         Mutex.lock lane.lm;
-        let dropped = ref 0 in
         let draining = ref true in
         while !draining do
           match pop lane with
           | Some (lo, hi) -> dropped := !dropped + (hi - lo)
           | None -> draining := false
         done;
-        Mutex.unlock lane.lm;
-        if !dropped > 0 then ignore (Atomic.fetch_and_add t.completed !dropped))
+        Mutex.unlock lane.lm)
       t.lanes;
-    Mutex.lock st.cm;
-    while Atomic.get t.completed < t.total do
-      Condition.wait st.cready st.cm
-    done;
-    Mutex.unlock st.cm;
+    Mutex.lock t.cm;
+    t.retired <- t.retired + !dropped;
+    await t (fun () -> t.retired >= tk.n);
+    Mutex.unlock t.cm;
     release tk
   end
 
-let next_result (tk : 'a ticket) : (int * 'a) option =
-  if tk.closed || tk.delivered >= tk.tn then None
+(* The one consumer loop behind [next_result] and [drain]: the next
+   completed index, or -1 once every item has been delivered (or the
+   ticket was discarded).  Entries below [seen] were written before
+   the consumer's last look under [cm], so they are read without the
+   lock.  A failed item ends the job: the rest is discarded so the
+   pool is reusable, then the item's exception is re-raised. *)
+let rec deliver tk =
+  if tk.closed then -1
   else begin
     let t = tk.pool in
-    let st = tk.st in
-    let main = t.lanes.(t.workers) in
-    let rec deliver () =
-      Mutex.lock st.cm;
-      let popped =
-        if Queue.is_empty st.completions then None else Some (Queue.pop st.completions)
-      in
-      Mutex.unlock st.cm;
-      match popped with
-      | Some i -> (
-        tk.delivered <- tk.delivered + 1;
-        (* Last delivery: every completion was pushed after its
-           counter increment, so popping the [tn]-th proves all lanes
-           are done with this job — safe to free the pool. *)
-        if tk.delivered >= tk.tn then release tk;
-        match tk.results.(i) with
-        | Some (Ok v) -> Some (i, v)
-        | Some (Error e) ->
-          (* A failed item ends the stream: drop the rest of the grid
-             so the pool is reusable, then surface the error exactly
-             like [run] would. *)
-          discard tk;
-          raise e
-        | None -> assert false)
-      | None -> (
-        (* Nothing completed yet — be a lane rather than a bystander.
-           Claim like [run], but execute a single item and push the
-           chunk remainder back (still stealable), so results flow to
-           the consumer at item granularity even when the main lane is
-           the only lane. *)
-        match get_work t main with
-        | Some (lo, hi) ->
-          if hi > lo + 1 then begin
-            Mutex.lock main.lm;
-            push_front main (lo + 1, hi);
-            Mutex.unlock main.lm
-          end;
-          (match t.job with
-          | Some g -> run_chunk t g main ~is_worker:false (lo, lo + 1)
-          | None -> ());
-          deliver ()
-        | None ->
-          (* Everything is in flight on other lanes: sleep until a
-             completion lands or an orphan is requeued onto the main
-             lane (both signal [cready]). *)
-          Mutex.lock st.cm;
-          while Queue.is_empty st.completions && Atomic.get main.queued = 0 do
-            Condition.wait st.cready st.cm
-          done;
-          Mutex.unlock st.cm;
-          deliver ())
-    in
-    deliver ()
+    if tk.delivered >= tk.seen then begin
+      Mutex.lock t.cm;
+      tk.seen <- t.pushed;
+      Mutex.unlock t.cm
+    end;
+    if tk.delivered < tk.seen then begin
+      let i = t.completions.(tk.delivered) in
+      tk.delivered <- tk.delivered + 1;
+      if tk.delivered >= tk.n then release tk;
+      (match tk.failed with
+      | Some (j, e) when j = i ->
+        discard tk;
+        raise e
+      | _ -> ());
+      i
+    end
+    else begin
+      (* Nothing completed yet — be a lane rather than a bystander. *)
+      let main = t.lanes.(t.workers) in
+      (match get_work t main with
+      | Some chunk -> run_chunk t tk main chunk
+      | None ->
+        (* Everything left is in flight on other lanes: sleep until a
+           completion lands. *)
+        Mutex.lock t.cm;
+        await t (fun () -> t.pushed > tk.delivered);
+        Mutex.unlock t.cm);
+      deliver tk
+    end
   end
 
+let next_result tk = match deliver tk with -1 -> None | i -> Some i
+
 let drain tk =
-  let rec go () = match next_result tk with Some _ -> go () | None -> () in
-  go ();
-  if tk.delivered < tk.tn then
+  if tk.closed && tk.delivered < tk.n then
     invalid_arg "Pool.drain: ticket was discarded before completion";
-  Array.init tk.tn (fun i ->
-      match tk.results.(i) with
-      | Some (Ok v) -> v
-      | Some (Error _) | None -> assert false)
+  while deliver tk >= 0 do
+    ()
+  done

@@ -1,12 +1,14 @@
 (** Sharded work-stealing pool of worker domains for index-parallel
     jobs.
 
-    Built on [Domain]/[Mutex]/[Condition] only.  [run t f n] evaluates
-    [f i] for every [i < n], with the calling domain participating as
-    one lane alongside the workers; it returns once all indices have
-    completed, re-raising the first exception any [f i] raised.  [f]
-    must confine its writes to per-index slots — that is what makes the
-    result independent of claim order.
+    Built on [Domain]/[Mutex]/[Condition] only.  There is one way to
+    run a job: {!submit_stream} posts [f i] for every [i < n] and
+    returns a ticket, and the caller consumes completed indices with
+    {!next_result} (one at a time, in completion order) or {!drain}
+    (all of them).  The calling domain participates as a lane while it
+    consumes.  [f] must confine its writes to per-index slots — that is
+    what makes the result independent of claim order; a delivered
+    index guarantees its slot write is visible to the consumer.
 
     Scheduling (DESIGN §13): submit deals contiguous index chunks
     round-robin across per-lane run queues (main lane first); a lane
@@ -14,21 +16,14 @@
     queue when it drains.  Wakeups are targeted [signal]s — only lanes
     that can make progress are woken — and a wake that finds nothing
     claimable counts [pool.wakeup.spurious].  Each steal counts
-    [pool.steal.count]. *)
+    [pool.steal.count].
+
+    Failures: every item runs under one exception handler.  An
+    exception raised by [f i] is that item's failure; delivering the
+    item discards the rest of the job (the pool is immediately
+    reusable) and re-raises it. *)
 
 type t
-
-exception Worker_killed
-(** Test hook simulating an abrupt worker-domain death.  A job function
-    raising this from a worker lane kills that domain: the supervisor
-    requeues the unfinished remainder of the claimed chunk (current
-    index included) onto the main lane's queue, increments
-    [pool.worker.restarts] and spawns a replacement; chunks still
-    queued on the dead lane survive for the replacement (or a thief).
-    Raised on the main lane it simply requeues and continues (the
-    caller's domain cannot be respawned).  Unlike ordinary exceptions
-    it is not recorded as the job's failure — the indices are retried
-    instead. *)
 
 val create : ?eager:bool -> int -> t
 (** [create workers] asks for that many worker domains (>= 1); they
@@ -43,10 +38,9 @@ val create : ?eager:bool -> int -> t
     stop-the-world minor collection — oversubscription measurably
     *loses* batch throughput, so the surplus simply never exists and
     scaling stays monotone in the requested lane count.
-    [~eager:true] spawns the full request regardless; supervision
-    tests use it to force worker-lane participation (and deaths)
-    deterministically.  Results are bit-identical either way — only
-    wall-clock changes. *)
+    [~eager:true] spawns the full request regardless; tests and
+    benchmarks use it to force worker-lane participation.  Results
+    are bit-identical either way — only wall-clock changes. *)
 
 val workers : t -> int
 (** Worker domains actually spawned (lanes - 1); at most the request
@@ -76,50 +70,36 @@ val stats : t -> stats
     histograms, plus the [pool.steal.count] and
     [pool.wakeup.spurious] counters. *)
 
-val run : ?chunk:int -> t -> (int -> unit) -> int -> unit
-(** [run ?chunk t f n] evaluates [f i] for all [i < n].  [chunk]
-    overrides the submit-time chunk size (default: [n] spread evenly
-    over the engaged lanes, capped at {!max_chunk}) and disables the
-    wakeup budget — the explicit-chunk deal covers every lane; mainly
-    for tests and benchmarks that want to force queue traffic. *)
+(** {1 Jobs (DESIGN §14)}
 
-(** {1 Streaming submission (DESIGN §14)}
+    One job is in flight at a time — posting over an undrained ticket
+    raises [Invalid_argument]. *)
 
-    [submit_stream] posts a whole job without blocking and returns a
-    ticket; results are consumed out of order as lanes finish them.
-    One job (streaming or [run]) is in flight at a time — posting over
-    an undrained ticket raises [Invalid_argument]. *)
+type ticket
+(** A job in flight.  Not thread-safe — only the domain that called
+    {!submit_stream} (the pool's main lane) may consume it. *)
 
-type 'a ticket
-(** A streaming job in flight: [n] items, a result slot per index, and
-    a completion queue filled by the lanes.  Not thread-safe — only
-    the domain that called {!submit_stream} (the pool's main lane) may
-    consume it. *)
+val submit_stream : ?chunk:int -> t -> (int -> unit) -> int -> ticket
+(** [submit_stream t f n] deals items [0..n-1] across the lanes and
+    returns immediately.  By default a submit engages only
+    [ceil (n / max_chunk)] lanes and spreads [n] evenly over them;
+    [chunk] overrides the chunk size and deals across every lane
+    (tests and benchmarks that want to force queue traffic). *)
 
-val submit_stream : ?chunk:int -> t -> (int -> 'a) -> int -> 'a ticket
-(** [submit_stream t f n] deals items [0..n-1] across the lanes under
-    the same layout as {!run} (wakeup budget included) and returns
-    immediately.  An ordinary exception raised by [f i] is captured as
-    that item's result and re-raised by {!next_result} on delivery —
-    after discarding the remainder of the job — rather than recorded
-    as a pool-wide failure; {!Worker_killed} keeps its supervision
-    semantics (the item is retried, exactly-once delivery holds). *)
+val next_result : ticket -> int option
+(** Deliver the next completed index, in completion order.  If nothing
+    has completed, the calling domain claims and runs a queued chunk
+    itself, and only sleeps when every remaining item is in flight on
+    another lane.  Returns [None] once all [n] items have
+    been delivered (the pool is then free for the next job) or after
+    {!discard}.  Re-raises a failed item's exception on its
+    delivery. *)
 
-val next_result : 'a ticket -> (int * 'a) option
-(** Deliver the next completed item as [(index, result)], in
-    completion order.  If nothing has completed, the calling domain
-    claims queued work itself — one item at a time, so delivery
-    granularity is a single item even with zero workers — and only
-    sleeps when every remaining item is in flight on another lane.
-    Returns [None] once all [n] items have been delivered (the pool is
-    then free for the next job) or after {!discard}. *)
+val drain : ticket -> unit
+(** Deliver everything still outstanding.  Raises the first failed item's exception, like
+    {!next_result}; raises [Invalid_argument] on a discarded ticket. *)
 
-val drain : 'a ticket -> 'a array
-(** Deliver everything still outstanding and return all [n] results
-    assembled by index.  Raises the first item error it encounters,
-    like {!run}; raises [Invalid_argument] on a discarded ticket. *)
-
-val discard : 'a ticket -> unit
+val discard : ticket -> unit
 (** Abort: drop every still-queued item, wait out the in-flight ones,
     and free the pool for the next job.  Undelivered results are lost.
     Idempotent; a no-op on a fully delivered ticket. *)

@@ -65,7 +65,7 @@ let default () =
     default_engine := Some t;
     t
 
-let resolve = function Some t -> t | None -> default ()
+let engine_of = function Some t -> t | None -> default ()
 
 (* Live-monitor provider: expose the default engine's cache occupancy,
    pool lane state, checkpoint size and deadline remaining as gauges on
@@ -117,7 +117,6 @@ let monitor_gauges () =
 let () = Telemetry.Monitor.register "engine" monitor_gauges
 
 let eval_counter = Telemetry.Counter.make "engine.evals"
-let batch_counter = Telemetry.Counter.make "engine.batches"
 let stream_counter = Telemetry.Counter.make "engine.streams"
 let denied_counter = Telemetry.Counter.make "engine.denied"
 let deadline_counter = Telemetry.Counter.make "engine.deadline.hit"
@@ -196,159 +195,76 @@ type denial =
     }
   | Timed_out of { deadline_s : float }
 
-(* Checkpoint plumbing: a journal hit replays the trial cost exactly
-   like a cache hit, so odometers are independent of how a run was cut
-   up; a journal miss computes and records before anything else can
-   observe the value (durability precedes visibility). *)
+(* ------------------------------------------------- per-request steps
+   The two halves of every evaluation, shared by [eval] and the
+   stream core.  [cache] is the engine's cache as seen from the
+   calling domain: [None] off the main domain, where only the
+   (mutex-protected) journal is reachable. *)
 
-let replay (value : Cache.value) =
-  Telemetry.Counter.add trials_counter value.Cache.trial_cost;
-  value
+let local_cache t = if on_main () then t.cache else None
 
-let lookup_checkpoint t key =
-  match t.checkpoint with None -> None | Some cp -> Checkpoint.find cp key
+(* A hit of either level replays its trial cost, so odometers are
+   independent of how a run was cut up and of cache warmth. *)
+let replay (value : Cache.value) = Telemetry.Counter.add trials_counter value.Cache.trial_cost
 
-let checkpoint_record t key value =
-  match t.checkpoint with None -> () | Some cp -> Checkpoint.record cp key value
+let from_cache cache key =
+  match cache with
+  | None -> None
+  | Some c -> (
+    match Cache.find c key with
+    | Some value as hit ->
+      replay value;
+      hit
+    | None -> None)
 
-let compute_keyed t ~token key req =
-  let value = compute_tok ~token req in
-  checkpoint_record t key value;
-  value
+(* A journal hit is published to the cache: the journal is the
+   persistent second level behind it. *)
+let from_journal t cache key =
+  match t.checkpoint with
+  | None -> None
+  | Some cp -> (
+    match Checkpoint.find cp key with
+    | Some value as hit ->
+      replay value;
+      Option.iter (fun c -> Cache.add c key value) cache;
+      hit
+    | None -> None)
 
-let eval_value ?token t (req : Request.t) : Cache.value =
-  let token = match token with Some _ as tk -> tk | None -> t.deadline in
-  let key = Request.cache_key req in
-  if not (on_main ()) then
-    match key with
-    | Some k -> (
-      match lookup_checkpoint t k with
-      | Some value -> replay value
-      | None -> compute_keyed t ~token k req)
-    | None -> compute_tok ~token req
-  else
-    match t.cache, key with
-    | Some cache, Some k -> (
-      match Cache.find cache k with
-      | Some value ->
-        (* Hit: no simulator step ran; replay the trial cost so the
-           odometer matches a cold run exactly. *)
-        replay value
-      | None -> (
-        match lookup_checkpoint t k with
-        | Some value ->
-          let value = replay value in
-          Cache.add cache k value;
-          value
-        | None ->
-          let value = compute_keyed t ~token k req in
-          Cache.add cache k value;
-          value))
-    | None, Some k -> (
-      match lookup_checkpoint t k with
-      | Some value -> replay value
-      | None -> compute_keyed t ~token k req)
-    | _, None -> compute_tok ~token req
+(* Resolve: cache, then journal — no simulator step.  A stream runs
+   the two halves as two passes over its grid instead, so every cache
+   lookup precedes every journal lookup. *)
+let resolve t cache key =
+  match from_cache cache key with Some _ as hit -> hit | None -> from_journal t cache key
 
 let charge account (value : Cache.value) =
-  Option.iter (fun a -> Account.charge a value.Cache.trial_cost) account
+  match account with Some a -> Account.charge a value.Cache.trial_cost | None -> ()
+
+(* Publish a computed value: journal record, then cache add, then the
+   account charge — durability precedes visibility. *)
+let publish t cache ?account key value =
+  (match key with
+  | Some k ->
+    Option.iter (fun cp -> Checkpoint.record cp k value) t.checkpoint;
+    Option.iter (fun c -> Cache.add c k value) cache
+  | None -> ());
+  charge account value
+
+let eval_value ~token ?account t req =
+  let cache = local_cache t in
+  let key = Request.cache_key req in
+  let hit = match key with Some k -> resolve t cache k | None -> None in
+  match hit with
+  | Some value ->
+    charge account value;
+    value
+  | None ->
+    let value = compute_tok ~token req in
+    publish t cache ?account key value;
+    value
 
 let eval ?engine ?account req =
-  let value = eval_value (resolve engine) req in
-  charge account value;
-  value.Cache.measurement
-
-let eval_batch_inner ?token t ?account reqs =
-  let token = match token with Some _ as tk -> tk | None -> t.deadline in
-  Telemetry.Counter.incr batch_counter;
-  let arr = Array.of_list reqs in
-  let n = Array.length arr in
-  if n = 0 then []
-  else if not (on_main ()) then
-    List.map
-      (fun req ->
-        let value = eval_value ?token t req in
-        charge account value;
-        value.Cache.measurement)
-      reqs
-  else begin
-    let results : Cache.value option array = Array.make n None in
-    let keys = Array.map Request.cache_key arr in
-    (* Cache pass in request order (deterministic LRU traffic). *)
-    (match t.cache with
-    | None -> ()
-    | Some cache ->
-      Array.iteri
-        (fun i key ->
-          match key with
-          | None -> ()
-          | Some key -> (
-            match Cache.find cache key with
-            | Some value -> results.(i) <- Some (replay value)
-            | None -> ()))
-        keys);
-    (* Indices the cache must learn, whether the value comes from the
-       journal or from a fresh compute. *)
-    let to_store =
-      Array.of_list (List.filter (fun i -> results.(i) = None) (List.init n (fun i -> i)))
-    in
-    (* Checkpoint pass: resume completed cells without touching the
-       simulator. *)
-    (match t.checkpoint with
-    | None -> ()
-    | Some cp ->
-      Array.iter
-        (fun i ->
-          match keys.(i) with
-          | None -> ()
-          | Some key -> (
-            match Checkpoint.find cp key with
-            | Some value -> results.(i) <- Some (replay value)
-            | None -> ()))
-        to_store);
-    let misses = Array.of_list (List.filter (fun i -> results.(i) = None) (Array.to_list to_store)) in
-    (* The pool shards [misses] across its per-lane run queues (chunked
-       round-robin + stealing, DESIGN §13); result-slot ordering is
-       preserved because each worker writes only [results.(misses.(j))]
-       for the [j] it claimed, so claim order never shows in the
-       output.  Each completed compute journals itself before
-       publishing, from whichever domain ran it — an interrupt
-       mid-batch loses only the evaluations that had not finished. *)
-    let run_one j =
-      let i = misses.(j) in
-      let value = compute_tok ~token arr.(i) in
-      (match keys.(i) with None -> () | Some key -> checkpoint_record t key value);
-      results.(i) <- Some value
-    in
-    (match t.backend with
-    | Seq -> Array.iteri (fun j _ -> run_one j) misses
-    | Domains _ when t.streaming ->
-      (* A streaming job owns the pool (this batch is nested inside
-         one of its items, running on the main lane); compute inline
-         rather than posting a second job. *)
-      Array.iteri (fun j _ -> run_one j) misses
-    | Domains pool -> Pool.run pool run_one (Array.length misses));
-    (* Store pass in request order, after the barrier: cache state is a
-       pure function of the request sequence, never of claim order. *)
-    (match t.cache with
-    | None -> ()
-    | Some cache ->
-      Array.iter
-        (fun i ->
-          match keys.(i), results.(i) with
-          | Some key, Some value -> Cache.add cache key value
-          | _ -> ())
-        to_store);
-    Array.to_list
-      (Array.map
-         (fun r ->
-           let value = Option.get r in
-           charge account value;
-           value.Cache.measurement)
-         results)
-  end
-
-let eval_batch ?engine ?account reqs = eval_batch_inner (resolve engine) ?account reqs
+  let t = engine_of engine in
+  (eval_value ~token:t.deadline ?account t req).Cache.measurement
 
 (* A cancellation that fired because [tok]'s deadline passed becomes a
    typed [Timed_out] denial; any other cancellation (a SIGINT, an outer
@@ -360,238 +276,168 @@ let timed_out_guard tok deadline_s = function
     Some (Timed_out { deadline_s })
   | _ -> None
 
-let eval_deadlined ?engine ?account ~deadline_s req =
-  let t = resolve engine in
-  let tok = Telemetry.Cancel.with_deadline deadline_s in
-  match eval_value ~token:tok t req with
-  | value ->
-    charge account value;
-    Ok value.Cache.measurement
-  | exception e -> (
-    match timed_out_guard tok deadline_s e with Some d -> Error d | None -> raise e)
-
-let eval_batch_deadlined ?engine ?account ~deadline_s reqs =
-  let t = resolve engine in
-  let tok = Telemetry.Cancel.with_deadline deadline_s in
-  match eval_batch_inner ~token:tok t ?account reqs with
-  | ms -> Ok ms
-  | exception e -> (
-    match timed_out_guard tok deadline_s e with Some d -> Error d | None -> raise e)
-
 (* ---------------------------------------------------------- streaming
-   DESIGN §14: the whole request grid is handed to the scheduler at
-   once and results are consumed out of order as lanes finish them.
-   Cache and journal lookups short-circuit before anything is
-   enqueued; for every computed miss, checkpoint journaling (the
-   durability write) and cache publication happen on the main domain
-   at delivery time, in that order — workers only compute, so the
-   journal-before-publish contract of §11 holds with a single writer.
-   Delivery order is completion order (schedule-dependent); index
-   assembly is what restores determinism, exactly as with [Pool.run]'s
-   slot contract.  Measurement values and trial odometers are
-   schedule-independent; the one thing that becomes schedule-dependent
-   is the cache's LRU *recency* order for the streamed misses, which
-   affects future hit latency only, never a value. *)
+   DESIGN §14: the one multi-request path.  The whole request grid is
+   resolved up front — one cache lookup per keyed request, in request
+   order, then the journal for the rest — and only the misses reach
+   the scheduler.  Hits are delivered first, in request order; misses
+   are delivered as lanes finish them.  Workers only compute: every
+   computed miss is published ([publish]: journal, cache, account) on
+   the main domain at delivery, so journal-before-publish holds with a
+   single writer.  Delivery order is completion order
+   (schedule-dependent); index assembly is what restores determinism.
+   Measurement values and trial odometers are schedule-independent;
+   the one schedule-dependent thing is the cache's LRU *recency* order
+   for the streamed misses, which affects future hit latency only,
+   never a value. *)
 
 type stream = {
-  s_n : int;
-  (* Per-stream deadline token; [None] on plain [eval_stream], where
-     an engine-wide deadline still cancels computes but surfaces as
-     the raw cancellation exception, exactly like [eval_batch]. *)
-  s_tok : Telemetry.Cancel.t option;
-  s_deadline_s : float option;
-  mutable s_hits : (int * Metrics.Spec.measurement) list;  (* request order *)
-  s_out : Metrics.Spec.measurement option array;  (* every delivery, by index *)
-  s_next_miss : unit -> (int * Metrics.Spec.measurement) option;
-  s_on_stop : unit -> unit;  (* release pool / re-entrancy latch; idempotent *)
-  mutable s_stopped : bool;
-  mutable s_aborted : bool;  (* stopped early: drain would be partial *)
-  mutable s_dead : denial option;  (* sticky after a deadline denial *)
+  values : Cache.value option array;  (* by request index; full once drained *)
+  next : unit -> int option;  (* deliver one more index, publishing it *)
+  on_stop : unit -> unit;  (* release pool / re-entrancy latch; idempotent *)
+  (* Per-stream deadline token and its budget; [None] without
+     [?deadline_s], where an engine-wide deadline still cancels
+     computes but surfaces as the raw cancellation exception. *)
+  deadline : (Telemetry.Cancel.t * float) option;
+  mutable stopped : bool;
+  mutable aborted : bool;  (* stopped early: drain would be partial *)
+  mutable dead : denial option;  (* sticky after a deadline denial *)
 }
 
-let stream_length s = s.s_n
-
-let eval_stream_inner ?token ?deadline_s (t : t) ?account reqs =
-  let token = match token with Some _ as tk -> tk | None -> t.deadline in
+let eval_stream ?engine ?account ?deadline_s reqs =
+  let t = engine_of engine in
   Telemetry.Counter.incr stream_counter;
+  let deadline = Option.map (fun d -> (Telemetry.Cancel.with_deadline d, d)) deadline_s in
+  let token = match deadline with Some (tok, _) -> Some tok | None -> t.deadline in
   let arr = Array.of_list reqs in
   let n = Array.length arr in
-  let mk ?(hits = []) ?(on_stop = ignore) next_miss =
-    {
-      s_n = n;
-      s_tok = (if deadline_s = None then None else token);
-      s_deadline_s = deadline_s;
-      s_hits = hits;
-      s_out = Array.make n None;
-      s_next_miss = next_miss;
-      s_on_stop = on_stop;
-      s_stopped = false;
-      s_aborted = false;
-      s_dead = None;
-    }
+  let values = Array.make n None in
+  let mk ?(on_stop = ignore) next =
+    { values; next; on_stop; deadline; stopped = false; aborted = false; dead = None }
   in
-  if not (on_main ()) || t.streaming then begin
-    (* Off the main domain, or nested inside another stream on this
-       engine: degrade to a lazy sequential cursor in index order.
-       [eval_value] keeps the cache/journal semantics right for either
-       situation. *)
-    let cursor = ref 0 in
+  let cursor = ref 0 in
+  if not (on_main ()) then
+    (* Off the main domain there is no cache and no pool: evaluate
+       lazily, one request per pull, in index order — exactly [eval]. *)
     mk (fun () ->
         if !cursor >= n then None
         else begin
           let i = !cursor in
           incr cursor;
-          let value = eval_value ?token t arr.(i) in
-          charge account value;
-          Some (i, value.Cache.measurement)
+          values.(i) <- Some (eval_value ~token ?account t arr.(i));
+          Some i
         end)
-  end
   else begin
-    let results : Cache.value option array = Array.make n None in
     let keys = Array.map Request.cache_key arr in
-    (* Cache pass in request order, then journal pass — identical
-       short-circuit order to [eval_batch_inner], and journal hits are
-       published to the cache here, before anything streams. *)
-    (match t.cache with
-    | None -> ()
-    | Some cache ->
-      Array.iteri
-        (fun i key ->
-          match key with
-          | None -> ()
-          | Some key -> (
-            match Cache.find cache key with
-            | Some value -> results.(i) <- Some (replay value)
-            | None -> ()))
-        keys);
-    (match t.checkpoint with
-    | None -> ()
-    | Some cp ->
-      Array.iteri
-        (fun i key ->
-          match key with
-          | None -> ()
-          | Some key ->
-            if results.(i) = None then (
-              match Checkpoint.find cp key with
-              | Some value ->
-                let value = replay value in
-                (match t.cache with Some c -> Cache.add c key value | None -> ());
-                results.(i) <- Some value
-              | None -> ()))
-        keys);
-    let hits = ref [] in
+    (* Every cache lookup precedes every journal lookup and compute, so
+       duplicate keys inside one grid are all misses (and all
+       computed), whatever the backend. *)
+    Array.iteri (fun i key -> Option.iter (fun k -> values.(i) <- from_cache t.cache k) key) keys;
     Array.iteri
-      (fun i r ->
-        match r with
-        | Some value ->
-          charge account value;
-          hits := (i, value.Cache.measurement) :: !hits
-        | None -> ())
-      results;
-    let hits = List.rev !hits in
-    let misses =
-      Array.of_list (List.filter (fun i -> results.(i) = None) (List.init n (fun i -> i)))
-    in
+      (fun i key ->
+        match key with
+        | Some k when values.(i) = None -> values.(i) <- from_journal t t.cache k
+        | _ -> ())
+      keys;
+    let hits = ref (List.filter (fun i -> values.(i) <> None) (List.init n Fun.id)) in
+    let misses = Array.of_list (List.filter (fun i -> values.(i) = None) (List.init n Fun.id)) in
     let m = Array.length misses in
-    (* Journal-before-publish, on the main domain, per completion. *)
-    let publish i (value : Cache.value) =
-      (match keys.(i) with Some key -> checkpoint_record t key value | None -> ());
-      (match t.cache, keys.(i) with
-      | Some cache, Some key -> Cache.add cache key value
-      | _ -> ());
-      charge account value;
-      (i, value.Cache.measurement)
+    let deliver j value =
+      let i = misses.(j) in
+      publish t t.cache ?account keys.(i) value;
+      values.(i) <- Some value;
+      Some i
+    in
+    let with_hits_first next_miss () =
+      match !hits with
+      | i :: rest ->
+        hits := rest;
+        Option.iter (charge account) values.(i);
+        Some i
+      | [] -> next_miss ()
     in
     match t.backend with
-    | Seq ->
-      (* One lane: misses compute lazily, one per pull, in index
-         order — an interrupted consumer pays only for what it
-         pulled. *)
-      let cursor = ref 0 in
-      mk ~hits (fun () ->
-          if !cursor >= m then None
-          else begin
-            let i = misses.(!cursor) in
-            incr cursor;
-            Some (publish i (compute_tok ~token arr.(i)))
-          end)
-    | Domains pool ->
+    | Domains pool when m > 0 && not t.streaming ->
       (* Hand the scheduler the whole miss grid now; consume
-         completions out of order.  Workers run [compute_tok] only —
-         journaling and cache publication wait for delivery here on
-         the main domain. *)
+         completions out of order. *)
+      let computed = Array.make m None in
       t.streaming <- true;
       let ticket =
-        try Pool.submit_stream pool (fun j -> compute_tok ~token arr.(misses.(j))) m
+        try
+          Pool.submit_stream pool
+            (fun j -> computed.(j) <- Some (compute_tok ~token arr.(misses.(j))))
+            m
         with e ->
           t.streaming <- false;
           raise e
       in
-      mk ~hits
+      mk
         ~on_stop:(fun () ->
           Pool.discard ticket;
           t.streaming <- false)
-        (fun () ->
-          match Pool.next_result ticket with
-          | None -> None
-          | Some (j, value) -> Some (publish misses.(j) value))
+        (with_hits_first (fun () ->
+             match Pool.next_result ticket with
+             | None -> None
+             | Some j -> deliver j (Option.get computed.(j))))
+    | Seq | Domains _ ->
+      (* One lane, or nested inside a stream that owns the pool: misses
+         compute inline, one per pull, in index order — an interrupted
+         consumer pays only for what it pulled. *)
+      mk
+        (with_hits_first (fun () ->
+             if !cursor >= m then None
+             else begin
+               let j = !cursor in
+               incr cursor;
+               deliver j (compute_tok ~token arr.(misses.(j)))
+             end))
   end
 
 let stream_stop ~aborted s =
-  if not s.s_stopped then begin
-    s.s_stopped <- true;
-    s.s_aborted <- aborted;
-    s.s_on_stop ()
+  if not s.stopped then begin
+    s.stopped <- true;
+    s.aborted <- aborted;
+    s.on_stop ()
   end
 
-let stream_abort s = if s.s_dead = None then stream_stop ~aborted:true s
+let stream_abort s = if s.dead = None then stream_stop ~aborted:true s
 
 let stream_next s =
-  match s.s_dead with
+  match s.dead with
   | Some d -> Error d
-  | None ->
-    if s.s_stopped then Ok None
-    else (
-      match s.s_hits with
-      | ((i, measurement) as hit) :: rest ->
-        s.s_hits <- rest;
-        s.s_out.(i) <- Some measurement;
-        Ok (Some hit)
-      | [] -> (
-        match s.s_next_miss () with
-        | Some (i, measurement) ->
-          s.s_out.(i) <- Some measurement;
-          Ok (Some (i, measurement))
-        | None ->
-          stream_stop ~aborted:false s;
-          Ok None
-        | exception e -> (
-          stream_stop ~aborted:true s;
-          match s.s_tok, s.s_deadline_s with
-          | Some tok, Some deadline_s -> (
-            match timed_out_guard tok deadline_s e with
-            | Some d ->
-              s.s_dead <- Some d;
-              Error d
-            | None -> raise e)
-          | _ -> raise e)))
+  | None when s.stopped -> Ok None
+  | None -> (
+    match s.next () with
+    | Some i -> Ok (Some (i, (Option.get s.values.(i)).Cache.measurement))
+    | None ->
+      stream_stop ~aborted:false s;
+      Ok None
+    | exception e -> (
+      stream_stop ~aborted:true s;
+      match s.deadline with
+      | Some (tok, deadline_s) -> (
+        match timed_out_guard tok deadline_s e with
+        | Some d ->
+          s.dead <- Some d;
+          Error d
+        | None -> raise e)
+      | None -> raise e))
 
 let stream_drain s =
-  if s.s_aborted then invalid_arg "Service.stream_drain: stream was aborted";
+  if s.aborted then invalid_arg "Service.stream_drain: stream was aborted";
   let rec go () =
     match stream_next s with
     | Ok (Some _) -> go ()
-    | Ok None -> Ok (List.map Option.get (Array.to_list s.s_out))
+    | Ok None ->
+      Ok (Array.to_list (Array.map (fun v -> (Option.get v).Cache.measurement) s.values))
     | Error d -> Error d
   in
   go ()
 
-let eval_stream ?engine ?account reqs = eval_stream_inner (resolve engine) ?account reqs
-
-let eval_stream_deadlined ?engine ?account ~deadline_s reqs =
-  let tok = Telemetry.Cancel.with_deadline deadline_s in
-  eval_stream_inner ~token:tok ~deadline_s (resolve engine) ?account reqs
+let eval_batch ?engine ?account reqs =
+  match stream_drain (eval_stream ?engine ?account reqs) with
+  | Ok ms -> ms
+  | Error _ -> assert false (* denials need a per-stream deadline *)
 
 (* Generic job-level streaming for fan-outs that are not [Request]
    evaluations (a lot's die calibrations, an attack's trial set): run
@@ -600,41 +446,26 @@ let eval_stream_deadlined ?engine ?account ~deadline_s reqs =
    compute inline behind the re-entrancy latch; on worker lanes they
    take the usual off-main (checkpoint + inline compute) path. *)
 let map_jobs ?engine f n =
-  let t = resolve engine in
-  if n <= 0 then []
-  else
-    match t.backend with
-    | Domains pool when on_main () && not t.streaming ->
-      t.streaming <- true;
-      Fun.protect
-        ~finally:(fun () -> t.streaming <- false)
-        (fun () ->
-          let ticket = Pool.submit_stream pool f n in
-          match Pool.drain ticket with
-          | results -> Array.to_list results
-          | exception e ->
-            Pool.discard ticket;
-            raise e)
-    | _ -> List.init n f
+  let t = engine_of engine in
+  match t.backend with
+  | Domains pool when n > 0 && on_main () && not t.streaming ->
+    t.streaming <- true;
+    Fun.protect
+      ~finally:(fun () -> t.streaming <- false)
+      (fun () ->
+        let out = Array.make n None in
+        Pool.drain (Pool.submit_stream pool (fun i -> out.(i) <- Some (f i)) n);
+        List.init n (fun i -> Option.get out.(i)))
+  | _ -> List.init n f
 
-let eval_guarded ?engine ?deadline_s ~account req =
+let eval_guarded ?engine ~account req =
   if Account.exhausted account then begin
     Telemetry.Counter.incr denied_counter;
     let limit = Option.value (Account.limit account) ~default:0 in
     Error (Budget_exhausted { spent = Account.spent account; limit })
   end
-  else
-    match deadline_s with
-    | None ->
-      let value = eval_value (resolve engine) req in
-      Account.charge account value.Cache.trial_cost;
-      Ok (value.Cache.measurement, value.Cache.trial_cost)
-    | Some deadline_s -> (
-      let t = resolve engine in
-      let tok = Telemetry.Cancel.with_deadline deadline_s in
-      match eval_value ~token:tok t req with
-      | value ->
-        Account.charge account value.Cache.trial_cost;
-        Ok (value.Cache.measurement, value.Cache.trial_cost)
-      | exception e -> (
-        match timed_out_guard tok deadline_s e with Some d -> Error d | None -> raise e))
+  else begin
+    let t = engine_of engine in
+    let value = eval_value ~token:t.deadline ~account t req in
+    Ok (value.Cache.measurement, value.Cache.trial_cost)
+  end

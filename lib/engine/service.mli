@@ -4,28 +4,32 @@
     calibration sweeps, oracle/refab attack trials, the figure and
     table experiments, and the fault campaign.  Evaluation of a
     {!Request.t} is a pure function, so the service can front it with a
-    content-addressed LRU cache and fan batches out across a fixed pool
-    of OCaml 5 domains while keeping same-seed output byte-identical to
-    the sequential backend:
+    content-addressed LRU cache and fan request grids out across a
+    fixed pool of OCaml 5 domains while keeping same-seed output
+    byte-identical to the sequential backend.
 
-    - single [eval]s run inline on the calling domain;
-    - [eval_batch] looks the batch up in the cache in request order,
-      computes the misses (sequentially or on the pool, writing each
-      result into its own slot of an index-addressed array), then
-      stores them back in request order — so result order, cache state
-      and every trial odometer are independent of the backend;
-    - cache hits replay the original evaluation's trial cost into the
-      [measure.trials] odometer and any {!Account}, so printed query
-      accounting is independent of cache warmth.
+    Every request takes the same two steps.  {e Resolve}: look the
+    request up in the cache, then in the checkpoint journal (a journal
+    hit is published to the cache); either kind of hit replays the
+    original evaluation's trial cost into the [measure.trials] odometer
+    and any {!Account}, so printed query accounting is independent of
+    cache warmth.  {e Publish}, for a computed miss: journal record,
+    then cache add, then account charge — durability precedes
+    visibility.
 
-    Supervision (PR 6): an engine can carry a {!Checkpoint.t} journal —
-    a persistent second cache level that makes completed evaluations
-    durable (each one fsync'd as it finishes, from whichever domain ran
-    it) so an interrupted campaign resumes bit-identically — and a
-    deadline, enforced cooperatively by cancellation polls inside the
-    simulator inner loop.  A deadline that fires surfaces as the typed
-    denial {!Timed_out} (counted in [engine.deadline.hit]), never as a
-    hang. *)
+    There is one multi-request path, the stream: {!eval_stream}
+    resolves the whole grid in request order, hands only the misses to
+    the scheduler, and publishes each computed miss on the main domain
+    as it is delivered.  {!eval_batch} is a drained stream.  {!eval}
+    runs the two steps inline on the calling domain.
+
+    Supervision: an engine can carry a {!Checkpoint.t} journal — a
+    persistent second cache level that makes completed evaluations
+    durable so an interrupted campaign resumes bit-identically — and
+    a deadline, enforced cooperatively by cancellation polls inside
+    the simulator inner loop.  A per-stream deadline that fires
+    surfaces as the typed denial {!Timed_out} (counted in
+    [engine.deadline.hit]), never as a hang. *)
 
 type t
 
@@ -96,69 +100,49 @@ type denial =
   | Timed_out of { deadline_s : float }
 
 val eval : ?engine:t -> ?account:Account.t -> Request.t -> Metrics.Spec.measurement
-(** Evaluate one request (cache-first, inline on the calling domain). *)
+(** Evaluate one request: resolve, else compute and publish, inline on
+    the calling domain. *)
 
 val eval_batch :
   ?engine:t -> ?account:Account.t -> Request.t list -> Metrics.Spec.measurement list
-(** Evaluate a batch; results come back in request order, bit-identical
-    across backends and cache states. *)
-
-val eval_deadlined :
-  ?engine:t ->
-  ?account:Account.t ->
-  deadline_s:float ->
-  Request.t ->
-  (Metrics.Spec.measurement, denial) result
-(** [eval] under a per-call deadline (seconds from now).  A deadline
-    that fires mid-simulation returns [Error (Timed_out _)] within one
-    poll interval of the inner loop; cache and checkpoint hits never
-    time out.  Counts [engine.deadline.hit]. *)
-
-val eval_batch_deadlined :
-  ?engine:t ->
-  ?account:Account.t ->
-  deadline_s:float ->
-  Request.t list ->
-  (Metrics.Spec.measurement list, denial) result
-(** [eval_batch] under one shared deadline for the whole batch.  On
-    timeout the in-flight lanes drain at their next poll; evaluations
-    that completed before the deadline are already journalled (and
-    cached), so a resumed batch does not repeat them. *)
+(** Evaluate a batch — [stream_drain (eval_stream reqs)]; results come
+    back in request order, bit-identical across backends and cache
+    states.  Duplicate keys inside one batch are all cache misses and
+    are all computed. *)
 
 (** {1 Streaming evaluation (DESIGN §14)}
 
-    [eval_stream] hands the scheduler the whole request grid at once
-    and returns a stream; {!stream_next} delivers [(index, measurement)]
-    pairs as lanes finish them, out of order, so a straggler no longer
-    gates the rest of the grid.  Cache and journal hits short-circuit
-    before anything is enqueued (and are delivered first, in request
-    order); for each computed miss, checkpoint journaling and cache
-    publication happen on the main domain at delivery time, preserving
-    journal-before-publish with a single writer.  Reassembling by index
-    ({!stream_drain}) is bit-identical to {!eval_batch} on the same
-    requests, for any lane count.
+    [eval_stream] resolves the whole grid up front — one cache lookup
+    per keyed request, in request order, before any journal lookup or
+    compute — and hands only the misses to the scheduler.
+    {!stream_next} delivers [(index, measurement)] pairs: hits first,
+    in request order, then misses as lanes finish them, out of order,
+    so a straggler never gates the rest of the grid.  Each computed
+    miss is published (journal, cache, account) on the main domain at
+    delivery.  Reassembling by index ({!stream_drain}) is bit-identical
+    for any lane count.
 
-    One stream owns the engine's pool at a time: evaluations issued
-    from inside the stream's own items (nested calibrations, &c.)
-    transparently compute inline, and a second concurrent stream on
-    the same engine degrades to a lazy sequential cursor.  A stream
-    must be consumed on the domain that opened it, and either drained
-    to [Ok None] / an [Error] or explicitly {!stream_abort}ed —
-    abandoning it leaves the pool occupied. *)
+    One stream owns the engine's pool at a time: evaluations and
+    streams issued from inside the stream's own items (nested
+    calibrations, &c.) resolve the same way but compute inline on the
+    calling lane.  Off the main domain a stream has no cache and no
+    pool and evaluates each request like {!eval}, one per pull.  A
+    stream must be consumed on the domain that opened it, and either
+    drained to [Ok None] / an [Error] or explicitly {!stream_abort}ed
+    — abandoning it leaves the pool occupied. *)
 
 type stream
 
-val eval_stream : ?engine:t -> ?account:Account.t -> Request.t list -> stream
-(** Submit the grid and return immediately.  Under an engine-wide
-    deadline, a cancellation surfaces from {!stream_next} as the raw
-    exception, exactly as {!eval_batch} would. *)
-
-val eval_stream_deadlined :
-  ?engine:t -> ?account:Account.t -> deadline_s:float -> Request.t list -> stream
-(** Like {!eval_stream} under one shared per-stream deadline: once it
-    fires, {!stream_next} aborts the remaining work and returns
-    (stickily) [Error (Timed_out _)].  Completions delivered before the
-    deadline are already journalled and cached. *)
+val eval_stream :
+  ?engine:t -> ?account:Account.t -> ?deadline_s:float -> Request.t list -> stream
+(** Submit the grid and return immediately.  [deadline_s] bounds the
+    whole stream (seconds from now): once it fires, {!stream_next}
+    aborts the remaining work and returns (stickily)
+    [Error (Timed_out _)], counting [engine.deadline.hit]; completions
+    delivered before the deadline are already journalled and cached,
+    and resolved hits never time out.  Without it, an engine-wide
+    deadline surfaces from {!stream_next} as the raw cancellation
+    exception. *)
 
 val stream_next : stream -> ((int * Metrics.Spec.measurement) option, denial) result
 (** Next completed evaluation, or [Ok None] once all have been
@@ -172,11 +156,9 @@ val stream_drain : stream -> (Metrics.Spec.measurement list, denial) result
     [Invalid_argument] on an aborted stream. *)
 
 val stream_abort : stream -> unit
-(** Drop undelivered work (in-flight items finish and are journalled;
-    queued ones are discarded) and release the pool.  Idempotent. *)
-
-val stream_length : stream -> int
-(** Number of requests the stream was opened with. *)
+(** Drop undelivered work (queued items are discarded, in-flight ones
+    finish but are neither journalled nor cached — only delivery
+    publishes) and release the pool.  Idempotent. *)
 
 val map_jobs : ?engine:t -> (int -> 'a) -> int -> 'a list
 (** [map_jobs f n] runs [f i] for [i < n] on the engine's lanes as one
@@ -188,12 +170,7 @@ val map_jobs : ?engine:t -> (int -> 'a) -> int -> 'a list
     calls) run [List.init n f]. *)
 
 val eval_guarded :
-  ?engine:t ->
-  ?deadline_s:float ->
-  account:Account.t ->
-  Request.t ->
-  (Metrics.Spec.measurement * int, denial) result
+  ?engine:t -> account:Account.t -> Request.t -> (Metrics.Spec.measurement * int, denial) result
 (** The budget watchdog: refuse (and count [engine.denied]) once the
-    account is exhausted, otherwise evaluate and charge the actual
-    trial cost, returning it alongside the measurement.  [deadline_s]
-    additionally bounds the evaluation like {!eval_deadlined}. *)
+    account is exhausted, otherwise evaluate like {!eval} and charge
+    the actual trial cost, returning it alongside the measurement. *)

@@ -113,16 +113,13 @@ let eval_streamed ?engine ~tok ~completed ~total ~interrupt_after reqs =
   halt_check ();
   Telemetry.Cancel.poll ();
   let n = List.length reqs in
-  let stream =
-    match tok with
-    | None -> Engine.Service.eval_stream ?engine reqs
-    | Some tk ->
-      let remaining =
-        match Telemetry.Cancel.remaining_s tk with Some r -> r | None -> infinity
-      in
-      if remaining <= 0.0 then raise Deadline;
-      Engine.Service.eval_stream_deadlined ?engine ~deadline_s:remaining reqs
+  let deadline_s =
+    match Option.map Telemetry.Cancel.remaining_s tok with
+    | None -> None
+    | Some None -> Some infinity
+    | Some (Some r) -> if r <= 0.0 then raise Deadline else Some r
   in
+  let stream = Engine.Service.eval_stream ?engine ?deadline_s reqs in
   (* Whatever stops the consumption loop — the injected halt, a
      deadline, a SIGINT cancellation — releases the scheduler before
      propagating, so the partial-report paths above us never leave the
@@ -160,8 +157,8 @@ let run ?(dies = 3) ?(seed = 42) ?engine ?deadline_s ?interrupt_after standard =
     let tok = Option.map (fun s -> Telemetry.Cancel.with_deadline s) deadline_s in
     (* Install the campaign deadline as the ambient token for the
        main-domain stages (lot calibration, demos) so their simulator
-       polls observe it; batched stages carry it explicitly into the
-       worker domains via [eval_batch_deadlined]. *)
+       polls observe it; streamed stages carry it explicitly into the
+       worker domains via [eval_stream ~deadline_s]. *)
     let with_tok f = match tok with None -> f () | Some tk -> Telemetry.Cancel.with_token tk f in
     (* Partial-state accumulators: whatever is filled in when an
        interrupt lands becomes the partial report. *)

@@ -9,10 +9,10 @@
    The level check is the hot path — call sites all over the simulator
    supervision layers fire [debug]/[info] unconditionally — so it is a
    single atomic load and an integer compare before any formatting or
-   allocation happens.  Emission itself takes a mutex: worker domains
-   in the evaluation engine's pool log their own restarts and journal
-   writes, and interleaved half-lines would defeat the point of
-   structured output. *)
+   allocation happens.  Emission itself takes a mutex: code running on
+   worker domains in the evaluation engine's pool (nested
+   calibrations, say) logs too, and interleaved half-lines would
+   defeat the point of structured output. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -32,8 +32,8 @@ let level_of_string s =
   | "error" -> Some Error
   | _ -> None
 
-(* Default Warn: a clean run is silent, supervision events (worker
-   deaths, torn journals, degraded calibrations) always surface. *)
+(* Default Warn: a clean run is silent, supervision events (torn
+   journals, degraded calibrations) always surface. *)
 let threshold = Atomic.make (int_of_level Warn)
 
 let set_level l = Atomic.set threshold (int_of_level l)

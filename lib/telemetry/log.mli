@@ -10,8 +10,7 @@
     interleaving.
 
     The default level is [Warn]: a healthy run is silent on stderr
-    while worker restarts, torn journals and degraded calibrations
-    always surface. *)
+    while torn journals and degraded calibrations always surface. *)
 
 type level = Debug | Info | Warn | Error
 

@@ -193,14 +193,13 @@ let escape_json s =
 
 let healthz_body () =
   let s = snapshot () in
-  let restarts = Option.value (counter_value "pool.worker.restarts") ~default:0 in
   let opt_num = function Some v when Float.is_finite v -> Printf.sprintf "%.3f" v | _ -> "null" in
   let deadline = List.assoc_opt "engine_deadline_remaining_seconds" s.gauges in
   Printf.sprintf
-    {|{"status":"ok","completed":%d,"total":%d,"elapsed_s":%s,"eta_s":%s,"cache_hit_rate":%s,"pool_restarts":%d,"deadline_remaining_s":%s,"engine_hash":"%s"}|}
+    {|{"status":"ok","completed":%d,"total":%d,"elapsed_s":%s,"eta_s":%s,"cache_hit_rate":%s,"deadline_remaining_s":%s,"engine_hash":"%s"}|}
     s.completed s.total
     (Printf.sprintf "%.3f" s.elapsed_s)
-    (opt_num s.eta_s) (opt_num s.cache_hit_rate) restarts (opt_num deadline)
+    (opt_num s.eta_s) (opt_num s.cache_hit_rate) (opt_num deadline)
     (escape_json (Manifest.engine_hash ()))
 
 type server = {

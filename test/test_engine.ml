@@ -111,6 +111,29 @@ let test_batch_order () =
     (List.combine batch singles);
   Engine.Service.shutdown engine
 
+(* Every keyed request does one cache lookup, in request order, before
+   any compute: a key repeated inside one batch misses twice and is
+   computed twice, on either backend. *)
+let test_batch_duplicate_keys () =
+  List.iter
+    (fun jobs ->
+      let engine = Engine.Service.create ~jobs () in
+      let req = request (config_of_bit 40) in
+      let evals0 = counter "engine.evals" in
+      let miss0 = counter "engine.cache.miss" in
+      let hit0 = counter "engine.cache.hit" in
+      (match Engine.Service.eval_batch ~engine [ req; req ] with
+      | [ a; b ] -> Alcotest.(check bool) "duplicates agree" true (same_measurement a b)
+      | _ -> Alcotest.fail "one result per request");
+      Alcotest.(check int) (Printf.sprintf "jobs %d: both computed" jobs) (evals0 + 2)
+        (counter "engine.evals");
+      Alcotest.(check int) (Printf.sprintf "jobs %d: both missed" jobs) (miss0 + 2)
+        (counter "engine.cache.miss");
+      Alcotest.(check int) (Printf.sprintf "jobs %d: no hit" jobs) hit0
+        (counter "engine.cache.hit");
+      Engine.Service.shutdown engine)
+    [ 1; 2 ]
+
 let seq_engine = lazy (Engine.Service.create ~jobs:1 ~cache:false ())
 let pool_engine = lazy (Engine.Service.create ~jobs:2 ~cache:false ())
 let pool_engine4 = lazy (Engine.Service.create ~jobs:4 ~cache:false ())
@@ -207,50 +230,20 @@ let prop_shared_account =
 
 (* --------------------------------------------------------------- pool *)
 
+(* The one way to run a pool job: post it, then consume it whole. *)
+let pool_run ?chunk pool f n = Engine.Pool.drain (Engine.Pool.submit_stream ?chunk pool f n)
+
 let test_pool_reusable_after_exception () =
   let pool = Engine.Pool.create 2 in
   let n = 32 in
   let out = Array.make n 0 in
-  (match Engine.Pool.run pool (fun i -> if i = 7 then failwith "boom" else out.(i) <- i + 1) n with
+  (match pool_run pool (fun i -> if i = 7 then failwith "boom" else out.(i) <- i + 1) n with
   | () -> Alcotest.fail "the raising job must propagate its exception"
   | exception Failure msg -> Alcotest.(check string) "first failure surfaces" "boom" msg);
   Array.fill out 0 n 0;
-  Engine.Pool.run pool (fun i -> out.(i) <- i + 1) n;
+  pool_run pool (fun i -> out.(i) <- i + 1) n;
   Alcotest.(check bool) "pool still completes every index after a failed run" true
     (Array.for_all (fun v -> v > 0) out);
-  Engine.Pool.shutdown pool
-
-let test_pool_worker_respawn () =
-  (* Eager: the test needs a worker lane to actually wake and claim so
-     the one-shot kill lands on it — the default hardware-aware wake
-     budget may leave every worker parked on a small machine. *)
-  let pool = Engine.Pool.create ~eager:true 2 in
-  let n = 64 in
-  let main = Domain.self () in
-  let killed = Atomic.make false in
-  let restarts0 = counter "pool.worker.restarts" in
-  let out = Array.make n 0 in
-  (* Every lane spins until the one-shot kill has fired: the first
-     worker lane to claim an index dies, so worker participation (and
-     exactly one death) is guaranteed, not scheduler luck.  The main
-     lane cannot deadlock — it spins with no lock held while an idle
-     worker claims, dies, and releases everyone. *)
-  Engine.Pool.run pool
-    (fun i ->
-      if Domain.self () <> main && Atomic.compare_and_set killed false true then
-        raise Engine.Pool.Worker_killed;
-      while not (Atomic.get killed) do
-        Domain.cpu_relax ()
-      done;
-      out.(i) <- 1)
-    n;
-  Alcotest.(check bool) "every index completed despite the death" true
-    (Array.for_all (fun v -> v = 1) out);
-  Alcotest.(check bool) "a worker lane was killed" true (Atomic.get killed);
-  Alcotest.(check int) "restart counted" (restarts0 + 1) (counter "pool.worker.restarts");
-  Array.fill out 0 n 0;
-  Engine.Pool.run pool (fun i -> out.(i) <- i + 1) n;
-  Alcotest.(check bool) "pool usable after the respawn" true (Array.for_all (fun v -> v > 0) out);
   Engine.Pool.shutdown pool
 
 (* Steal under skew: single-index chunks deal every 4th index to each
@@ -265,7 +258,7 @@ let test_pool_steal_under_skew () =
   let steals0 = counter "pool.steal.count" in
   let n = 64 in
   let out = Array.make n 0 in
-  Engine.Pool.run ~chunk:1 pool
+  pool_run ~chunk:1 pool
     (fun i ->
       (* Deal order is main,w0,w1,w2 — [i mod 4 <> 0] lands on a
          worker lane's queue.  A coarse spin stands in for a slow
@@ -281,36 +274,6 @@ let test_pool_steal_under_skew () =
     (counter "pool.steal.count" > steals0);
   Engine.Pool.shutdown pool
 
-(* Respawn mid-chunk: a worker dies partway through a multi-index
-   chunk (possibly one it stole).  The unfinished remainder — the
-   in-flight index included — must be requeued and completed by the
-   survivors, exactly once each, and the dead lane must be replaced. *)
-let test_pool_respawn_mid_chunk () =
-  let pool = Engine.Pool.create ~eager:true 2 in
-  let n = 24 in
-  let main = Domain.self () in
-  let killed = Atomic.make false in
-  let restarts0 = counter "pool.worker.restarts" in
-  let out = Array.make n 0 in
-  Engine.Pool.run ~chunk:4 pool
-    (fun i ->
-      if Domain.self () <> main && Atomic.compare_and_set killed false true then
-        raise Engine.Pool.Worker_killed;
-      while not (Atomic.get killed) do
-        Domain.cpu_relax ()
-      done;
-      out.(i) <- out.(i) + 1)
-    n;
-  Alcotest.(check bool) "a worker lane was killed" true (Atomic.get killed);
-  Alcotest.(check bool) "every index completed exactly once" true
-    (Array.for_all (( = ) 1) out);
-  Alcotest.(check int) "restart counted" (restarts0 + 1) (counter "pool.worker.restarts");
-  Array.fill out 0 n 0;
-  Engine.Pool.run pool (fun i -> out.(i) <- i + 1) n;
-  Alcotest.(check bool) "pool usable after the mid-chunk respawn" true
-    (Array.for_all (fun v -> v > 0) out);
-  Engine.Pool.shutdown pool
-
 (* ------------------------------------------------------------- stream *)
 
 (* Out-of-order delivery: item 0 blocks until item 1 (on the other
@@ -323,6 +286,7 @@ let test_pool_respawn_mid_chunk () =
 let test_pool_stream_out_of_order () =
   let pool = Engine.Pool.create ~eager:true 1 in
   let gate = Atomic.make false in
+  let results = Array.make 2 (-1) in
   let ticket =
     Engine.Pool.submit_stream ~chunk:1 pool
       (fun i ->
@@ -335,22 +299,22 @@ let test_pool_stream_out_of_order () =
           Unix.sleepf 0.05
         end
         else Atomic.set gate true;
-        i * 10)
+        results.(i) <- i * 10)
       2
   in
   (match Engine.Pool.next_result ticket with
-  | Some (i, v) ->
+  | Some i ->
     Alcotest.(check int) "item 1 is delivered first (out of order)" 1 i;
-    Alcotest.(check int) "its result rides along" 10 v
+    Alcotest.(check int) "its slot is written on delivery" 10 results.(i)
   | None -> Alcotest.fail "a completed item must be deliverable");
   (match Engine.Pool.next_result ticket with
-  | Some (i, v) ->
+  | Some i ->
     Alcotest.(check int) "the gated item arrives second" 0 i;
-    Alcotest.(check int) "gated item's result" 0 v
+    Alcotest.(check int) "gated item's slot" 0 results.(i)
   | None -> Alcotest.fail "the gated item must still be delivered");
   Alcotest.(check bool) "delivery ends with None" true (Engine.Pool.next_result ticket = None);
   let out = Array.make 8 0 in
-  Engine.Pool.run pool (fun i -> out.(i) <- i + 1) 8;
+  pool_run pool (fun i -> out.(i) <- i + 1) 8;
   Alcotest.(check bool) "pool free for an ordinary run after the stream" true
     (Array.for_all (fun v -> v > 0) out);
   Engine.Pool.shutdown pool
@@ -363,8 +327,8 @@ let test_pool_stream_discard () =
   | Some _ -> ()
   | None -> Alcotest.fail "expected at least one delivery before the discard");
   (* A second job over an undrained ticket must be refused... *)
-  (match Engine.Pool.run pool ignore 4 with
-  | () -> Alcotest.fail "posting over an in-flight stream must be refused"
+  (match Engine.Pool.submit_stream pool ignore 4 with
+  | _ -> Alcotest.fail "posting over an in-flight stream must be refused"
   | exception Invalid_argument _ -> ());
   Engine.Pool.discard ticket;
   Alcotest.(check bool) "discarded ticket delivers nothing" true
@@ -374,27 +338,39 @@ let test_pool_stream_discard () =
   | exception Invalid_argument _ -> ());
   (* ... and after the discard the pool is free again. *)
   let out = Array.make 8 0 in
-  Engine.Pool.run pool (fun i -> out.(i) <- i + 1) 8;
+  pool_run pool (fun i -> out.(i) <- i + 1) 8;
   Alcotest.(check bool) "pool reusable after the discard" true
     (Array.for_all (fun v -> v > 0) out);
   Engine.Pool.shutdown pool
 
-(* The tentpole equivalence: a drained stream is bit-identical to the
-   batch API on the same requests, at every lane count the CLI
-   exposes, out-of-order completion and all. *)
-let prop_stream_equals_batch =
-  QCheck.Test.make ~name:"eval_stream reassembled by index = eval_batch at jobs 1/4/8"
+(* Reference check: batches are drained streams, so compare them with
+   the simplest path there is — one [eval] per request on a fresh,
+   sequential, uncached engine.  Measurements must agree bit for bit
+   and so must the trial odometer, at every lane count the CLI
+   exposes. *)
+let prop_batch_equals_reference =
+  QCheck.Test.make ~name:"eval_batch = List.map eval on a fresh jobs-1 engine at jobs 1/4/8"
     ~count:4
     QCheck.(list_of_size (Gen.int_range 1 6) (int_range 0 63))
     (fun flipped_bits ->
       let reqs = List.map (fun bit -> request (config_of_bit bit)) flipped_bits in
+      let trials f =
+        let t0 = counter "measure.trials" in
+        let ms = f () in
+        (ms, counter "measure.trials" - t0)
+      in
+      let reference, ref_trials =
+        let engine = Engine.Service.create ~jobs:1 ~cache:false () in
+        let r = trials (fun () -> List.map (fun req -> Engine.Service.eval ~engine req) reqs) in
+        Engine.Service.shutdown engine;
+        r
+      in
       List.for_all
         (fun engine ->
-          let engine = Lazy.force engine in
-          let batch = Engine.Service.eval_batch ~engine reqs in
-          match Engine.Service.stream_drain (Engine.Service.eval_stream ~engine reqs) with
-          | Ok ms -> List.for_all2 same_measurement batch ms
-          | Error _ -> QCheck.Test.fail_report "stream without a deadline was denied")
+          let batch, batch_trials =
+            trials (fun () -> Engine.Service.eval_batch ~engine:(Lazy.force engine) reqs)
+          in
+          List.for_all2 same_measurement reference batch && batch_trials = ref_trials)
         [ seq_engine; pool_engine4; pool_engine8 ])
 
 (* Cache hits short-circuit before anything reaches the scheduler and
@@ -459,39 +435,32 @@ let test_map_jobs_nested () =
 
 (* ----------------------------------------------------------- deadline *)
 
-let test_eval_deadlined () =
-  let engine = Engine.Service.create ~cache:false () in
-  let req = request (config_of_bit 9) in
+(* A per-stream deadline on one request (sequential engine) and on four
+   requests (pool engine): an expired deadline is a typed denial that
+   echoes the deadline and counts [engine.deadline.hit]; a generous
+   one is bit-identical to the plain result. *)
+let check_stream_deadline ~jobs reqs =
+  let engine = Engine.Service.create ~jobs ~cache:false () in
   let hit0 = counter "engine.deadline.hit" in
-  (match Engine.Service.eval_deadlined ~engine ~deadline_s:0.0 req with
+  (match Engine.Service.stream_drain (Engine.Service.eval_stream ~engine ~deadline_s:0.0 reqs) with
   | Error (Engine.Service.Timed_out { deadline_s }) ->
     Alcotest.(check (float 0.0)) "denial echoes the deadline" 0.0 deadline_s
   | Error (Engine.Service.Budget_exhausted _) -> Alcotest.fail "wrong denial"
   | Ok _ -> Alcotest.fail "an expired deadline must not evaluate");
   Alcotest.(check int) "engine.deadline.hit incremented" (hit0 + 1)
     (counter "engine.deadline.hit");
-  let plain = Engine.Service.eval ~engine req in
-  (match Engine.Service.eval_deadlined ~engine ~deadline_s:60.0 req with
-  | Ok m ->
-    Alcotest.(check bool) "generous deadline is bit-identical to plain eval" true
-      (same_measurement plain m)
-  | Error _ -> Alcotest.fail "a generous deadline must succeed");
-  Engine.Service.shutdown engine
-
-let test_batch_deadlined () =
-  let engine = Engine.Service.create ~jobs:2 ~cache:false () in
-  let reqs = List.map (fun bit -> request (config_of_bit bit)) [ 11; 13; 17; 19 ] in
-  (match Engine.Service.eval_batch_deadlined ~engine ~deadline_s:0.0 reqs with
-  | Error (Engine.Service.Timed_out _) -> ()
-  | Error (Engine.Service.Budget_exhausted _) -> Alcotest.fail "wrong denial"
-  | Ok _ -> Alcotest.fail "an expired deadline must time the batch out");
   let plain = Engine.Service.eval_batch ~engine reqs in
-  (match Engine.Service.eval_batch_deadlined ~engine ~deadline_s:60.0 reqs with
+  (match Engine.Service.stream_drain (Engine.Service.eval_stream ~engine ~deadline_s:60.0 reqs) with
   | Ok ms ->
-    Alcotest.(check bool) "generous deadline is bit-identical to plain batch" true
+    Alcotest.(check bool) "generous deadline is bit-identical to the plain result" true
       (List.for_all2 same_measurement plain ms)
   | Error _ -> Alcotest.fail "a generous deadline must succeed");
   Engine.Service.shutdown engine
+
+let test_stream_deadline_one () = check_stream_deadline ~jobs:1 [ request (config_of_bit 9) ]
+
+let test_stream_deadline_pool () =
+  check_stream_deadline ~jobs:2 (List.map (fun bit -> request (config_of_bit bit)) [ 11; 13; 17; 19 ])
 
 (* -------------------------------------------------------------- retry *)
 
@@ -689,7 +658,10 @@ let () =
           Alcotest.test_case "peak gauge tracks the high-water mark" `Quick test_cache_peak;
         ] );
       ( "batch",
-        [ Alcotest.test_case "order preservation" `Quick test_batch_order ]
+        [
+          Alcotest.test_case "order preservation" `Quick test_batch_order;
+          Alcotest.test_case "duplicate keys are all computed" `Quick test_batch_duplicate_keys;
+        ]
         @ qcheck [ prop_backend_equivalence; prop_campaign_jobs_equivalence ] );
       ( "account",
         [ Alcotest.test_case "atomic charge hammer" `Quick test_account_atomic_hammer ]
@@ -698,11 +670,7 @@ let () =
         [
           Alcotest.test_case "reusable after a raising job" `Quick
             test_pool_reusable_after_exception;
-          Alcotest.test_case "worker death respawns and requeues" `Quick
-            test_pool_worker_respawn;
           Alcotest.test_case "steal under skew" `Quick test_pool_steal_under_skew;
-          Alcotest.test_case "respawn mid-chunk requeues the remainder" `Quick
-            test_pool_respawn_mid_chunk;
         ] );
       ( "stream",
         [
@@ -714,13 +682,13 @@ let () =
           Alcotest.test_case "abort releases the engine" `Quick test_stream_abort_reusable;
           Alcotest.test_case "map_jobs with nested engine calls" `Quick test_map_jobs_nested;
         ]
-        @ qcheck [ prop_stream_equals_batch ] );
+        @ qcheck [ prop_batch_equals_reference ] );
       ( "deadline",
         [
-          Alcotest.test_case "eval_deadlined times out and completes" `Quick
-            test_eval_deadlined;
-          Alcotest.test_case "eval_batch_deadlined on the pool backend" `Quick
-            test_batch_deadlined;
+          Alcotest.test_case "one-request stream times out and completes" `Quick
+            test_stream_deadline_one;
+          Alcotest.test_case "four-request stream on the pool backend" `Quick
+            test_stream_deadline_pool;
         ] );
       ( "retry",
         [
