@@ -168,6 +168,24 @@ let bench_engine_hit () =
 let bench_engine_miss () =
   ignore (Engine.Service.eval ~engine:(Lazy.force engine_uncached) (Lazy.force engine_request))
 
+(* The same miss for an invalid key of the Fig. 7/9 ensemble with the
+   comparator clock off and the calibration buffer in the path: the
+   modulator modes the golden key never reaches, held to the same
+   allocation budget as [engine:cache-miss]. *)
+let engine_request_invalid =
+  lazy
+    (let c = Lazy.force ctx in
+     let key = List.hd (Experiments.Context.invalid_ensemble ~n:1 c) in
+     Engine.Request.make
+       ~die:(Engine.Request.die_of_receiver c.Experiments.Context.rx)
+       ~standard:c.Experiments.Context.standard
+       ~config:{ key with Rfchain.Config.comp_clock_enable = false; cal_buffer_enable = true }
+       Engine.Request.Snr_mod)
+
+let bench_engine_miss_invalid () =
+  ignore
+    (Engine.Service.eval ~engine:(Lazy.force engine_uncached) (Lazy.force engine_request_invalid))
+
 let bench_engine_batch engine () =
   ignore (Engine.Service.eval_batch ~engine:(Lazy.force engine) (Lazy.force engine_batch))
 
@@ -251,6 +269,7 @@ let tests =
     Test.make ~name:"generality:afe-measure" (Staged.stage bench_afe_measure);
     Test.make ~name:"engine:cache-hit" (Staged.stage bench_engine_hit);
     Test.make ~name:"engine:cache-miss" (Staged.stage bench_engine_miss);
+    Test.make ~name:"engine:cache-miss-invalid" (Staged.stage bench_engine_miss_invalid);
     Test.make ~name:"engine:batch8-1domain" (Staged.stage (bench_engine_batch engine_uncached));
     Test.make ~name:"engine:batch8-2domains" (Staged.stage (bench_engine_batch engine_pool2));
     (* The engine kernels must run before any pool:* kernel forces the

@@ -305,6 +305,7 @@ let io_kernels = [ "engine:checkpoint-record" ]
 let arena_kernels =
   [
     "engine:cache-miss";
+    "engine:cache-miss-invalid";
     "engine:batch8-1domain";
     "engine:batch8-2domains";
     "faults:campaign-cell";
@@ -334,6 +335,7 @@ let tolerance_for name =
 let alloc_budgets =
   [
     ("engine:cache-miss", 30_000.0);
+    ("engine:cache-miss-invalid", 30_000.0);
     ("engine:batch8-1domain", 340_000.0);
     ("engine:batch8-2domains", 340_000.0);
     ("faults:campaign-cell", 80_000.0);

@@ -44,6 +44,8 @@ val mode : t -> mode
 
 val step : t -> float -> float
 (** One clock period: quantize (or pass through in [Buffer] mode,
-    clipped to the +-1 full scale). *)
+    clipped to the +-1 full scale).  [Rfchain.Sdm.run_into] inlines
+    this step into its unboxed loop; [step] stays the behavioural
+    reference its bit-exact oracle test is built from. *)
 
 val reset : t -> unit

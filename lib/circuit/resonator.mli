@@ -35,10 +35,14 @@ val output : t -> float
     output (which depends only on past inputs).  Must be followed by
     exactly one {!feed} before the next {!output}.  The split API lets a
     feedback loop read all filter outputs before computing the inputs
-    that close the loop, without creating a false algebraic loop. *)
+    that close the loop, without creating a false algebraic loop.
+    [Rfchain.Sdm.run_into] inlines {!output} and {!feed} into its
+    unboxed loop; these two stay the behavioural reference its
+    bit-exact oracle test is built from. *)
 
 val feed : t -> float -> unit
-(** Second half of a sample period: latch this sample's input. *)
+(** Second half of a sample period: latch this sample's input (see
+    {!output} for its role as the modulator's reference). *)
 
 val reset : t -> unit
 (** Zero the state. *)

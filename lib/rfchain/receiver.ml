@@ -59,10 +59,15 @@ let run t ~analog ?(digital = Decimator.default_config) ?(settle = 1024) ?(slice
   let ws = Sigkit.Workspace.get () in
   (* Prepend the settle prefix by repeating the record head: for
      periodic test tones this keeps the steady-state phase coherent.
-     Every cell of the scratch buffer is overwritten here. *)
+     Cell i holds input.((i + n - settle mod n) mod n), copied as runs
+     of the rotation; every cell of the scratch buffer is overwritten. *)
   let extended = Sigkit.Workspace.arr ws ~slot:extended_slot ~len:total in
-  for i = 0 to total - 1 do
-    extended.(i) <- input.((i + n - (settle mod n)) mod n)
+  let pos = ref 0 in
+  while !pos < total do
+    let src = if !pos = 0 then (n - (settle mod n)) mod n else 0 in
+    let len = min (n - src) (total - !pos) in
+    Array.blit input src extended !pos len;
+    pos := !pos + len
   done;
   (* The fault hook may return its argument or a fresh array; it must
      not retain the scratch buffer it was handed (inject.ml's hooks

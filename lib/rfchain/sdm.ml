@@ -160,42 +160,107 @@ let steps = Telemetry.Counter.make "sdm.steps"
 let hist_len = 8
 let hist_mask = hist_len - 1
 
-(* Fused inner loop for the normal operating mode (clocked comparator,
-   loop closed, input on, calibration buffer out of the path — every
-   measurement-side evaluation of a key lands here).  All per-sample
-   branches of the generic loop are decided before the loop; resonator
-   and comparator states live in local floats (the recurrences are
-   replicated expression-for-expression from [Circuit.Resonator] and
-   [Circuit.Comparator], so the output is bit-identical to the generic
-   path); noise is pre-filled per run; the history shift is a masked
-   circular index.  Array accesses are unsafe after one bounds check
-   ([input], [output], and both noise buffers have length >= n). *)
-let run_fused t ~n ~comp_noise_sigma ~d_int ~d_frac ~comp_buf ~input_buf input output =
+(* Workspace slots (DESIGN §15).  8-9 hold the comparator and input
+   noise, tagged with their stream: each stream is a fresh split of the
+   die's root, a pure function of (die, name), so a die's repeat runs
+   find the draw already there.  13 is the VGLNA noise batch, dead once
+   [Vglna.run_inplace] returns; buffer-mode jitter reuses it. *)
+let comp_slot = 8
+let input_slot = 9
+let jitter_slot = 13
+
+(* One loop for every configuration word: the four mode bits are loop
+   invariants and every noise sample is drawn before the loop, so the
+   per-sample work stays unboxed in local floats.  The recurrences are
+   [Circuit.Resonator.output]/[feed], [Circuit.Comparator.step] and
+   [Circuit.Nonlinear.apply] replicated expression for expression, so
+   the output is bit-identical to composing those modules (test_rfchain
+   keeps that composition as the oracle).  The history shift is a
+   masked circular index.  Array accesses are unsafe: [input],
+   [output] and the noise buffers all have length >= n (the empty
+   jitter buffer of the clocked modes is never read). *)
+let run_into t input output =
+  let n = Array.length input in
+  if Array.length output < n then invalid_arg "Sdm.run_into: output shorter than input";
+  Telemetry.Counter.incr runs;
+  Telemetry.Counter.add steps n;
+  Telemetry.Span.with_ ~name:"sdm.run" (fun () ->
+  let cfg = t.config in
+  let clocked = cfg.comp_clock_enable and fb_on = cfg.fb_enable in
+  let gmin_on = cfg.gmin_enable and cal_buffer = cfg.cal_buffer_enable in
+  let ws = Sigkit.Workspace.get () in
+  (* Without the clock the latch never regenerates: its full
+     input-referred noise shows up on the buffered output. *)
+  let comp_sigma =
+    if clocked then t.comp_noise_sigma else Float.max t.comp_noise_sigma 0.05
+  in
+  (* A noiseless comparator draws nothing; a zero batch under a zero
+     sigma adds exactly the +0.0 it contributes. *)
+  let comp_quiet = not (comp_sigma > 0.0) in
+  let comp_sigma = if comp_quiet then 0.0 else comp_sigma in
+  let comp_buf =
+    if comp_quiet then begin
+      let b = Sigkit.Workspace.arr ws ~slot:comp_slot ~len:n in
+      Array.fill b 0 n 0.0;
+      b
+    end
+    else
+      Sigkit.Workspace.gaussian ws ~slot:comp_slot ~len:n
+        (Circuit.Process.noise_stream t.chip ~name:"run.comp")
+  in
+  let input_buf =
+    Sigkit.Workspace.gaussian ws ~slot:input_slot ~len:n
+      (Circuit.Process.noise_stream t.chip ~name:"run.input")
+  in
+  (* An unclocked comparator output crosses into the clocked digital
+     domain asynchronously: no retiming, so the effective sampling
+     instant wanders (metastability + clock skew).  ~0.2 samples rms at
+     12 GS/s; first-order jitter error is slope * delta_t.  The clocked
+     path is synchronous and jitter-free. *)
+  let jitter_buf =
+    if clocked then [||]
+    else begin
+      let b = Sigkit.Workspace.arr ws ~slot:jitter_slot ~len:n in
+      Sigkit.Rng.gaussian_fill (Circuit.Process.noise_stream t.chip ~name:"run.jitter") b ~n;
+      b
+    end
+  in
+  (* Fractional loop-delay error is modelled as linear interpolation
+     between decision-history taps (a shifted DAC pulse delivers charge
+     split across two periods). *)
+  let d_int = min (hist_len - 2) (int_of_float (Float.floor t.delay_samples)) in
+  let d_frac = t.delay_samples -. float_of_int d_int in
+  let fa = 1.0 -. d_frac in
   let a1_1 = 2.0 *. t.r *. cos t.tank1.theta in
   let a1_2 = 2.0 *. t.r *. cos t.tank2.theta in
   let a2 = -.(t.r *. t.r) in
   let limit = 50.0 in
   let r1y1 = ref 0.0 and r1y2 = ref 0.0 and r1x1 = ref 0.0 and r1x2 = ref 0.0 in
   let r2y1 = ref 0.0 and r2y2 = ref 0.0 and r2x1 = ref 0.0 and r2x2 = ref 0.0 in
-  let comp_prev = ref 1.0 in
+  (* Opening the feedback loop removes the DAC's DC path that defines
+     the loop filter's operating point: the comparator input floats to
+     a large offset. *)
+  let open_loop_offset = if fb_on then 0.0 else 0.5 in
   let preamp = t.preamp_gain in
   let offset = t.comp_offset and hyst = t.comp_hysteresis in
+  let comp_prev = ref 1.0 and lp_state = ref 0.0 in
+  let lp_alpha = Circuit.Comparator.buffer_pole_alpha in
+  let lp_gain = Circuit.Comparator.buffer_gain and clip = Circuit.Comparator.buffer_clip in
   let gdac = t.gdac and mismatch = t.dac_mismatch in
   let gmin = t.gmin in
-  (* Input transconductor nonlinearity, inlined from Nonlinear.apply
-     (same expression, so bit-identical) to keep the per-sample result
-     unboxed. *)
   let g_a1, g_a2, g_a3, g_rail = Circuit.Nonlinear.coefficients t.gmin_stage in
   let g_railed = Float.is_finite g_rail in
   let in_sigma = t.input_noise_sigma in
-  let fa = 1.0 -. d_frac in
+  let bgain = t.buffer_gain in
+  let v_prev = ref 0.0 in
   let hist = Array.make hist_len 0.0 in
   let head = ref 0 in
   for i = 0 to n - 1 do
     (* Cancellation point: a deadline or SIGINT stops the capture
        within 4096 samples (raises; never perturbs the recurrence). *)
     Telemetry.Cancel.tick_poll i;
-    (* Resonator 1 output (uses only past inputs). *)
+    (* Forward path first: both resonator outputs depend only on past
+       loop inputs, so no algebraic loop arises. *)
     let w1 =
       let y = (a1_1 *. !r1y1) +. (a2 *. !r1y2) +. !r1x2 in
       let y = if y > limit then limit else if y < -.limit then -.limit else y in
@@ -212,15 +277,24 @@ let run_fused t ~n ~comp_noise_sigma ~d_int ~d_frac ~comp_buf ~input_buf input o
       r2x2 := !r2x1;
       y
     in
-    let s = preamp *. (w2 +. 0.0) in
-    (* Clocked comparator with hysteresis. *)
-    let v_in = s +. offset +. (comp_noise_sigma *. Array.unsafe_get comp_buf i) in
+    let s = preamp *. (w2 +. open_loop_offset) in
+    let v_in = s +. offset +. (comp_sigma *. Array.unsafe_get comp_buf i) in
     let v =
-      if Float.abs v_in <= hyst then !comp_prev else if v_in > 0.0 then 1.0 else -1.0
+      if clocked then begin
+        (* Regenerative latch with hysteresis. *)
+        let d = if Float.abs v_in <= hyst then !comp_prev else if v_in > 0.0 then 1.0 else -1.0 in
+        comp_prev := d;
+        d
+      end
+      else begin
+        (* Unclocked latch: a one-pole low-pass, attenuated and clipped. *)
+        lp_state := !lp_state +. (lp_alpha *. (v_in -. !lp_state));
+        let b = lp_gain *. !lp_state in
+        if b > clip then clip else if b < -.clip then -.clip else b
+      end
     in
-    comp_prev := v;
-    (* Circular decision history; tap k of the seed's shifted array is
-       the decision k samples old, i.e. index (head + k) under the mask. *)
+    (* Circular decision history; tap k is the decision k samples old,
+       i.e. index (head + k) under the mask. *)
     let h = (!head + hist_mask) land hist_mask in
     head := h;
     Array.unsafe_set hist h v;
@@ -228,116 +302,32 @@ let run_fused t ~n ~comp_noise_sigma ~d_int ~d_frac ~comp_buf ~input_buf input o
       (fa *. Array.unsafe_get hist ((h + d_int) land hist_mask))
       +. (d_frac *. Array.unsafe_get hist ((h + d_int + 1) land hist_mask))
     in
-    let fb = gdac *. (v_delayed +. mismatch) in
+    let fb = if fb_on then gdac *. (v_delayed +. mismatch) else 0.0 in
     let u =
-      let x = Array.unsafe_get input i in
-      let y = (g_a1 *. x) +. (g_a2 *. x *. x) +. (g_a3 *. x *. x *. x) in
-      let y = if g_railed then g_rail *. tanh (y /. g_rail) else y in
-      (gmin *. y) +. (in_sigma *. Array.unsafe_get input_buf i)
+      let signal =
+        if gmin_on then begin
+          let x = Array.unsafe_get input i in
+          let y = (g_a1 *. x) +. (g_a2 *. x *. x) +. (g_a3 *. x *. x *. x) in
+          let y = if g_railed then g_rail *. tanh (y /. g_rail) else y in
+          gmin *. y
+        end
+        else 0.0
+      in
+      signal +. (in_sigma *. Array.unsafe_get input_buf i)
     in
     r1x1 := u -. (k1 *. fb);
     r2x1 := w1 -. (k2 *. fb);
-    Array.unsafe_set output i v
-  done
-
-let run_into t input output =
-  let n = Array.length input in
-  if Array.length output < n then invalid_arg "Sdm.run_into: output shorter than input";
-  Telemetry.Counter.incr runs;
-  Telemetry.Counter.add steps n;
-  Telemetry.Span.with_ ~name:"sdm.run" (fun () ->
-  let cfg = t.config in
-  let comp_noise = Circuit.Process.noise_stream t.chip ~name:"run.comp" in
-  (* Without the clock the latch never regenerates: its full
-     input-referred noise shows up on the buffered output. *)
-  let comp_noise_sigma =
-    if cfg.comp_clock_enable then t.comp_noise_sigma else Float.max t.comp_noise_sigma 0.05
-  in
-  let input_noise = Circuit.Process.noise_stream t.chip ~name:"run.input" in
-  let d_int = min (hist_len - 2) (int_of_float (Float.floor t.delay_samples)) in
-  let d_frac = t.delay_samples -. float_of_int d_int in
-  let fused =
-    cfg.comp_clock_enable && cfg.fb_enable && cfg.gmin_enable
-    && (not cfg.cal_buffer_enable) && comp_noise_sigma > 0.0
-  in
-  if fused then begin
-    (* Pre-fill both per-run noise streams (each stream is private to
-       this run, so batching the draws preserves the exact sequence). *)
-    let ws = Sigkit.Workspace.get () in
-    let comp_buf = Sigkit.Workspace.arr ws ~slot:8 ~len:n in
-    let input_buf = Sigkit.Workspace.arr ws ~slot:9 ~len:n in
-    Sigkit.Rng.gaussian_fill comp_noise comp_buf ~n;
-    Sigkit.Rng.gaussian_fill input_noise input_buf ~n;
-    run_fused t ~n ~comp_noise_sigma ~d_int ~d_frac ~comp_buf ~input_buf input output
-  end
-  else begin
-    (* Generic path: calibration buffer mode, open-loop and ablation
-       configurations.  Same structure as the fused loop but through
-       the circuit modules, with noise drawn sample by sample. *)
-    let res1 = Circuit.Resonator.create ~theta:t.tank1.theta ~r:t.r ~limit:50.0 () in
-    let res2 = Circuit.Resonator.create ~theta:t.tank2.theta ~r:t.r ~limit:50.0 () in
-    let comp_mode =
-      if cfg.comp_clock_enable then Circuit.Comparator.Clocked else Circuit.Comparator.Buffer
+    let v_sampled =
+      if clocked then v
+      else begin
+        let slope = v -. !v_prev in
+        v_prev := v;
+        v +. (0.2 *. Array.unsafe_get jitter_buf i *. slope)
+      end
     in
-    let comparator =
-      Circuit.Comparator.create ~mode:comp_mode ~offset:t.comp_offset
-        ~hysteresis:t.comp_hysteresis ~noise:comp_noise ~noise_sigma:comp_noise_sigma ()
-    in
-    (* Opening the feedback loop removes the DAC's DC path that defines
-       the loop filter's operating point: the comparator input floats to
-       a large offset. *)
-    let open_loop_offset = if cfg.fb_enable then 0.0 else 0.5 in
-    (* An unclocked comparator output crosses into the clocked digital
-       domain asynchronously: no retiming, so the effective sampling
-       instant wanders (metastability + clock skew).  ~0.2 samples rms at
-       12 GS/s; first-order jitter error is slope * delta_t.  The clocked
-       path is synchronous and jitter-free. *)
-    let jitter_noise = Circuit.Process.noise_stream t.chip ~name:"run.jitter" in
-    let jitter_sigma = if cfg.comp_clock_enable then 0.0 else 0.2 in
-    let v_prev = ref 0.0 in
-    (* Fractional loop-delay error is modelled as linear interpolation
-       between decision-history taps (a shifted DAC pulse delivers
-       charge split across two periods). *)
-    let hist = Array.make hist_len 0.0 in
-    let head = ref 0 in
-    for i = 0 to n - 1 do
-      Telemetry.Cancel.tick_poll i;
-      (* Forward path first: both resonator outputs depend only on past
-         loop inputs, so no algebraic loop arises. *)
-      let w1 = Circuit.Resonator.output res1 in
-      let w2 = Circuit.Resonator.output res2 in
-      let s = t.preamp_gain *. (w2 +. open_loop_offset) in
-      let v = Circuit.Comparator.step comparator s in
-      let h = (!head + hist_mask) land hist_mask in
-      head := h;
-      hist.(h) <- v;
-      let v_delayed =
-        ((1.0 -. d_frac) *. hist.((h + d_int) land hist_mask))
-        +. (d_frac *. hist.((h + d_int + 1) land hist_mask))
-      in
-      let fb = if cfg.fb_enable then t.gdac *. (v_delayed +. t.dac_mismatch) else 0.0 in
-      let u =
-        let signal =
-          if cfg.gmin_enable then t.gmin *. Circuit.Nonlinear.apply t.gmin_stage input.(i)
-          else 0.0
-        in
-        signal +. (t.input_noise_sigma *. Sigkit.Rng.gaussian input_noise)
-      in
-      Circuit.Resonator.feed res1 (u -. (k1 *. fb));
-      Circuit.Resonator.feed res2 (w1 -. (k2 *. fb));
-      let v_sampled =
-        if jitter_sigma = 0.0 then v
-        else begin
-          let slope = v -. !v_prev in
-          v_prev := v;
-          v +. (jitter_sigma *. Sigkit.Rng.gaussian jitter_noise *. slope)
-        end
-      in
-      output.(i) <-
-        (if cfg.cal_buffer_enable then 1.2 *. tanh (t.buffer_gain *. v_sampled /. 1.2)
-         else v_sampled)
-    done
-  end)
+    Array.unsafe_set output i
+      (if cal_buffer then 1.2 *. tanh (bgain *. v_sampled /. 1.2) else v_sampled)
+  done)
 
 let run t input =
   let output = Array.make (Array.length input) 0.0 in

@@ -24,7 +24,34 @@
     - the mode bits open/close the loop, clock or bypass the comparator,
       enable the input and insert the calibration buffer. *)
 
-type t
+type tank = private {
+  theta : float;               (** resonance angle at [fs] *)
+  l_henry : float;
+  c_farad : float;
+}
+
+type t = private {
+  chip : Circuit.Process.chip;
+  fs : float;
+  config : Config.t;
+  tank1 : tank;
+  tank2 : tank;
+  r : float;                   (** Q-enhancement pole radius *)
+  gmin : float;                (** input transconductance gain *)
+  gmin_stage : Circuit.Nonlinear.t;
+  gdac : float;                (** feedback DAC gain *)
+  dac_mismatch : float;        (** residual level mismatch after trim *)
+  preamp_gain : float;
+  comp_offset : float;         (** residual comparator offset after trim *)
+  comp_hysteresis : float;     (** regeneration dead zone, bias-dependent *)
+  comp_noise_sigma : float;    (** decision noise referred to preamp output *)
+  delay_samples : float;       (** fractional excess loop delay *)
+  input_noise_sigma : float;   (** modulator input-referred circuit noise *)
+  buffer_gain : float;         (** calibration output buffer, when in path *)
+}
+(** The realised loop of one die under one word.  Read-only: the
+    fields are what a behavioural reference built from the [Circuit]
+    modules needs to re-derive {!run_into} sample by sample. *)
 
 val create : Circuit.Process.chip -> fs:float -> Config.t -> t
 (** Instantiate the modulator of one die at sampling rate [fs] under a
@@ -41,7 +68,9 @@ val run_into : t -> float array -> float array -> unit
     into the first [Array.length input] cells of [output] (which must be
     at least that long; every cell in that range is overwritten, so a
     stale scratch buffer is fine).  [output] must not alias [input].
-    Uses {!Sigkit.Workspace} slots 8-9 for the per-run noise batches;
+    Uses {!Sigkit.Workspace} slots 8-9 for the comparator and input
+    noise (via {!Sigkit.Workspace.gaussian}, so a die's repeat runs
+    reuse the draw) and, in buffer mode, slot 13 for the jitter noise;
     bit-identical to {!run}. *)
 
 val tank_frequency : t -> float

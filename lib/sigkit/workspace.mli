@@ -1,6 +1,6 @@
 (** Domain-local scratch arenas for zero-allocation hot paths.
 
-    Measurement kernels (periodogram, real FFT, the fused modulator
+    Measurement kernels (periodogram, real FFT, the modulator
     loop) need several same-sized float arrays per call.  Allocating
     them fresh per measurement is what made the seed periodogram cost
     5+ arrays per call.  A workspace hands out arrays keyed by
@@ -19,9 +19,10 @@
     full map and per-stage liveness argument are in DESIGN §15):
     0-1 [Fft] convenience wrappers, 2-5 [Spectrum],
     6-13 the [Rfchain] evaluation chain (6 settle-extended record,
-    7 modulator output, 8-9 [Sdm] noise batches, 10-11 mixer I/Q,
-    12 [Decimator] CIC intermediate, 13 [Vglna] noise batch),
-    14 free for callers, 15 tests. *)
+    7 modulator output, 8-9 [Sdm] tagged comparator/input noise,
+    10-11 mixer I/Q, 12 [Decimator] CIC intermediate, 13 [Vglna]
+    noise batch, then [Sdm] buffer-mode jitter), 14 free for callers,
+    15 tests. *)
 
 type t
 
@@ -33,6 +34,16 @@ val arr : t -> slot:int -> len:int -> float array
     allocating it on first use.  Contents are unspecified.  [slot] must
     be in [0..15].  The same physical array is returned for repeated
     calls with equal arguments on the same domain. *)
+
+val gaussian : t -> slot:int -> len:int -> Rng.t -> float array
+(** [gaussian t ~slot ~len rng] returns the [(slot, len)] scratch array
+    holding [len] standard normal draws from [rng]: the same values,
+    and the same effect on [rng], as [Rng.gaussian_fill rng a ~n:len].
+    The array is tagged with the stream's starting position, so a later
+    call with a generator at that same position (e.g. a fresh split of
+    the same die and name) skips the draw and returns it unchanged.
+    The result is read-only, valid until the next {!arr} or [gaussian]
+    call on that slot and length; {!arr} clears the tag. *)
 
 val allocations : unit -> int
 (** Process-wide count of scratch arrays materialised so far; a steady

@@ -108,7 +108,7 @@ let poll () =
     end
 
 (* The simulator loops poll on a power-of-two cadence: cheap enough to
-   sit inside the fused sigma-delta loop (one masked compare per
+   sit inside the sigma-delta loop (one masked compare per
    sample, one DLS read per 4096), frequent enough that an 8192-sample
    capture hits at least two cancellation points. *)
 let poll_mask = 4095

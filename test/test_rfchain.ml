@@ -205,6 +205,141 @@ let test_sdm_osc_matches_tank () =
   | Some f -> check_close ~eps:2e6 "oscillation at tank frequency" (Rfchain.Sdm.tank_frequency sdm) f
   | None -> Alcotest.fail "must oscillate at gm_q 63"
 
+(* ------------------------------------------------------------ Sdm oracle *)
+
+(* The modulator loop composed from the behavioural circuit modules,
+   with every noise sample drawn per sample: the structure that
+   Sdm.run_into unrolls into one unboxed loop with the mode bits as
+   loop invariants.  The two must agree bit for bit on every word. *)
+let reference_sdm (t : Rfchain.Sdm.t) input =
+  let n = Array.length input in
+  let cfg = t.config in
+  let hist_len = 8 in
+  let hist_mask = hist_len - 1 in
+  let k1 = 1.0 and k2 = -2.0 in
+  let comp_noise = Circuit.Process.noise_stream t.chip ~name:"run.comp" in
+  let comp_noise_sigma =
+    if cfg.comp_clock_enable then t.comp_noise_sigma else Float.max t.comp_noise_sigma 0.05
+  in
+  let input_noise = Circuit.Process.noise_stream t.chip ~name:"run.input" in
+  let jitter_noise = Circuit.Process.noise_stream t.chip ~name:"run.jitter" in
+  let d_int = min (hist_len - 2) (int_of_float (Float.floor t.delay_samples)) in
+  let d_frac = t.delay_samples -. float_of_int d_int in
+  let res1 = Circuit.Resonator.create ~theta:t.tank1.theta ~r:t.r ~limit:50.0 () in
+  let res2 = Circuit.Resonator.create ~theta:t.tank2.theta ~r:t.r ~limit:50.0 () in
+  let comparator =
+    Circuit.Comparator.create
+      ~mode:(if cfg.comp_clock_enable then Circuit.Comparator.Clocked else Circuit.Comparator.Buffer)
+      ~offset:t.comp_offset ~hysteresis:t.comp_hysteresis ~noise:comp_noise
+      ~noise_sigma:comp_noise_sigma ()
+  in
+  let open_loop_offset = if cfg.fb_enable then 0.0 else 0.5 in
+  let jitter_sigma = if cfg.comp_clock_enable then 0.0 else 0.2 in
+  let v_prev = ref 0.0 in
+  let hist = Array.make hist_len 0.0 in
+  let head = ref 0 in
+  Array.init n (fun i ->
+      let w1 = Circuit.Resonator.output res1 in
+      let w2 = Circuit.Resonator.output res2 in
+      let v = Circuit.Comparator.step comparator (t.preamp_gain *. (w2 +. open_loop_offset)) in
+      let h = (!head + hist_mask) land hist_mask in
+      head := h;
+      hist.(h) <- v;
+      let v_delayed =
+        ((1.0 -. d_frac) *. hist.((h + d_int) land hist_mask))
+        +. (d_frac *. hist.((h + d_int + 1) land hist_mask))
+      in
+      let fb = if cfg.fb_enable then t.gdac *. (v_delayed +. t.dac_mismatch) else 0.0 in
+      let u =
+        let signal =
+          if cfg.gmin_enable then t.gmin *. Circuit.Nonlinear.apply t.gmin_stage input.(i)
+          else 0.0
+        in
+        signal +. (t.input_noise_sigma *. Sigkit.Rng.gaussian input_noise)
+      in
+      Circuit.Resonator.feed res1 (u -. (k1 *. fb));
+      Circuit.Resonator.feed res2 (w1 -. (k2 *. fb));
+      let v_sampled =
+        if jitter_sigma = 0.0 then v
+        else begin
+          let slope = v -. !v_prev in
+          v_prev := v;
+          v +. (jitter_sigma *. Sigkit.Rng.gaussian jitter_noise *. slope)
+        end
+      in
+      if cfg.cal_buffer_enable then 1.2 *. tanh (t.buffer_gain *. v_sampled /. 1.2)
+      else v_sampled)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* Sdm.run_into into a stale buffer, twice: the first run of a (die,
+   length) draws the noise, the second finds it tagged in the
+   workspace.  Both must equal the oracle. *)
+let sdm_matches_oracle sdm input =
+  let n = Array.length input in
+  let expected = reference_sdm sdm input in
+  let run () =
+    let out = Array.make (n + 3) Float.nan in
+    Rfchain.Sdm.run_into sdm input out;
+    Array.sub out 0 n
+  in
+  let first = run () in
+  let again = run () in
+  bits_equal expected first && bits_equal expected again
+
+let oracle_input ~fs n =
+  Array.map (fun v -> v *. 20.0) (Sigkit.Waveform.tone_dbm ~p_dbm:(-25.0) ~freq:3.02e9 ~fs n)
+
+let with_modes cfg m =
+  {
+    cfg with
+    Rfchain.Config.fb_enable = m land 1 <> 0;
+    comp_clock_enable = m land 2 <> 0;
+    gmin_enable = m land 4 <> 0;
+    cal_buffer_enable = m land 8 <> 0;
+  }
+
+let test_sdm_oracle_modes () =
+  let fs = Rfchain.Standards.fs std in
+  (* A die whose comparator comes out noiseless (sigma <= 0 under an
+     extreme lot spread) exercises the no-draw branch. *)
+  let quiet_die =
+    let rec find seed =
+      let c = Circuit.Process.fabricate ~lot_sigma_scale:20.0 ~seed () in
+      if (Rfchain.Sdm.create c ~fs Rfchain.Config.nominal).comp_noise_sigma <= 0.0 then c
+      else find (seed + 1)
+    in
+    find 1
+  in
+  let dies = [ ("die 42", chip ()); ("die 7", chip ~seed:7 ()); ("quiet die", quiet_die) ] in
+  let base = Rfchain.Config.of_bits 0x5A3C_96E1_0F2D_4B87L in
+  List.iter
+    (fun n ->
+      let input = oracle_input ~fs n in
+      for m = 0 to 15 do
+        List.iter
+          (fun (name, c) ->
+            List.iter
+              (fun cfg ->
+                let cfg = with_modes cfg m in
+                if not (sdm_matches_oracle (Rfchain.Sdm.create c ~fs cfg) input) then
+                  Alcotest.failf "run_into differs from the oracle: %s, modes %d, n = %d" name m n)
+              [ Rfchain.Config.nominal; base ])
+          dies
+      done)
+    [ 1537; 2048 ]
+
+let prop_sdm_oracle_random_words =
+  QCheck.Test.make ~name:"Sdm.run_into equals the circuit-module oracle on random words"
+    ~count:40
+    QCheck.(triple int64 (int_range 1 5000) (int_range 200 700))
+    (fun (bits, seed, n) ->
+      let fs = Rfchain.Standards.fs std in
+      let sdm = Rfchain.Sdm.create (chip ~seed ()) ~fs (Rfchain.Config.of_bits bits) in
+      sdm_matches_oracle sdm (oracle_input ~fs n))
+
 (* ---------------------------------------------------------------- Mixer *)
 
 let test_mixer_translates () =
@@ -508,7 +643,9 @@ let () =
           Alcotest.test_case "buffer mode analog" `Quick test_sdm_buffer_mode_analog;
           Alcotest.test_case "gmin disable" `Quick test_sdm_gmin_disable;
           Alcotest.test_case "oscillation matches tank" `Quick test_sdm_osc_matches_tank;
-        ] );
+          Alcotest.test_case "oracle: 16 mode combinations" `Quick test_sdm_oracle_modes;
+        ]
+        @ qcheck [ prop_sdm_oracle_random_words ] );
       ( "mixer",
         [
           Alcotest.test_case "translation" `Quick test_mixer_translates;

@@ -288,6 +288,111 @@ let test_workspace_reuse () =
   let c = Sigkit.Workspace.arr w ~slot:15 ~len:128 in
   Alcotest.(check bool) "length is part of the key" true (not (c == a))
 
+(* Workspace.gaussian: tagged noise slots.  [stream label] is a fresh
+   split, the way Circuit.Process.noise_stream hands out a die's
+   per-run noise; slot 15 is the tests' own. *)
+let stream label = Sigkit.Rng.split (Sigkit.Rng.create 11) label
+
+let plain_fill rng len =
+  let buf = Array.make len 0.0 in
+  Sigkit.Rng.gaussian_fill rng buf ~n:len;
+  buf
+
+let same_floats a b = Array.length a = Array.length b && Array.for_all2 Float.equal a b
+
+(* After the call the generator must sit where a plain fill leaves it. *)
+let check_continuation msg a b =
+  for _ = 1 to 3 do
+    if not (Float.equal (Sigkit.Rng.gaussian a) (Sigkit.Rng.gaussian b)) then
+      Alcotest.failf "%s: generator left at a different position" msg
+  done
+
+let test_workspace_gaussian_fresh () =
+  let w = Sigkit.Workspace.get () in
+  List.iter
+    (fun len ->
+      ignore (Sigkit.Workspace.arr w ~slot:15 ~len);
+      let r = stream "fresh" and reference = stream "fresh" in
+      let a = Sigkit.Workspace.gaussian w ~slot:15 ~len r in
+      Alcotest.(check bool) (Printf.sprintf "equals gaussian_fill (len %d)" len) true
+        (same_floats a (plain_fill reference len));
+      check_continuation "after a fill" r reference;
+      (* The repeat is a hit, odd lengths included: same values, and
+         the generator again ends where the fill (and its spare) left
+         it. *)
+      let r = stream "fresh" and reference = stream "fresh" in
+      let b = Sigkit.Workspace.gaussian w ~slot:15 ~len r in
+      Alcotest.(check bool) "hit equals gaussian_fill" true (same_floats b (plain_fill reference len));
+      check_continuation "after a hit" r reference)
+    [ 1; 7; 64; 255 ]
+
+let test_workspace_gaussian_hit () =
+  let w = Sigkit.Workspace.get () in
+  let len = 4096 in
+  let a = Sigkit.Workspace.gaussian w ~slot:15 ~len (stream "hit") in
+  let expected = Array.copy a in
+  (* A sentinel the draw would overwrite: it survives a hit, which
+     proves the repeat did not refill. *)
+  a.(0) <- 42.0;
+  let r = stream "hit" in
+  let w0 = Gc.minor_words () in
+  let b = Sigkit.Workspace.gaussian w ~slot:15 ~len r in
+  let dw = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "same physical array" true (a == b);
+  Alcotest.(check (float 0.0)) "not refilled" 42.0 b.(0);
+  if dw > 64.0 then Alcotest.failf "a hit allocated %.0f minor words" dw;
+  (* [arr] hands the array out for writing: the tag is gone and the
+     next call draws again. *)
+  let c = Sigkit.Workspace.arr w ~slot:15 ~len in
+  Alcotest.(check bool) "arr returns the same scratch" true (c == a);
+  let d = Sigkit.Workspace.gaussian w ~slot:15 ~len (stream "hit") in
+  Alcotest.(check bool) "refilled after arr" true (same_floats d expected)
+
+let test_workspace_gaussian_alternating () =
+  let w = Sigkit.Workspace.get () in
+  let len = 33 in
+  let expect label = plain_fill (stream label) len in
+  let ea = expect "a" and eb = expect "b" in
+  for round = 1 to 3 do
+    List.iter
+      (fun (label, e) ->
+        let got = Sigkit.Workspace.gaussian w ~slot:15 ~len (stream label) in
+        if not (same_floats got e) then
+          Alcotest.failf "stream %s wrong in round %d" label round)
+      [ ("a", ea); ("b", eb) ]
+  done
+
+let test_workspace_gaussian_spare () =
+  let w = Sigkit.Workspace.get () in
+  let len = 16 in
+  (* [spared] holds a pending Box-Muller spare at counter position 2;
+     [pristine] is at the same counter with no spare (one gaussian and
+     two uniforms each advance the counter by two).  Their fills
+     differ, so the first must not tag the slot for the second. *)
+  let spared () =
+    let r = stream "spare" in
+    ignore (Sigkit.Rng.gaussian r);
+    r
+  in
+  let pristine () =
+    let r = stream "spare" in
+    ignore (Sigkit.Rng.float r);
+    ignore (Sigkit.Rng.float r);
+    r
+  in
+  let got_spared = Array.copy (Sigkit.Workspace.gaussian w ~slot:15 ~len (spared ())) in
+  Alcotest.(check bool) "spare fill equals gaussian_fill" true
+    (same_floats got_spared (plain_fill (spared ()) len));
+  let got = Sigkit.Workspace.gaussian w ~slot:15 ~len (pristine ()) in
+  Alcotest.(check bool) "pristine stream at the same counter is not a hit" true
+    (same_floats got (plain_fill (pristine ()) len));
+  Alcotest.(check bool) "the two fills differ" false (same_floats got got_spared);
+  (* And the other way round: the pristine fill is tagged, but a
+     generator at its counter with a spare pending is not a hit. *)
+  let again = Sigkit.Workspace.gaussian w ~slot:15 ~len (spared ()) in
+  Alcotest.(check bool) "spared stream at a tagged counter is not a hit" true
+    (same_floats again got_spared)
+
 (* Two domains running the workspace-backed measurement path
    concurrently must reproduce the sequential results bit for bit:
    each domain owns a private DLS arena, so there is no sharing to
@@ -494,6 +599,11 @@ let () =
           Alcotest.test_case "window table memoization" `Quick test_window_table_memoized;
           Alcotest.test_case "workspace reuse" `Quick test_workspace_reuse;
           Alcotest.test_case "workspace across domains" `Quick test_workspace_domains;
+          Alcotest.test_case "workspace gaussian fresh and odd" `Quick test_workspace_gaussian_fresh;
+          Alcotest.test_case "workspace gaussian hit" `Quick test_workspace_gaussian_hit;
+          Alcotest.test_case "workspace gaussian alternating" `Quick
+            test_workspace_gaussian_alternating;
+          Alcotest.test_case "workspace gaussian spare" `Quick test_workspace_gaussian_spare;
         ] );
       ( "spectrum",
         [
