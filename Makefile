@@ -87,7 +87,7 @@ sched-smoke: build
 # to be byte-identical to an uninterrupted run, at --jobs 1 and 2.
 # The interrupted run may legitimately finish before the signal lands
 # (exit 0); what must never happen is a corrupt journal or a drifted
-# resumed report.
+# resumed report.  A hand-corrupted journal must be refused cleanly.
 resume-smoke: build
 	rm -f /tmp/resume.ckpt.jsonl
 	dune exec bin/repro.exe -- faults --seed 42 --standard bluetooth --json > /tmp/resume-fresh.out
@@ -110,6 +110,16 @@ resume-smoke: build
 	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --json --jobs 2 \
 	  --checkpoint /tmp/resume-jobs2.ckpt.jsonl --resume > /tmp/resume-jobs2-resumed.out
 	cmp /tmp/resume-fresh.out /tmp/resume-jobs2-resumed.out
+	# A journal whose interior record is corrupt must refuse to resume
+	# with the typed error and exit 2, never an uncaught exception.
+	printf '%s\n' '{"type":"journal","version":1}' \
+	  '{"type":"cell","key":"x","snr_mod":"0x1p+0","snr_rx":"0x1p+0","sfdr":null,"cost":-}' \
+	  '{"type":"cell","key":"y","snr_mod":"0x1p+0","snr_rx":"0x1p+0","sfdr":null,"cost":1}' \
+	  > /tmp/resume-corrupt.ckpt.jsonl
+	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --json \
+	  --checkpoint /tmp/resume-corrupt.ckpt.jsonl --resume > /dev/null 2> /tmp/resume-corrupt.err; \
+	test $$? -eq 2
+	grep -q 'corrupt at line 2' /tmp/resume-corrupt.err
 
 # Live monitoring, end to end: run a monitored campaign, scrape
 # /metrics and /healthz mid-flight, and require a valid OpenMetrics

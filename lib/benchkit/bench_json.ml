@@ -34,23 +34,29 @@ type file = {
 
 let schema_name = "bench-kernels/2"
 
+module Json = Telemetry.Json
+
+(* Indented one kernel per line, so trajectory diffs stay readable;
+   every token comes from the codec. *)
 let write ~path ?manifest kernels =
-  let num x = if Float.is_finite x then Printf.sprintf "%.3f" x else "null" in
+  let j v = Json.to_string v in
+  let num x = j (Json.fixed 3 x) in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      Printf.fprintf oc "{\n  \"schema\": %S,\n" schema_name;
+      Printf.fprintf oc "{\n  \"schema\": %s,\n" (j (Json.String schema_name));
       (match manifest with
       | None -> ()
-      | Some m -> Printf.fprintf oc "  \"manifest\": %s,\n" (Telemetry.Manifest.to_json m));
+      | Some m -> Printf.fprintf oc "  \"manifest\": %s,\n" (j (Telemetry.Manifest.to_json m)));
       output_string oc "  \"results\": [\n";
       let sorted = List.sort (fun a b -> String.compare a.name b.name) kernels in
       let n = List.length sorted in
       List.iteri
         (fun i k ->
           Printf.fprintf oc
-            "    { \"name\": %S, \"ns_per_run\": %s, \"minor_words_per_run\": %s }%s\n" k.name
+            "    { \"name\": %s, \"ns_per_run\": %s, \"minor_words_per_run\": %s }%s\n"
+            (j (Json.String k.name))
             (num k.ns_per_run)
             (num k.minor_words_per_run)
             (if i = n - 1 then "" else ","))
@@ -59,204 +65,51 @@ let write ~path ?manifest kernels =
 
 (* ---------------------------------------------------------------- read *)
 
-(* Minimal recursive-descent JSON reader — objects, arrays, strings,
-   numbers, booleans, null.  Object values remember their byte span in
-   the source so the nested manifest can be handed to
-   Telemetry.Manifest.of_json verbatim. *)
-
-type jv =
-  | Obj of (string * jv) list * (int * int)  (* fields, source span *)
-  | Arr of jv list
-  | Str of string
-  | Num of float
-  | Bool of bool
-  | Null
-
-exception Bad of string
-
-let parse src =
-  let n = String.length src in
-  let i = ref 0 in
-  let skip_ws () =
-    while
-      !i < n && (src.[!i] = ' ' || src.[!i] = '\t' || src.[!i] = '\n' || src.[!i] = '\r')
-    do
-      incr i
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !i < n && src.[!i] = c then incr i
-    else raise (Bad (Printf.sprintf "expected '%c' at byte %d" c !i))
-  in
-  let literal word v =
-    if !i + String.length word <= n && String.sub src !i (String.length word) = word then begin
-      i := !i + String.length word;
-      v
-    end
-    else raise (Bad (Printf.sprintf "unrecognised value at byte %d" !i))
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 32 in
-    let rec go () =
-      if !i >= n then raise (Bad "unterminated string");
-      let c = src.[!i] in
-      incr i;
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        if !i >= n then raise (Bad "truncated escape");
-        let e = src.[!i] in
-        incr i;
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
-          if !i + 4 > n then raise (Bad "truncated \\u escape");
-          let code =
-            try int_of_string ("0x" ^ String.sub src !i 4) with _ -> raise (Bad "bad \\u escape")
-          in
-          i := !i + 4;
-          Buffer.add_char buf (Char.chr (code land 0xff))
-        | _ -> raise (Bad "unknown escape"));
-        go ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        go ()
-      end
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !i in
-    let numeric c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !i < n && numeric src.[!i] do
-      incr i
-    done;
-    if !i = start then raise (Bad (Printf.sprintf "unrecognised value at byte %d" start));
-    match float_of_string_opt (String.sub src start (!i - start)) with
-    | Some v -> v
-    | None -> raise (Bad "bad number")
-  in
-  let rec parse_value () =
-    skip_ws ();
-    if !i >= n then raise (Bad "missing value")
-    else
-      match src.[!i] with
-      | '"' -> Str (parse_string ())
-      | '{' -> parse_object ()
-      | '[' -> parse_array ()
-      | 't' -> literal "true" (Bool true)
-      | 'f' -> literal "false" (Bool false)
-      | 'n' -> literal "null" Null
-      | _ -> Num (parse_number ())
-  and parse_object () =
-    let start = !i in
-    expect '{';
-    skip_ws ();
-    if !i < n && src.[!i] = '}' then begin
-      incr i;
-      Obj ([], (start, !i))
-    end
-    else begin
-      let fields = ref [] in
-      let parsing = ref true in
-      while !parsing do
-        let k = parse_string () in
-        expect ':';
-        let v = parse_value () in
-        fields := (k, v) :: !fields;
-        skip_ws ();
-        if !i < n && src.[!i] = ',' then incr i
-        else begin
-          expect '}';
-          parsing := false
-        end
-      done;
-      Obj (List.rev !fields, (start, !i))
-    end
-  and parse_array () =
-    expect '[';
-    skip_ws ();
-    if !i < n && src.[!i] = ']' then begin
-      incr i;
-      Arr []
-    end
-    else begin
-      let items = ref [] in
-      let parsing = ref true in
-      while !parsing do
-        items := parse_value () :: !items;
-        skip_ws ();
-        if !i < n && src.[!i] = ',' then incr i
-        else begin
-          expect ']';
-          parsing := false
-        end
-      done;
-      Arr (List.rev !items)
-    end
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !i <> n then raise (Bad "trailing bytes");
-  v
-
 let of_string src =
-  match parse src with
-  | exception Bad reason -> Error reason
-  | Obj (fields, _) -> (
-    let find name = List.assoc_opt name fields in
-    let schema =
-      match find "schema" with
-      | Some (Str "bench-kernels/1") -> Ok 1
-      | Some (Str "bench-kernels/2") -> Ok 2
-      | Some (Str other) -> Error (Printf.sprintf "unsupported schema %S" other)
-      | _ -> Error "missing schema"
+  let ( let* ) = Result.bind in
+  let* top = Json.of_string src in
+  let* schema =
+    match Json.member "schema" top with
+    | Some (Json.String "bench-kernels/1") -> Ok 1
+    | Some (Json.String "bench-kernels/2") -> Ok 2
+    | Some (Json.String other) -> Error (Printf.sprintf "unsupported schema %S" other)
+    | _ -> Error "missing schema"
+  in
+  (* A manifest that does not decode is dropped, not fatal: the kernels
+     are what the gate needs. *)
+  let manifest =
+    Option.bind (Json.member "manifest" top) (fun m ->
+        Result.to_option (Telemetry.Manifest.of_json m))
+  in
+  let kernel_of = function
+    | Json.Obj _ as k ->
+      let num name =
+        match Json.member name k with
+        | Some Json.Null | None -> Ok nan
+        | Some v -> Option.to_result ~none:(name ^ " must be a number") (Json.to_float v)
+      in
+      let* name =
+        match Json.member "name" k with
+        | Some (Json.String s) -> Ok s
+        | _ -> Error "kernel name must be a string"
+      in
+      let* ns_per_run = num "ns_per_run" in
+      let* minor_words_per_run = num "minor_words_per_run" in
+      Ok { name; ns_per_run; minor_words_per_run }
+    | _ -> Error "results entries must be objects"
+  in
+  match Json.member "results" top with
+  | Some (Json.List items) ->
+    let* kernels =
+      List.fold_right
+        (fun item acc ->
+          let* k = kernel_of item in
+          let* rest = acc in
+          Ok (k :: rest))
+        items (Ok [])
     in
-    match schema with
-    | Error e -> Error e
-    | Ok schema -> (
-      let manifest =
-        match find "manifest" with
-        | Some (Obj (_, (s, e))) -> (
-          match Telemetry.Manifest.of_json (String.sub src s (e - s)) with
-          | Ok m -> Some m
-          | Error _ -> None)
-        | _ -> None
-      in
-      let kernel_of = function
-        | Obj (kf, _) ->
-          let num name =
-            match List.assoc_opt name kf with
-            | Some (Num v) -> v
-            | Some Null | None -> nan
-            | Some _ -> raise (Bad (name ^ " must be a number"))
-          in
-          let name =
-            match List.assoc_opt "name" kf with
-            | Some (Str s) -> s
-            | _ -> raise (Bad "kernel name must be a string")
-          in
-          { name; ns_per_run = num "ns_per_run"; minor_words_per_run = num "minor_words_per_run" }
-        | _ -> raise (Bad "results entries must be objects")
-      in
-      match find "results" with
-      | Some (Arr items) -> (
-        match List.map kernel_of items with
-        | kernels -> Ok { schema; manifest; kernels }
-        | exception Bad reason -> Error reason)
-      | _ -> Error "missing results array"))
-  | _ -> Error "top level must be an object"
+    Ok { schema; manifest; kernels }
+  | _ -> Error "missing results array"
 
 let read path =
   match In_channel.with_open_bin path In_channel.input_all with

@@ -41,21 +41,7 @@ let mismatch_counter = Telemetry.Counter.make "engine.checkpoint.provenance_mism
 
 (* ------------------------------------------------------- serialisation *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Telemetry.Json
 
 (* The header carries the engine's content hash (optional field — v1
    journals without it still load).  A resume under a different binary
@@ -64,177 +50,85 @@ let escape s =
    a counter, because "resumed under different code" explains most
    surprising resume diffs. *)
 let header_line () =
-  Printf.sprintf {|{"type":"journal","version":%d,"engine":"%s"}|} version
-    (escape (Telemetry.Manifest.engine_hash ()))
+  Json.to_string
+    (Json.Obj
+       [
+         ("type", Json.String "journal");
+         ("version", Json.int version);
+         ("engine", Json.String (Telemetry.Manifest.engine_hash ()));
+       ])
 
-(* Floats as OCaml hexadecimal literals ("%h"): exact round-trip
-   through [float_of_string] for every finite value and the infinities,
-   which is what makes a resumed report byte-identical to an
-   uninterrupted one.  "%h" collapses nan payloads, though ("nan" reads
-   back with a different sign/payload than the 0/0 default), so nans
-   are journalled as their raw bit pattern instead. *)
-let float_repr x =
-  if Float.is_nan x then Printf.sprintf "bits:%016Lx" (Int64.bits_of_float x)
-  else Printf.sprintf "%h" x
-
-let float_of_repr s =
-  if String.length s >= 5 && String.sub s 0 5 = "bits:" then
-    Int64.float_of_bits (Int64.of_string ("0x" ^ String.sub s 5 (String.length s - 5)))
-  else float_of_string s
-
+(* Floats as exact strings (Json.float_repr), which is what makes a
+   resumed report byte-identical to an uninterrupted one. *)
 let entry_line key (v : Cache.value) =
   let m = v.Cache.measurement in
-  Printf.sprintf {|{"type":"cell","key":"%s","snr_mod":"%s","snr_rx":"%s","sfdr":%s,"cost":%d}|}
-    (escape key)
-    (float_repr m.Metrics.Spec.snr_mod_db)
-    (float_repr m.Metrics.Spec.snr_rx_db)
-    (match m.Metrics.Spec.sfdr_db with
-    | None -> "null"
-    | Some x -> Printf.sprintf {|"%s"|} (float_repr x))
-    v.Cache.trial_cost
+  let exact x = Json.String (Json.float_repr x) in
+  Json.to_string
+    (Json.Obj
+       [
+         ("type", Json.String "cell");
+         ("key", Json.String key);
+         ("snr_mod", exact m.Metrics.Spec.snr_mod_db);
+         ("snr_rx", exact m.Metrics.Spec.snr_rx_db);
+         ("sfdr", Option.fold ~none:Json.Null ~some:exact m.Metrics.Spec.sfdr_db);
+         ("cost", Json.int v.Cache.trial_cost);
+       ])
 
 (* ------------------------------------------------------------- parsing *)
 
-(* Minimal parser for the journal's own flat-object lines: string, null
-   and integer values only.  Anything else is a parse failure — the
-   journal never emits it. *)
-
-type jv = S of string | I of int | Null
-
-exception Bad of string
-
-let parse_fields line =
-  let n = String.length line in
-  let i = ref 0 in
-  let skip_ws () =
-    while !i < n && (line.[!i] = ' ' || line.[!i] = '\t' || line.[!i] = '\r') do incr i done
-  in
-  let expect c =
-    skip_ws ();
-    if !i < n && line.[!i] = c then incr i
-    else raise (Bad (Printf.sprintf "expected '%c' at byte %d" c !i))
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 32 in
-    let rec go () =
-      if !i >= n then raise (Bad "unterminated string");
-      let c = line.[!i] in
-      incr i;
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        if !i >= n then raise (Bad "truncated escape");
-        let e = line.[!i] in
-        incr i;
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          if !i + 4 > n then raise (Bad "truncated \\u escape");
-          let code =
-            try int_of_string ("0x" ^ String.sub line !i 4)
-            with _ -> raise (Bad "bad \\u escape")
-          in
-          i := !i + 4;
-          Buffer.add_char buf (Char.chr (code land 0xff))
-        | _ -> raise (Bad "unknown escape"));
-        go ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        go ()
-      end
-    in
-    go ()
-  in
-  let parse_value () =
-    skip_ws ();
-    if !i >= n then raise (Bad "missing value")
-    else if line.[!i] = '"' then S (parse_string ())
-    else if !i + 4 <= n && String.sub line !i 4 = "null" then begin
-      i := !i + 4;
-      Null
-    end
-    else begin
-      let start = !i in
-      if !i < n && line.[!i] = '-' then incr i;
-      while !i < n && line.[!i] >= '0' && line.[!i] <= '9' do incr i done;
-      if !i = start then raise (Bad "unrecognised value");
-      I (int_of_string (String.sub line start (!i - start)))
-    end
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if !i < n && line.[!i] = '}' then incr i
-  else begin
-    let parsing = ref true in
-    while !parsing do
-      let k = parse_string () in
-      expect ':';
-      let v = parse_value () in
-      fields := (k, v) :: !fields;
-      skip_ws ();
-      if !i < n && line.[!i] = ',' then incr i
-      else begin
-        expect '}';
-        parsing := false
-      end
-    done
-  end;
-  skip_ws ();
-  if !i <> n then raise (Bad "trailing bytes after object");
-  List.rev !fields
+let ( let* ) = Result.bind
 
 let field fields name =
-  match List.assoc_opt name fields with
-  | Some v -> v
-  | None -> raise (Bad (Printf.sprintf "missing field %S" name))
+  Option.to_result ~none:(Printf.sprintf "missing field %S" name) (Json.member name fields)
 
-let float_of_jv name = function
-  | S s -> (try float_of_repr s with _ -> raise (Bad (Printf.sprintf "bad float in %S" name)))
-  | _ -> raise (Bad (Printf.sprintf "field %S must be a float string" name))
+let exact_float fields name =
+  let* v = field fields name in
+  match v with
+  | Json.String s ->
+    Option.to_result ~none:(Printf.sprintf "bad float in %S" name) (Json.float_of_repr s)
+  | _ -> Error (Printf.sprintf "field %S must be a float string" name)
 
 let parse_entry line =
-  let fields = parse_fields line in
-  match field fields "type" with
-  | S "cell" ->
-    let key =
-      match field fields "key" with
-      | S k -> k
-      | _ -> raise (Bad "field \"key\" must be a string")
+  let* fields = Json.of_string line in
+  let* ty = field fields "type" in
+  match ty with
+  | Json.String "cell" ->
+    let* key =
+      let* k = field fields "key" in
+      match k with Json.String k -> Ok k | _ -> Error "field \"key\" must be a string"
     in
-    let snr_mod_db = float_of_jv "snr_mod" (field fields "snr_mod") in
-    let snr_rx_db = float_of_jv "snr_rx" (field fields "snr_rx") in
-    let sfdr_db =
-      match field fields "sfdr" with
-      | Null -> None
-      | v -> Some (float_of_jv "sfdr" v)
+    let* snr_mod_db = exact_float fields "snr_mod" in
+    let* snr_rx_db = exact_float fields "snr_rx" in
+    let* sfdr_db =
+      let* v = field fields "sfdr" in
+      match v with Json.Null -> Ok None | _ -> Result.map Option.some (exact_float fields "sfdr")
     in
-    let trial_cost =
-      match field fields "cost" with
-      | I c when c >= 0 -> c
-      | _ -> raise (Bad "field \"cost\" must be a non-negative integer")
+    let* trial_cost =
+      let* c = field fields "cost" in
+      match Json.to_int c with
+      | Some c when c >= 0 -> Ok c
+      | _ -> Error "field \"cost\" must be a non-negative integer"
     in
-    ( key,
-      { Cache.measurement = { Metrics.Spec.snr_mod_db; snr_rx_db; sfdr_db }; trial_cost } )
-  | S other -> raise (Bad (Printf.sprintf "unknown record type %S" other))
-  | _ -> raise (Bad "field \"type\" must be a string")
+    Ok
+      ( key,
+        { Cache.measurement = { Metrics.Spec.snr_mod_db; snr_rx_db; sfdr_db }; trial_cost } )
+  | Json.String other -> Error (Printf.sprintf "unknown record type %S" other)
+  | _ -> Error "field \"type\" must be a string"
 
 (* Returns the recorded engine hash when the header carries one. *)
 let parse_header line =
-  let fields = parse_fields line in
-  (match field fields "type" with
-  | S "journal" -> ()
-  | _ -> raise (Bad "not a journal header"));
-  (match field fields "version" with
-  | I v when v = version -> ()
-  | I v -> raise (Bad (Printf.sprintf "unsupported journal version %d" v))
-  | _ -> raise (Bad "field \"version\" must be an integer"));
-  match List.assoc_opt "engine" fields with Some (S h) -> Some h | _ -> None
+  let* fields = Json.of_string line in
+  let* () =
+    match Json.member "type" fields with
+    | Some (Json.String "journal") -> Ok ()
+    | _ -> Error "not a journal header"
+  in
+  let* v = field fields "version" in
+  match Json.to_int v with
+  | Some v when v = version -> (
+    match Json.member "engine" fields with Some (Json.String h) -> Ok (Some h) | _ -> Ok None)
+  | Some v -> Error (Printf.sprintf "unsupported journal version %d" v)
+  | None -> Error "field \"version\" must be an integer"
 
 let verify_provenance path = function
   | None -> ()  (* journal predates provenance headers *)
@@ -300,17 +194,20 @@ let load ~resume path =
                Telemetry.Counter.incr torn_counter;
                raise Exit
              end;
-             try
-               if idx = 0 then verify_provenance path (parse_header line)
-               else begin
-                 let key, value = parse_entry line in
-                 if not (Hashtbl.mem table key) then begin
-                   Hashtbl.replace table key value;
-                   Telemetry.Counter.incr resumed_counter
-                 end
-               end;
-               good_end := end_off
-             with Bad reason ->
+             let parsed =
+               if idx = 0 then Result.map (verify_provenance path) (parse_header line)
+               else
+                 Result.map
+                   (fun (key, value) ->
+                     if not (Hashtbl.mem table key) then begin
+                       Hashtbl.replace table key value;
+                       Telemetry.Counter.incr resumed_counter
+                     end)
+                   (parse_entry line)
+             in
+             match parsed with
+             | Ok () -> good_end := end_off
+             | Error reason ->
                if last && idx > 0 then begin
                  (* Torn final write from a crash that still got its
                     newline out: drop it.  The header never qualifies —

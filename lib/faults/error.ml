@@ -26,67 +26,7 @@ let to_string = function
     Printf.sprintf "deadline of %gs exceeded after %d of %d cells; partial results journalled"
       deadline_s completed total
 
-(* AST-level codecs: campaign reports embed errors in their JSON, and a
-   resumed run must decode exactly what an interrupted one encoded. *)
-
-let to_json = function
-  | Unknown_standard { requested; known } ->
-    Json.Obj
-      [
-        "error", Json.String "unknown_standard";
-        "requested", Json.String requested;
-        "known", Json.List (List.map (fun s -> Json.String s) known);
-      ]
-  | Empty_sweep { what } ->
-    Json.Obj [ "error", Json.String "empty_sweep"; "what", Json.String what ]
-  | Checkpoint_corrupt { path; line; reason } ->
-    Json.Obj
-      [
-        "error", Json.String "checkpoint_corrupt";
-        "path", Json.String path;
-        "line", Json.Int line;
-        "reason", Json.String reason;
-      ]
-  | Deadline_exceeded { deadline_s; completed; total } ->
-    Json.Obj
-      [
-        "error", Json.String "deadline_exceeded";
-        "deadline_s", Json.Float deadline_s;
-        "completed", Json.Int completed;
-        "total", Json.Int total;
-      ]
-
-let of_json = function
-  | Json.Obj fields -> (
-    let str k = match List.assoc_opt k fields with Some (Json.String s) -> Some s | _ -> None in
-    let int k = match List.assoc_opt k fields with Some (Json.Int i) -> Some i | _ -> None in
-    let flt k = match List.assoc_opt k fields with Some (Json.Float f) -> Some f | _ -> None in
-    match str "error" with
-    | Some "unknown_standard" -> (
-      match str "requested", List.assoc_opt "known" fields with
-      | Some requested, Some (Json.List items) ->
-        let known =
-          List.filter_map (function Json.String s -> Some s | _ -> None) items
-        in
-        if List.length known = List.length items then
-          Some (Unknown_standard { requested; known })
-        else None
-      | _ -> None)
-    | Some "empty_sweep" ->
-      Option.map (fun what -> Empty_sweep { what }) (str "what")
-    | Some "checkpoint_corrupt" -> (
-      match str "path", int "line", str "reason" with
-      | Some path, Some line, Some reason -> Some (Checkpoint_corrupt { path; line; reason })
-      | _ -> None)
-    | Some "deadline_exceeded" -> (
-      match flt "deadline_s", int "completed", int "total" with
-      | Some deadline_s, Some completed, Some total ->
-        Some (Deadline_exceeded { deadline_s; completed; total })
-      | _ -> None)
-    | _ -> None)
-  | _ -> None
-
-(* One value per constructor, for exhaustive round-trip tests: adding a
+(* One value per constructor, for exhaustive rendering tests: adding a
    variant without extending this list fails the test that checks the
    list covers every branch of [to_string]. *)
 let all_examples =

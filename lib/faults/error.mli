@@ -24,10 +24,6 @@ type t =
 val to_string : t -> string
 (** Total over every variant — the CLI prints this verbatim. *)
 
-val to_json : t -> Json.t
-val of_json : Json.t -> t option
-(** AST-level codec; [of_json (to_json e) = Some e] for every [e]. *)
-
 val all_examples : t list
-(** One representative value per constructor, for exhaustive round-trip
+(** One representative value per constructor, for exhaustive rendering
     tests. *)

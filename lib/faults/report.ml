@@ -78,21 +78,23 @@ let print (t : Campaign.t) =
       (Campaign.checks t)
   else Printf.printf "  (checks skipped: campaign incomplete)\n"
 
+module Json = Telemetry.Json
+
 let json_lines (t : Campaign.t) =
   let header =
     Json.Obj
       [
         ("type", Json.String "campaign");
         ("standard", Json.String t.Campaign.standard.Rfchain.Standards.name);
-        ("seed", Json.Int t.Campaign.seed);
-        ("dies", Json.Int t.Campaign.dies);
-        ("golden_snr_mod_db", Json.Float t.Campaign.golden_snr_mod_db);
+        ("seed", Json.int t.Campaign.seed);
+        ("dies", Json.int t.Campaign.dies);
+        ("golden_snr_mod_db", Json.float t.Campaign.golden_snr_mod_db);
         ("complete", Json.Bool (Campaign.complete t));
         ( "interrupted",
           match t.Campaign.interrupted with
           | None -> Json.Null
           | Some reason -> Json.String reason );
-        ("completed_cells", Json.Int t.Campaign.completed_cells);
+        ("completed_cells", Json.int t.Campaign.completed_cells);
       ]
   in
   let cell (c : Campaign.cell) =
@@ -101,10 +103,10 @@ let json_lines (t : Campaign.t) =
         ("type", Json.String "cell");
         ("mechanism", Json.String c.Campaign.mechanism);
         ("severity", Json.String (Fault.severity_name c.Campaign.severity));
-        ("die_seed", Json.Int c.Campaign.die_seed);
+        ("die_seed", Json.int c.Campaign.die_seed);
         ("faults", Json.List (List.map (fun f -> Json.String (Fault.describe f)) c.Campaign.faults));
-        ("snr_mod_db", Json.Float c.Campaign.snr_mod_db);
-        ("lock_margin_db", Json.Float c.Campaign.lock_margin_db);
+        ("snr_mod_db", Json.float c.Campaign.snr_mod_db);
+        ("lock_margin_db", Json.float c.Campaign.lock_margin_db);
         ("in_spec", Json.Bool c.Campaign.in_spec);
       ]
   in
@@ -112,9 +114,9 @@ let json_lines (t : Campaign.t) =
     Json.Obj
       [
         ("type", Json.String "flip");
-        ("bit", Json.Int p.Campaign.bit);
+        ("bit", Json.int p.Campaign.bit);
         ("field", Json.String (field_of_bit p.Campaign.bit));
-        ("snr_mod_db", Json.Float p.Campaign.flip_snr_mod_db);
+        ("snr_mod_db", Json.float p.Campaign.flip_snr_mod_db);
         ("survives_full", Json.Bool p.Campaign.survives_full);
       ]
   in
@@ -126,8 +128,8 @@ let json_lines (t : Campaign.t) =
         ("label", Json.String d.Campaign.label);
         ("fault", Json.String (Fault.describe d.Campaign.demo_fault));
         ("verdict", Json.String (verdict_string d.Campaign.outcome));
-        ("attempts", Json.Int d.Campaign.outcome.Calibration.Calibrate.attempts);
-        ("snr_mod_db", Json.Float report.Calibration.Calibrate.snr_mod_db);
+        ("attempts", Json.int d.Campaign.outcome.Calibration.Calibrate.attempts);
+        ("snr_mod_db", Json.float report.Calibration.Calibrate.snr_mod_db);
       ]
   in
   let check (name, ok) =

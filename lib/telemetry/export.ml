@@ -1,27 +1,4 @@
-(* Minimal JSON emission, duplicated from Faults.Json on purpose:
-   telemetry sits below every other library and must stay
-   dependency-free. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = "\"" ^ escape s ^ "\""
-
-let jfloat f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
-let jattrs attrs =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ jstr v) attrs) ^ "}"
+let jattrs attrs = Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) attrs)
 
 let summary_table ?(out = stdout) () =
   let p fmt = Printf.fprintf out fmt in
@@ -63,60 +40,86 @@ let summary_table ?(out = stdout) () =
 let chrome_trace_string () =
   let epoch = Span.epoch_ns () in
   let us_of ns = Int64.to_float (Int64.sub ns epoch) /. 1e3 in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  let first = ref true in
-  let emit s =
-    if not !first then Buffer.add_char buf ',';
-    first := false;
-    Buffer.add_string buf s
-  in
   let last_end = ref 0.0 in
-  List.iter
-    (fun (e : Span.event) ->
-      let ts = us_of e.Span.ev_start_ns in
-      let dur = Int64.to_float e.Span.ev_dur_ns /. 1e3 in
-      if ts +. dur > !last_end then last_end := ts +. dur;
-      emit
-        (Printf.sprintf
-           "{\"name\":%s,\"cat\":\"span\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":%s}"
-           (jstr e.Span.ev_name) ts dur (jattrs e.Span.ev_attrs)))
-    (Span.events ());
+  let spans =
+    List.map
+      (fun (e : Span.event) ->
+        let ts = us_of e.Span.ev_start_ns in
+        let dur = Int64.to_float e.Span.ev_dur_ns /. 1e3 in
+        if ts +. dur > !last_end then last_end := ts +. dur;
+        Json.Obj
+          [
+            ("name", Json.String e.Span.ev_name);
+            ("cat", Json.String "span");
+            ("ph", Json.String "X");
+            ("ts", Json.fixed 3 ts);
+            ("dur", Json.fixed 3 dur);
+            ("pid", Json.int 1);
+            ("tid", Json.int 1);
+            ("args", jattrs e.Span.ev_attrs);
+          ])
+      (Span.events ())
+  in
   let counters = List.filter (fun (_, v) -> v <> 0) (Counter.snapshot ()) in
-  if counters <> [] then
-    emit
-      (Printf.sprintf "{\"name\":\"counters\",\"ph\":\"I\",\"ts\":%.3f,\"s\":\"g\",\"pid\":1,\"tid\":1,\"args\":{%s}}"
-         !last_end
-         (String.concat ","
-            (List.map (fun (name, v) -> jstr name ^ ":" ^ string_of_int v) counters)));
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let instant =
+    if counters = [] then []
+    else
+      [
+        Json.Obj
+          [
+            ("name", Json.String "counters");
+            ("ph", Json.String "I");
+            ("ts", Json.fixed 3 !last_end);
+            ("s", Json.String "g");
+            ("pid", Json.int 1);
+            ("tid", Json.int 1);
+            ("args", Json.Obj (List.map (fun (name, v) -> (name, Json.int v)) counters));
+          ];
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("displayTimeUnit", Json.String "ms"); ("traceEvents", Json.List (spans @ instant)) ])
 
 let jsonl_string () =
   let buf = Buffer.create 4096 in
-  let line s = Buffer.add_string buf s; Buffer.add_char buf '\n' in
+  let line fields =
+    Buffer.add_string buf (Json.to_string (Json.Obj fields));
+    Buffer.add_char buf '\n'
+  in
   List.iter
     (fun (e : Span.event) ->
       line
-        (Printf.sprintf "{\"type\":\"span\",\"name\":%s,\"start_ns\":%Ld,\"dur_ns\":%Ld,\"depth\":%d,\"attrs\":%s}"
-           (jstr e.Span.ev_name) e.Span.ev_start_ns e.Span.ev_dur_ns e.Span.ev_depth
-           (jattrs e.Span.ev_attrs)))
+        [
+          ("type", Json.String "span");
+          ("name", Json.String e.Span.ev_name);
+          ("start_ns", Json.int64 e.Span.ev_start_ns);
+          ("dur_ns", Json.int64 e.Span.ev_dur_ns);
+          ("depth", Json.int e.Span.ev_depth);
+          ("attrs", jattrs e.Span.ev_attrs);
+        ])
     (Span.events ());
   if Span.dropped () > 0 then
-    line (Printf.sprintf "{\"type\":\"dropped_spans\",\"count\":%d}" (Span.dropped ()));
+    line [ ("type", Json.String "dropped_spans"); ("count", Json.int (Span.dropped ())) ];
   List.iter
     (fun (name, v) ->
-      if v <> 0 then line (Printf.sprintf "{\"type\":\"counter\",\"name\":%s,\"value\":%d}" (jstr name) v))
+      if v <> 0 then
+        line [ ("type", Json.String "counter"); ("name", Json.String name); ("value", Json.int v) ])
     (Counter.snapshot ());
   List.iter
     (fun h ->
       if h.Histogram.h_count > 0 then
         line
-          (Printf.sprintf
-             "{\"type\":\"histogram\",\"name\":%s,\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p99\":%s}"
-             (jstr h.Histogram.h_name) h.Histogram.h_count (jfloat h.Histogram.h_sum)
-             (jfloat h.Histogram.h_min) (jfloat h.Histogram.h_max) (jfloat h.Histogram.h_p50)
-             (jfloat h.Histogram.h_p99)))
+          [
+            ("type", Json.String "histogram");
+            ("name", Json.String h.Histogram.h_name);
+            ("count", Json.int h.Histogram.h_count);
+            ("sum", Json.float h.Histogram.h_sum);
+            ("min", Json.float h.Histogram.h_min);
+            ("max", Json.float h.Histogram.h_max);
+            ("p50", Json.float h.Histogram.h_p50);
+            ("p99", Json.float h.Histogram.h_p99);
+          ])
     (Histogram.snapshot ());
   Buffer.contents buf
 

@@ -71,21 +71,6 @@ let close_file () =
 
 (* ------------------------------------------------------------ rendering *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let ascii_line ~t ~l ~msg ~fields =
   let tm = Unix.gmtime t in
   let ms = int_of_float (Float.rem t 1.0 *. 1000.0) in
@@ -101,28 +86,21 @@ let ascii_line ~t ~l ~msg ~fields =
       (* Quote values an operator could mis-tokenise. *)
       if v <> "" && String.for_all (fun c -> c > ' ' && c <> '"' && c <> '=') v then
         Buffer.add_string buf v
-      else begin
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape v);
-        Buffer.add_char buf '"'
-      end)
+      else Buffer.add_string buf (Json.to_string (Json.String v)))
     fields;
   Buffer.contents buf
 
 let json_line ~t ~l ~msg ~fields =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf {|{"ts_ns":%Ld,"level":"%s","msg":"%s"|}
-       (Int64.of_float (t *. 1e9)) (level_name l) (escape msg));
-  if fields <> [] then begin
-    Buffer.add_string buf ",\"fields\":{";
-    Buffer.add_string buf
-      (String.concat ","
-         (List.map (fun (k, v) -> Printf.sprintf {|"%s":"%s"|} (escape k) (escape v)) fields));
-    Buffer.add_char buf '}'
-  end;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       ([
+          ("ts_ns", Json.int64 (Int64.of_float (t *. 1e9)));
+          ("level", Json.String (level_name l));
+          ("msg", Json.String msg);
+        ]
+       @
+       if fields = [] then []
+       else [ ("fields", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) fields)) ]))
 
 let emit l msg fields =
   Counter.incr lines_counter;

@@ -10,9 +10,8 @@
    code.
 
    Serialisation is a single flat JSON object (argv as a string
-   array), parsed back by the same kind of minimal reader the
-   checkpoint journal uses — strings, integers, null and string
-   arrays, nothing more. *)
+   array).  The decoder takes an already-parsed value, so a manifest
+   nested in another file (a bench trajectory) decodes in place. *)
 
 type t = {
   schema : int;
@@ -76,209 +75,97 @@ let finish ?exit_status t =
   t.end_ns <- Some (now_ns ());
   t.exit_status <- exit_status
 
-(* -------------------------------------------------------------- to JSON *)
-
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* ---------------------------------------------------------------- JSON *)
 
 let to_json t =
-  let opt_int = function None -> "null" | Some i -> string_of_int i in
-  let opt_int64 = function None -> "null" | Some i -> Printf.sprintf "%Ld" i in
-  Printf.sprintf
-    {|{"type":"manifest","schema":%d,"argv":[%s],"seed":%s,"engine_hash":"%s","config_digest":"%s","ocaml_version":"%s","hostname":"%s","start_ns":%Ld,"end_ns":%s,"exit_status":%s}|}
-    t.schema
-    (String.concat "," (List.map (fun a -> "\"" ^ escape a ^ "\"") t.argv))
-    (opt_int t.seed) (escape t.engine_hash) (escape t.config_digest) (escape t.ocaml_version)
-    (escape t.hostname) t.start_ns (opt_int64 t.end_ns) (opt_int t.exit_status)
+  let opt f = function None -> Json.Null | Some v -> f v in
+  Json.Obj
+    [
+      ("type", Json.String "manifest");
+      ("schema", Json.int t.schema);
+      ("argv", Json.List (List.map (fun a -> Json.String a) t.argv));
+      ("seed", opt Json.int t.seed);
+      ("engine_hash", Json.String t.engine_hash);
+      ("config_digest", Json.String t.config_digest);
+      ("ocaml_version", Json.String t.ocaml_version);
+      ("hostname", Json.String t.hostname);
+      ("start_ns", Json.int64 t.start_ns);
+      ("end_ns", opt Json.int64 t.end_ns);
+      ("exit_status", opt Json.int t.exit_status);
+    ]
 
-(* ------------------------------------------------------------ from JSON *)
-
-type jv = S of string | I of int64 | A of string list | Null
-
-exception Bad of string
-
-let parse_flat line =
-  let n = String.length line in
-  let i = ref 0 in
-  let skip_ws () =
-    while
-      !i < n && (line.[!i] = ' ' || line.[!i] = '\t' || line.[!i] = '\r' || line.[!i] = '\n')
-    do
-      incr i
-    done
+let of_json v =
+  let ( let* ) = Result.bind in
+  let field name =
+    Option.to_result ~none:(Printf.sprintf "missing field %S" name) (Json.member name v)
   in
-  let expect c =
-    skip_ws ();
-    if !i < n && line.[!i] = c then incr i
-    else raise (Bad (Printf.sprintf "expected '%c' at byte %d" c !i))
+  let str name =
+    let* x = field name in
+    match x with Json.String s -> Ok s | _ -> Error (name ^ " must be a string")
   in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 32 in
-    let rec go () =
-      if !i >= n then raise (Bad "unterminated string");
-      let c = line.[!i] in
-      incr i;
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        if !i >= n then raise (Bad "truncated escape");
-        let e = line.[!i] in
-        incr i;
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          if !i + 4 > n then raise (Bad "truncated \\u escape");
-          let code =
-            try int_of_string ("0x" ^ String.sub line !i 4) with _ -> raise (Bad "bad \\u escape")
-          in
-          i := !i + 4;
-          Buffer.add_char buf (Char.chr (code land 0xff))
-        | _ -> raise (Bad "unknown escape"));
-        go ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        go ()
-      end
+  let number conv name =
+    let* x = field name in
+    Option.to_result ~none:(name ^ " must be an integer") (conv x)
+  in
+  let nullable conv name =
+    let* x = field name in
+    match x with
+    | Json.Null -> Ok None
+    | x -> Option.to_result ~none:(name ^ " must be an integer or null") (Option.map Option.some (conv x))
+  in
+  let* () =
+    match Json.member "type" v with
+    | Some (Json.String "manifest") -> Ok ()
+    | _ -> Error "not a manifest"
+  in
+  let* schema = number Json.to_int "schema" in
+  let* () =
+    if schema = schema_version then Ok ()
+    else Error (Printf.sprintf "unsupported manifest schema %d" schema)
+  in
+  let* argv =
+    let* x = field "argv" in
+    let strings = function
+      | Json.List items ->
+        List.fold_right
+          (fun item acc ->
+            match (item, acc) with Json.String a, Some rest -> Some (a :: rest) | _ -> None)
+          items (Some [])
+      | _ -> None
     in
-    go ()
+    Option.to_result ~none:"argv must be an array of strings" (strings x)
   in
-  let parse_int () =
-    let start = !i in
-    if !i < n && line.[!i] = '-' then incr i;
-    while !i < n && line.[!i] >= '0' && line.[!i] <= '9' do
-      incr i
-    done;
-    if !i = start then raise (Bad "unrecognised value");
-    match Int64.of_string_opt (String.sub line start (!i - start)) with
-    | Some v -> v
-    | None -> raise (Bad "bad integer")
-  in
-  let parse_value () =
-    skip_ws ();
-    if !i >= n then raise (Bad "missing value")
-    else if line.[!i] = '"' then S (parse_string ())
-    else if line.[!i] = '[' then begin
-      incr i;
-      skip_ws ();
-      if !i < n && line.[!i] = ']' then begin
-        incr i;
-        A []
-      end
-      else begin
-        let items = ref [] in
-        let parsing = ref true in
-        while !parsing do
-          items := parse_string () :: !items;
-          skip_ws ();
-          if !i < n && line.[!i] = ',' then incr i
-          else begin
-            expect ']';
-            parsing := false
-          end
-        done;
-        A (List.rev !items)
-      end
-    end
-    else if !i + 4 <= n && String.sub line !i 4 = "null" then begin
-      i := !i + 4;
-      Null
-    end
-    else I (parse_int ())
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if !i < n && line.[!i] = '}' then incr i
-  else begin
-    let parsing = ref true in
-    while !parsing do
-      let k = parse_string () in
-      expect ':';
-      let v = parse_value () in
-      fields := (k, v) :: !fields;
-      skip_ws ();
-      if !i < n && line.[!i] = ',' then incr i
-      else begin
-        expect '}';
-        parsing := false
-      end
-    done
-  end;
-  skip_ws ();
-  if !i <> n then raise (Bad "trailing bytes after object");
-  List.rev !fields
-
-let of_json s =
-  match parse_flat s with
-  | exception Bad reason -> Error reason
-  | fields -> (
-    let find name =
-      match List.assoc_opt name fields with
-      | Some v -> v
-      | None -> raise (Bad (Printf.sprintf "missing field %S" name))
-    in
-    let str name = match find name with S s -> s | _ -> raise (Bad (name ^ " must be a string")) in
-    let int64 name = match find name with I v -> v | _ -> raise (Bad (name ^ " must be an integer")) in
-    try
-      (match find "type" with
-      | S "manifest" -> ()
-      | _ -> raise (Bad "not a manifest"));
-      let schema = Int64.to_int (int64 "schema") in
-      if schema <> schema_version then
-        raise (Bad (Printf.sprintf "unsupported manifest schema %d" schema));
-      Ok
-        {
-          schema;
-          argv = (match find "argv" with A a -> a | _ -> raise (Bad "argv must be an array"));
-          seed =
-            (match find "seed" with
-            | Null -> None
-            | I v -> Some (Int64.to_int v)
-            | _ -> raise (Bad "seed must be an integer or null"));
-          engine_hash = str "engine_hash";
-          config_digest = str "config_digest";
-          ocaml_version = str "ocaml_version";
-          hostname = str "hostname";
-          start_ns = int64 "start_ns";
-          end_ns =
-            (match find "end_ns" with
-            | Null -> None
-            | I v -> Some v
-            | _ -> raise (Bad "end_ns must be an integer or null"));
-          exit_status =
-            (match find "exit_status" with
-            | Null -> None
-            | I v -> Some (Int64.to_int v)
-            | _ -> raise (Bad "exit_status must be an integer or null"));
-        }
-    with Bad reason -> Error reason)
+  let* seed = nullable Json.to_int "seed" in
+  let* engine_hash = str "engine_hash" in
+  let* config_digest = str "config_digest" in
+  let* ocaml_version = str "ocaml_version" in
+  let* hostname = str "hostname" in
+  let* start_ns = number Json.to_int64 "start_ns" in
+  let* end_ns = nullable Json.to_int64 "end_ns" in
+  let* exit_status = nullable Json.to_int "exit_status" in
+  Ok
+    {
+      schema;
+      argv;
+      seed;
+      engine_hash;
+      config_digest;
+      ocaml_version;
+      hostname;
+      start_ns;
+      end_ns;
+      exit_status;
+    }
 
 let write path t =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (to_json t);
+      output_string oc (Json.to_string (to_json t));
       output_char oc '\n')
 
 let read path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | raw -> of_json (String.trim raw)
+  | raw -> Result.bind (Json.of_string raw) of_json

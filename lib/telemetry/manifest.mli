@@ -32,10 +32,13 @@ val engine_hash : unit -> string
 (** Memoised content hash of the running executable — what
     checkpoint journal headers embed. *)
 
-val to_json : t -> string
+val to_json : t -> Json.t
 (** One flat JSON object, argv as a string array. *)
 
-val of_json : string -> (t, string) result
+val of_json : Json.t -> (t, string) result
+(** Decode an already-parsed value (a whole manifest file, or the
+    object nested in a bench trajectory); an [Error] names the first
+    missing or ill-typed field. *)
 
 val write : string -> t -> unit
 val read : string -> (t, string) result

@@ -178,29 +178,21 @@ let set_heartbeat ?interval_s on =
 
 (* ---------------------------------------------------------- HTTP scrape *)
 
-let escape_json s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let healthz_body () =
   let s = snapshot () in
-  let opt_num = function Some v when Float.is_finite v -> Printf.sprintf "%.3f" v | _ -> "null" in
-  let deadline = List.assoc_opt "engine_deadline_remaining_seconds" s.gauges in
-  Printf.sprintf
-    {|{"status":"ok","completed":%d,"total":%d,"elapsed_s":%s,"eta_s":%s,"cache_hit_rate":%s,"deadline_remaining_s":%s,"engine_hash":"%s"}|}
-    s.completed s.total
-    (Printf.sprintf "%.3f" s.elapsed_s)
-    (opt_num s.eta_s) (opt_num s.cache_hit_rate) (opt_num deadline)
-    (escape_json (Manifest.engine_hash ()))
+  let opt_num = function Some v -> Json.fixed 3 v | None -> Json.Null in
+  Json.to_string
+    (Json.Obj
+       [
+         ("status", Json.String "ok");
+         ("completed", Json.int s.completed);
+         ("total", Json.int s.total);
+         ("elapsed_s", Json.fixed 3 s.elapsed_s);
+         ("eta_s", opt_num s.eta_s);
+         ("cache_hit_rate", opt_num s.cache_hit_rate);
+         ("deadline_remaining_s", opt_num (List.assoc_opt "engine_deadline_remaining_seconds" s.gauges));
+         ("engine_hash", Json.String (Manifest.engine_hash ()));
+       ])
 
 type server = {
   sock : Unix.file_descr;

@@ -44,15 +44,54 @@ let test_v2_roundtrip () =
       Alcotest.(check string) "manifest engine hash"
         (Telemetry.Manifest.engine_hash ()) m.Telemetry.Manifest.engine_hash)
 
+let fixed_manifest =
+  {
+    Telemetry.Manifest.schema = 1;
+    argv = [ "repro"; "faults"; "--seed"; "42"; "tab\there \"q\" \\ \x01" ];
+    seed = Some 42;
+    engine_hash = "0123456789abcdef0123456789abcdef";
+    config_digest = "fedcba9876543210fedcba9876543210";
+    ocaml_version = "5.1.1";
+    hostname = "host";
+    start_ns = 1786225332526600960L;
+    end_ns = Some 1786225332526612992L;
+    exit_status = Some 0;
+  }
+
 let test_nan_roundtrip () =
   with_temp_file @@ fun path ->
-  Bench_json.write ~path
-    [ { Bench_json.name = "flaky"; ns_per_run = nan; minor_words_per_run = 1.0 } ];
+  Bench_json.write ~path ~manifest:fixed_manifest
+    [
+      { Bench_json.name = "zeta:k"; ns_per_run = 1234.56789; minor_words_per_run = 0.0 };
+      { Bench_json.name = "flaky"; ns_per_run = nan; minor_words_per_run = infinity };
+    ];
+  (* bench-kernels/2, byte for byte: the indented layout, "%.3f"
+     numbers, non-finite numbers as null. *)
+  Alcotest.(check string) "file bytes pinned"
+    ({|{
+  "schema": "bench-kernels/2",
+  "manifest": {"type":"manifest","schema":1,"argv":["repro","faults","--seed","42","tab\there \"q\" \\ \u0001"],"seed":42,"engine_hash":"0123456789abcdef0123456789abcdef","config_digest":"fedcba9876543210fedcba9876543210","ocaml_version":"5.1.1","hostname":"host","start_ns":1786225332526600960,"end_ns":1786225332526612992,"exit_status":0},
+  "results": [
+    { "name": "flaky", "ns_per_run": null, "minor_words_per_run": null },
+    { "name": "zeta:k", "ns_per_run": 1234.568, "minor_words_per_run": 0.000 }
+  ]
+}|}
+    ^ "\n")
+    (In_channel.with_open_bin path In_channel.input_all);
   match Bench_json.read path with
   | Error reason -> Alcotest.fail reason
   | Ok file ->
     let k = List.hd file.Bench_json.kernels in
-    Alcotest.(check bool) "nan survives as nan (null)" true (Float.is_nan k.Bench_json.ns_per_run)
+    Alcotest.(check bool) "nan survives as nan (null)" true (Float.is_nan k.Bench_json.ns_per_run);
+    Alcotest.(check bool) "manifest decodes in place" true
+      (file.Bench_json.manifest = Some fixed_manifest)
+
+let valid_bench_file =
+  lazy
+    (with_temp_file @@ fun path ->
+     Bench_json.write ~path ~manifest:fixed_manifest
+       ({ Bench_json.name = "flaky"; ns_per_run = nan; minor_words_per_run = 1.0 } :: kernels);
+     In_channel.with_open_bin path In_channel.input_all)
 
 let test_v1_compat () =
   (* The seed's committed baseline format: no manifest, schema 1. *)
@@ -175,7 +214,8 @@ let () =
           Alcotest.test_case "nan encodes as null and survives" `Quick test_nan_roundtrip;
           Alcotest.test_case "schema-1 baselines still read" `Quick test_v1_compat;
           Alcotest.test_case "unknown schema and garbage rejected" `Quick test_rejects_garbage;
-        ] );
+        ]
+        @ Mutate.cases ~what:"bench-kernels/2" ~count:2000 valid_bench_file Bench_json.of_string );
       ( "gate",
         [
           Alcotest.test_case "within tolerance passes" `Quick test_gate_pass;

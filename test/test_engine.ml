@@ -530,6 +530,15 @@ let test_checkpoint_roundtrip () =
   Engine.Checkpoint.record cp "plain|key" v1;
   Engine.Checkpoint.record cp "weird \"key\"\nwith|breaks" v2;
   Engine.Checkpoint.close cp;
+  (* Journal v1, byte for byte. *)
+  Alcotest.(check string) "journal bytes pinned"
+    (Printf.sprintf {|{"type":"journal","version":1,"engine":"%s"}|} (Telemetry.Manifest.engine_hash ())
+    ^ "\n"
+    ^ {|{"type":"cell","key":"plain|key","snr_mod":"0x1.8ae147ae147aep+3","snr_rx":"bits:7ff8000000000001","sfdr":null,"cost":3}|}
+    ^ "\n"
+    ^ {|{"type":"cell","key":"weird \"key\"\nwith|breaks","snr_mod":"-infinity","snr_rx":"0x0.00000000007e8p-1022","sfdr":"0x1.bcp+5","cost":0}|}
+    ^ "\n")
+    (In_channel.with_open_bin path In_channel.input_all);
   let cp = ok_checkpoint (Engine.Checkpoint.load ~resume:true path) in
   Alcotest.(check int) "both records replayed" 2 (Engine.Checkpoint.entries cp);
   (match Engine.Checkpoint.find cp "plain|key" with
@@ -542,6 +551,19 @@ let test_checkpoint_roundtrip () =
     (Engine.Checkpoint.find cp "missing" = None);
   Engine.Checkpoint.close cp;
   Sys.remove path
+
+(* Hand-written journal lines for the corruption cases. *)
+let journal_header = {|{"type":"journal","version":1}|}
+
+let journal_cell ?(cost = "1") key =
+  Printf.sprintf {|{"type":"cell","key":"%s","snr_mod":"0x1p+0","snr_rx":"0x1p+1","sfdr":null,"cost":%s}|}
+    key cost
+
+let write_journal lines =
+  let path = Filename.temp_file "ckpt" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (fun l -> output_string oc l; output_char oc '\n') lines);
+  path
 
 let test_checkpoint_torn_tail () =
   let path = Filename.temp_file "ckpt" ".jsonl" in
@@ -564,20 +586,64 @@ let test_checkpoint_torn_tail () =
   let cp = ok_checkpoint (Engine.Checkpoint.load ~resume:true path) in
   Alcotest.(check int) "journal clean after re-append" 3 (Engine.Checkpoint.entries cp);
   Engine.Checkpoint.close cp;
-  Sys.remove path
+  Sys.remove path;
+  (* A malformed record that got its newline out is torn too when it is
+     the final line, however its integer is broken. *)
+  List.iter
+    (fun cost ->
+      let path = write_journal [ journal_header; journal_cell "a"; journal_cell ~cost "b" ] in
+      let torn0 = counter "engine.checkpoint.torn" in
+      (match Engine.Checkpoint.load ~resume:true path with
+      | Ok cp ->
+        Alcotest.(check int) ("cost " ^ cost ^ ": final line dropped") 1 (Engine.Checkpoint.entries cp);
+        Alcotest.(check int) ("cost " ^ cost ^ ": torn counted") (torn0 + 1)
+          (counter "engine.checkpoint.torn");
+        Engine.Checkpoint.close cp
+      | Error c -> Alcotest.fail (Engine.Checkpoint.corruption_to_string c)
+      | exception e -> Alcotest.failf "cost %s: load raised %s" cost (Printexc.to_string e));
+      Sys.remove path)
+    [ "-"; "99999999999999999999" ]
 
 let test_checkpoint_corrupt_middle () =
+  List.iter
+    (fun (what, lines, bad_line) ->
+      let path = write_journal lines in
+      (match Engine.Checkpoint.load ~resume:true path with
+      | Error { Engine.Checkpoint.line; _ } ->
+        Alcotest.(check int) (what ^ ": corruption reported at the offending line") bad_line line
+      | Ok _ -> Alcotest.failf "%s: a malformed line must refuse to load" what
+      | exception e -> Alcotest.failf "%s: load raised %s" what (Printexc.to_string e));
+      Sys.remove path)
+    [
+      ("garbage record", [ journal_header; "this is not a journal record"; journal_header ], 2);
+      ("cost is a lone minus", [ journal_header; journal_cell ~cost:"-" "b"; journal_cell "a" ], 2);
+      ( "cost overflows",
+        [ journal_header; journal_cell ~cost:"99999999999999999999" "b"; journal_cell "a" ],
+        2 );
+      ("header version is a lone minus", [ {|{"type":"journal","version":-}|}; journal_cell "a" ], 1);
+      ( "header version overflows",
+        [ {|{"type":"journal","version":99999999999999999999}|}; journal_cell "a" ],
+        1 );
+    ]
+
+(* A valid 3-record journal, and a reader that loads any bytes as one. *)
+let valid_journal =
+  lazy
+    (let path = Filename.temp_file "ckpt" ".jsonl" in
+     let cp = ok_checkpoint (Engine.Checkpoint.load ~resume:false path) in
+     Engine.Checkpoint.record cp "a" (cp_value 12.34 nan None 3);
+     Engine.Checkpoint.record cp "b\"\n" (cp_value neg_infinity 1e-320 (Some 55.5) 0);
+     Engine.Checkpoint.record cp "c" (cp_value (-0.0) infinity (Some 1.0) 1);
+     Engine.Checkpoint.close cp;
+     let raw = In_channel.with_open_bin path In_channel.input_all in
+     Sys.remove path;
+     raw)
+
+let load_journal_bytes bytes =
   let path = Filename.temp_file "ckpt" ".jsonl" in
-  let oc = open_out path in
-  output_string oc "{\"type\":\"journal\",\"version\":1}\n";
-  output_string oc "this is not a journal record\n";
-  output_string oc "{\"type\":\"journal\",\"version\":1}\n";
-  close_out oc;
-  (match Engine.Checkpoint.load ~resume:true path with
-  | Error { Engine.Checkpoint.line; _ } ->
-    Alcotest.(check int) "corruption reported at the offending line" 2 line
-  | Ok _ -> Alcotest.fail "a malformed interior line must refuse to load");
-  Sys.remove path
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+  Result.map Engine.Checkpoint.close (Engine.Checkpoint.load ~resume:true path)
 
 let test_checkpoint_provenance () =
   let path = Filename.temp_file "ckpt" ".jsonl" in
@@ -708,5 +774,6 @@ let () =
             test_checkpoint_provenance;
           Alcotest.test_case "fresh engine resumes from the journal" `Quick
             test_checkpoint_engine_resume;
-        ] );
+        ]
+        @ Mutate.cases ~what:"journal" ~count:500 valid_journal load_journal_bytes );
     ]

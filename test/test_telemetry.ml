@@ -3,141 +3,102 @@
    well-formedness (we parse what we emit), the disabled-mode no-op
    guarantee, and counter determinism across same-seed runs. *)
 
-(* ------------------------------------------------------- mini JSON *)
+(* Exporter output is checked by parsing it back with the codec. *)
+module Json = Telemetry.Json
 
-(* A tiny recursive-descent JSON reader, just enough to verify that the
-   Chrome-trace and JSONL exporters emit well-formed JSON without
-   pulling in a JSON dependency. *)
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+let parse_json s =
+  match Json.of_string s with
+  | Ok v -> v
+  | Error reason -> Alcotest.failf "invalid JSON (%s): %s" reason s
 
-exception Bad_json of string
+let member = Json.member
+let num v = Option.bind v Json.to_float
 
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_literal lit value =
-    if !pos + String.length lit <= n && String.sub s !pos (String.length lit) = lit then begin
-      pos := !pos + String.length lit;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" lit)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' -> Buffer.add_char buf '"'; advance ()
-        | Some '\\' -> Buffer.add_char buf '\\'; advance ()
-        | Some '/' -> Buffer.add_char buf '/'; advance ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-        | Some 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "bad \\u escape";
-          let hex = String.sub s !pos 4 in
-          (try Buffer.add_char buf (Char.chr (int_of_string ("0x" ^ hex) land 0xFF))
-           with _ -> fail "bad \\u escape");
-          pos := !pos + 4
-        | _ -> fail "bad escape");
-        go ()
-      | Some c -> Buffer.add_char buf c; advance (); go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c when num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin advance (); Obj [] end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); members ((key, v) :: acc)
-          | Some '}' -> advance (); Obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin advance (); Arr [] end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); elements (v :: acc)
-          | Some ']' -> advance (); Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        elements []
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> parse_literal "true" (Bool true)
-    | Some 'f' -> parse_literal "false" (Bool false)
-    | Some 'n' -> parse_literal "null" Null
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
 
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
+(* ------------------------------------------------------------ codec *)
+
+let gen_bytes = QCheck.Gen.(string_size ~gen:char (int_bound 24))
+
+let gen_json =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map Json.int int;
+        map Json.int64 int64;
+        map Json.float float;
+        map (Json.fixed 3) float;
+        map (fun s -> Json.String s) gen_bytes;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n / 4))));
+               (1, map (fun l -> Json.Obj l) (list_size (int_bound 4) (pair gen_bytes (self (n / 4)))));
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"of_string inverts to_string on nested values"
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> Json.of_string (Json.to_string v) = Ok v)
+
+let prop_json_bytes =
+  QCheck.Test.make ~count:1000 ~name:"arbitrary byte strings round-trip"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_bytes)
+    (fun s -> Json.of_string (Json.to_string (Json.String s)) = Ok (Json.String s))
+
+let prop_json_total =
+  QCheck.Test.make ~count:2000 ~name:"of_string never raises"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(string_size ~gen:(oneofl [ '{'; '}'; '['; ']'; '"'; '\\'; 'u'; ':'; ','; '-'; '0'; '1'; 'e'; '.'; 'n'; ' '; '\x01'; '\xff' ]) (int_bound 32)))
+    (fun s -> match Json.of_string s with Ok _ | Error _ -> true)
+
+let gen_float =
+  QCheck.Gen.(
+    oneof
+      [
+        map Int64.float_of_bits int64;
+        oneofl
+          [
+            nan; -.nan; Int64.float_of_bits 0x7ff0000000000001L; Int64.float_of_bits 0xfff4000000000abcL;
+            infinity; neg_infinity; 0.0; -0.0; 5e-324; -5e-324; 2.2250738585072009e-308;
+          ];
+      ])
+
+let prop_float_repr =
+  QCheck.Test.make ~count:2000 ~name:"hex floats round-trip bit-for-bit"
+    (QCheck.make ~print:Json.float_repr gen_float)
+    (fun x ->
+      Option.map Int64.bits_of_float (Json.float_of_repr (Json.float_repr x))
+      = Some (Int64.bits_of_float x))
+
+let test_json_parser_edges () =
+  let ok s = Result.is_ok (Json.of_string s) in
+  List.iter
+    (fun s -> Alcotest.(check bool) ("rejects " ^ s) false (ok s))
+    [ ""; "-"; "01"; "1."; ".5"; "+1"; "1e"; "[1,]"; "{\"a\"}"; "\"\\ud800\""; "\"\x01\""; "nul"; "1 2" ];
+  List.iter
+    (fun s -> Alcotest.(check bool) ("accepts " ^ s) true (ok s))
+    [ " 1 "; "-0.5e+3"; "[]"; "{}"; "\"\\/\\b\\f\""; "[{\"a\":[null,true,false]}]" ];
+  Alcotest.(check bool) "\\u escapes decode to UTF-8" true
+    (Json.of_string {|"\u00e9\ud83d\ude00"|} = Ok (Json.String "\xc3\xa9\xf0\x9f\x98\x80"));
+  Alcotest.(check bool) "deep nesting is an error, not a stack overflow" false
+    (ok (String.make 100_000 '['));
+  Alcotest.(check (option int64)) "int64 literals stay exact" (Some 1786225332526600961L)
+    (Option.bind (Result.to_option (Json.of_string "1786225332526600961")) Json.to_int64);
+  Alcotest.(check (option int)) "overflowing int is None" None
+    (Option.bind (Result.to_option (Json.of_string "99999999999999999999")) Json.to_int)
 
 (* ----------------------------------------------------------- spans *)
 
@@ -269,38 +230,48 @@ let test_chrome_trace_well_formed () =
   populate_sample_telemetry ();
   let parsed = parse_json (Telemetry.Export.chrome_trace_string ()) in
   (match member "displayTimeUnit" parsed with
-  | Some (Str "ms") -> ()
+  | Some (String "ms") -> ()
   | _ -> Alcotest.fail "displayTimeUnit missing");
   let events =
     match member "traceEvents" parsed with
-    | Some (Arr events) -> events
+    | Some (List events) -> events
     | _ -> Alcotest.fail "traceEvents missing"
   in
   (* 2 span events + the final instant event carrying the counters. *)
   Alcotest.(check int) "event count" 3 (List.length events);
   let phases =
     List.map
-      (fun e -> match member "ph" e with Some (Str p) -> p | _ -> Alcotest.fail "ph missing")
+      (fun e -> match member "ph" e with Some (String p) -> p | _ -> Alcotest.fail "ph missing")
       events
   in
   Alcotest.(check (list string)) "phases" [ "X"; "X"; "I" ] phases;
   List.iter
     (fun e ->
-      match (member "ph" e, member "ts" e, member "name" e) with
-      | Some (Str "X"), Some (Num ts), Some (Str _) ->
+      match (member "ph" e, num (member "ts" e), member "name" e) with
+      | Some (String "X"), Some ts, Some (String _) ->
         if ts < 0.0 then Alcotest.fail "negative ts";
-        (match member "dur" e with
-        | Some (Num d) when d >= 0.0 -> ()
+        (match num (member "dur" e) with
+        | Some d when d >= 0.0 -> ()
         | _ -> Alcotest.fail "X event without dur")
-      | Some (Str "I"), Some (Num _), Some (Str _) -> ()
+      | Some (String "I"), Some _, Some (String _) -> ()
       | _ -> Alcotest.fail "malformed event")
     events;
   (* The escaped span name survives the round trip. *)
   let names =
-    List.filter_map (fun e -> match member "name" e with Some (Str s) -> Some s | _ -> None) events
+    List.filter_map (fun e -> match member "name" e with Some (String s) -> Some s | _ -> None) events
   in
   Alcotest.(check bool) "quoted name round-trips" true
     (List.mem "export outer \"quoted\"" names);
+  (* The child's event, byte for byte. *)
+  let child = List.find (fun e -> e.Telemetry.Span.ev_name = "export child") (Telemetry.Span.events ()) in
+  let pinned =
+    Printf.sprintf
+      {|{"name":"export child","cat":"span","ph":"X","ts":%.3f,"dur":%.3f,"pid":1,"tid":1,"args":{"k":"v\nw"}}|}
+      (Int64.to_float (Int64.sub child.Telemetry.Span.ev_start_ns (Telemetry.Span.epoch_ns ())) /. 1e3)
+      (Int64.to_float child.Telemetry.Span.ev_dur_ns /. 1e3)
+  in
+  Alcotest.(check bool) "child event bytes pinned" true
+    (contains ~sub:pinned (Telemetry.Export.chrome_trace_string ()));
   Telemetry.Export.reset_all ()
 
 let test_jsonl_well_formed () =
@@ -314,7 +285,7 @@ let test_jsonl_well_formed () =
       (fun line ->
         let v = parse_json line in
         match member "type" v with
-        | Some (Str t) -> (t, v)
+        | Some (String t) -> (t, v)
         | _ -> Alcotest.failf "line without type: %s" line)
       lines
   in
@@ -323,20 +294,28 @@ let test_jsonl_well_formed () =
   Alcotest.(check bool) "counter line present" true
     (List.exists
        (fun (t, v) ->
-         t = "counter" && member "name" v = Some (Str "test.export_counter")
-         && member "value" v = Some (Num 3.0))
+         t = "counter" && member "name" v = Some (String "test.export_counter")
+         && member "value" v = Some (Json.int 3))
        typed);
   Alcotest.(check bool) "histogram line present" true
     (List.exists
-       (fun (t, v) -> t = "histogram" && member "name" v = Some (Str "test.export_hist"))
+       (fun (t, v) -> t = "histogram" && member "name" v = Some (String "test.export_hist"))
        typed);
   (* The newline embedded in an attr value must be escaped, or it would
      have split the line and failed parsing above. *)
   Alcotest.(check bool) "attr newline escaped" true
     (List.exists
        (fun (_, v) ->
-         match member "attrs" v with Some (Obj [ ("k", Str "v\nw") ]) -> true | _ -> false)
+         match member "attrs" v with Some (Obj [ ("k", String "v\nw") ]) -> true | _ -> false)
        (List.filter (fun (t, _) -> t = "span") typed));
+  (* The child's span line, byte for byte. *)
+  let child = List.find (fun e -> e.Telemetry.Span.ev_name = "export child") (Telemetry.Span.events ()) in
+  Alcotest.(check bool) "span line bytes pinned" true
+    (List.mem
+       (Printf.sprintf
+          {|{"type":"span","name":"export child","start_ns":%Ld,"dur_ns":%Ld,"depth":1,"attrs":{"k":"v\nw"}}|}
+          child.Telemetry.Span.ev_start_ns child.Telemetry.Span.ev_dur_ns)
+       lines);
   Telemetry.Export.reset_all ()
 
 (* ------------------------------------------------------ determinism *)
@@ -594,7 +573,7 @@ let test_log_level_filtering () =
     List.map
       (fun l ->
         match member "msg" (parse_json l) with
-        | Some (Str m) -> m
+        | Some (String m) -> m
         | _ -> Alcotest.fail "log line missing msg")
       lines
   in
@@ -616,23 +595,42 @@ let test_log_jsonl_escaping () =
     "msg with \"quotes\" and \x01 control";
   Telemetry.Log.close_file ();
   let raw = String.trim (In_channel.with_open_bin path In_channel.input_all) in
-  match parse_json raw with
-  | exception Bad_json reason -> Alcotest.fail ("jsonl line does not parse: " ^ reason)
-  | v ->
+  match Json.of_string raw with
+  | Error reason -> Alcotest.fail ("jsonl line does not parse: " ^ reason)
+  | Ok v ->
     (match member "msg" v with
-    | Some (Str m) ->
+    | Some (String m) ->
       Alcotest.(check string) "message round-trips" "msg with \"quotes\" and \x01 control" m
     | _ -> Alcotest.fail "msg missing");
     (match member "fields" v with
     | Some (Obj fields) ->
       Alcotest.(check bool) "field value round-trips" true
-        (List.assoc_opt "key" fields = Some (Str "line1\nline2\t\"quoted\" \\slash"))
+        (List.assoc_opt "key" fields = Some (String "line1\nline2\t\"quoted\" \\slash"))
     | _ -> Alcotest.fail "fields missing");
     (match member "level" v with
-    | Some (Str "info") -> ()
-    | _ -> Alcotest.fail "level missing")
+    | Some (String "info") -> ()
+    | _ -> Alcotest.fail "level missing");
+    (* Everything after the timestamp, byte for byte. *)
+    Alcotest.(check bool) "line bytes pinned" true
+      (String.ends_with raw
+         ~suffix:
+           {|,"level":"info","msg":"msg with \"quotes\" and \u0001 control","fields":{"key":"line1\nline2\t\"quoted\" \\slash","n":"42"}}|})
 
 (* --------------------------------------------------------- manifest *)
+
+let fixed_manifest =
+  {
+    Telemetry.Manifest.schema = 1;
+    argv = [ "repro"; "faults"; "--seed"; "42"; "tab\there \"q\" \\ \x01" ];
+    seed = Some 42;
+    engine_hash = "0123456789abcdef0123456789abcdef";
+    config_digest = "fedcba9876543210fedcba9876543210";
+    ocaml_version = "5.1.1";
+    hostname = "host";
+    start_ns = 1786225332526600960L;
+    end_ns = Some 1786225332526612992L;
+    exit_status = Some 0;
+  }
 
 let test_manifest_roundtrip () =
   let argv = [ "repro"; "faults"; "--seed"; "1234"; "--standard"; "blue\ttooth" ] in
@@ -649,6 +647,15 @@ let test_manifest_roundtrip () =
     Alcotest.(check bool) "end stamped" true (m'.Telemetry.Manifest.end_ns <> None);
     Alcotest.(check string) "config digest" m.Telemetry.Manifest.config_digest
       m'.Telemetry.Manifest.config_digest);
+  (* The encoding, byte for byte, with and without the optional fields. *)
+  Alcotest.(check string) "manifest bytes pinned"
+    {|{"type":"manifest","schema":1,"argv":["repro","faults","--seed","42","tab\there \"q\" \\ \u0001"],"seed":42,"engine_hash":"0123456789abcdef0123456789abcdef","config_digest":"fedcba9876543210fedcba9876543210","ocaml_version":"5.1.1","hostname":"host","start_ns":1786225332526600960,"end_ns":1786225332526612992,"exit_status":0}|}
+    (Json.to_string (Telemetry.Manifest.to_json fixed_manifest));
+  Alcotest.(check string) "unset fields pinned"
+    {|{"type":"manifest","schema":1,"argv":[],"seed":null,"engine_hash":"0123456789abcdef0123456789abcdef","config_digest":"fedcba9876543210fedcba9876543210","ocaml_version":"5.1.1","hostname":"host","start_ns":-5,"end_ns":null,"exit_status":null}|}
+    (Json.to_string
+       (Telemetry.Manifest.to_json
+          { fixed_manifest with argv = []; seed = None; start_ns = -5L; end_ns = None; exit_status = None }));
   (* File round-trip. *)
   let path = Filename.temp_file "test_manifest" ".json" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -700,15 +707,22 @@ let test_monitor_snapshot () =
     "provider gauge exposed" (Some 17.0)
     (sample_value samples "repro_test_gauge");
   (* The /healthz body is one valid JSON object. *)
-  match parse_json (Telemetry.Monitor.healthz_body ()) with
-  | exception Bad_json reason -> Alcotest.fail ("healthz does not parse: " ^ reason)
-  | v -> (
+  match Json.of_string (Telemetry.Monitor.healthz_body ()) with
+  | Error reason -> Alcotest.fail ("healthz does not parse: " ^ reason)
+  | Ok v -> (
     (match member "status" v with
-    | Some (Str "ok") -> ()
+    | Some (String "ok") -> ()
     | _ -> Alcotest.fail "healthz status missing");
-    match member "completed" v with
-    | Some (Num 25.0) -> ()
-    | _ -> Alcotest.fail "healthz completed missing")
+    (match member "completed" v with
+    | Some (Number "25") -> ()
+    | _ -> Alcotest.fail "healthz completed missing");
+    (* The fixed parts of the body, byte for byte; the timings between
+       them move. *)
+    let body = Telemetry.Monitor.healthz_body () in
+    Alcotest.(check bool) "healthz bytes pinned" true
+      (String.starts_with body ~prefix:{|{"status":"ok","completed":25,"total":100,"elapsed_s":|}
+      && String.ends_with body
+           ~suffix:(Printf.sprintf {|,"engine_hash":"%s"}|} (Telemetry.Manifest.engine_hash ()))))
 
 let test_monitor_scrape_server () =
   Telemetry.Monitor.reset ();
@@ -813,7 +827,14 @@ let () =
         [
           Alcotest.test_case "json and file round-trip" `Quick test_manifest_roundtrip;
           Alcotest.test_case "seed parsing and engine hash" `Quick test_manifest_seed_forms;
-        ] );
+        ]
+        @ Mutate.cases ~what:"manifest" ~count:2000
+            (lazy (Json.to_string (Telemetry.Manifest.to_json fixed_manifest)))
+            (fun s -> Result.bind (Json.of_string s) Telemetry.Manifest.of_json) );
+      ( "json",
+        Alcotest.test_case "parser edge cases" `Quick test_json_parser_edges
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_json_roundtrip; prop_json_bytes; prop_json_total; prop_float_repr ] );
       ( "monitor",
         [
           Alcotest.test_case "snapshot and exposition bodies" `Quick test_monitor_snapshot;
