@@ -1,4 +1,4 @@
-.PHONY: all build test faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke cli-smoke alloc-smoke bench-json bench-json-fast bench-gate ci clean
+.PHONY: all build test faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke cli-smoke alloc-smoke perf-smoke bench-json bench-json-fast bench-gate ci clean
 
 all: build
 
@@ -169,6 +169,17 @@ alloc-smoke: build
 	grep -q 'budgets: PASS' /tmp/alloc-smoke.out
 	grep -q 'gate: PASS' /tmp/alloc-smoke.out
 
+# The repository benchmark, traced, as a correctness gate: every
+# measurement's digest against perfbench/reference.tsv, the exact work
+# counts, the stage ledger's closure (<= 10% of Receiver.run outside
+# the stage spans) and the replica/engine bit-exactness all have to
+# hold, so each run must end with "correct": true and "failed": 0.
+perf-smoke:
+	bash perfbench/run.sh --workload key-sweep --seed 0 --trace 1 > /tmp/perf-smoke-key-sweep.out
+	tail -n 1 /tmp/perf-smoke-key-sweep.out | grep -q '"correct": true, "attempted": [0-9]*, "failed": 0,'
+	bash perfbench/run.sh --workload campaign --seed 0 --trace 1 > /tmp/perf-smoke-campaign.out
+	tail -n 1 /tmp/perf-smoke-campaign.out | grep -q '"correct": true, "attempted": [0-9]*, "failed": 0,'
+
 # Perf trajectory: re-measure the Bechamel kernels and rewrite
 # BENCH_4.json (full quota; commit the result).  The -fast variant is
 # what CI runs on every push — shorter quota, same JSON schema.
@@ -185,7 +196,7 @@ bench-gate:
 	dune exec bench/main.exe -- --quick --fast --json \
 	  --out /tmp/bench-gate.json --compare BENCH_4.json
 
-ci: build test cli-smoke faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke alloc-smoke bench-gate
+ci: build test cli-smoke faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke alloc-smoke perf-smoke bench-gate
 
 clean:
 	dune clean

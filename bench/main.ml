@@ -250,6 +250,20 @@ let bench_checkpoint_record () =
       trial_cost = 1;
     }
 
+(* Front-end hits.  [Measure] captures through
+   [Receiver.run_stimulus], which keeps each domain's last front half
+   (stimulus + VGLNA) per (die, stimulus, length, gain code) and reuses
+   it.  A kernel that repeats one request every iteration therefore
+   times the back half only, a front-end *hit*: fig7:snr-mod-per-key,
+   fig9:snr-rx-per-key, fig10:psd-estimate, fig11:sweep-point,
+   fig12:two-tone-sfdr, faults:campaign-cell, engine:cache-miss and
+   engine:cache-miss-invalid.  fig8:transient-capture alternates two
+   keys (hits where their gain codes agree); security:attack-trial draws a
+   random key per iteration (a miss 15 times in 16); the engine:batch8
+   kernels hit within one batch only where flipped bits keep the gain
+   code; lot:die-calibration hits inside each die's calibration only.
+   The committed BENCH_4.json entries of the first group were measured
+   when every capture re-rendered and re-amplified its stimulus. *)
 let tests =
   [
     Test.make ~name:"kernel:fft-8192" (Staged.stage bench_fft);

@@ -69,6 +69,15 @@ let metric_tag = function
   | Full -> "full"
   | Full_verified -> "full_v"
 
+let gain_code t =
+  match t.metric with
+  | Snr_rx_at_power { gain_code; _ } -> gain_code
+  | Snr_mod | Snr_mod_verified | Snr_rx _ | Sfdr | Full | Full_verified ->
+    t.config.Rfchain.Config.vglna_gain
+
+let locality t =
+  (Circuit.Process.identity t.die.chip, t.standard.Rfchain.Standards.name, gain_code t)
+
 (* Content address of a request: die fingerprint, standard, the
    canonical 64-bit config encoding, stimulus power (exact hex float)
    and the metric.  [None] marks an uncacheable request (opaque

@@ -62,4 +62,12 @@ val cache_key : t -> string option
 (** Content address: die fingerprint | standard | canonical config bits
     | stimulus power | metric.  [None] for uncacheable requests. *)
 
+val locality : t -> string * string * int
+(** (die identity, standard name, VGLNA gain code the metric measures
+    at: [gain_code] for [Snr_rx_at_power], the word's own otherwise).
+    Requests with equal locality share the receiver's memoised front
+    half (stimulus and VGLNA, see {!Rfchain.Receiver.run_stimulus}), so
+    the engine runs them back to back.  The code is the one the word
+    asks for; a [fabric] hook may apply another. *)
+
 val metric_tag : metric -> string

@@ -340,7 +340,15 @@ let eval_stream ?engine ?account ?deadline_s reqs =
         | _ -> ())
       keys;
     let hits = ref (List.filter (fun i -> values.(i) <> None) (List.init n Fun.id)) in
-    let misses = Array.of_list (List.filter (fun i -> values.(i) = None) (List.init n Fun.id)) in
+    (* Misses run in locality order (stable, so index order within a
+       locality): requests sharing a die, standard and gain code share
+       the receiver's memoised front half, and run back to back. *)
+    let misses =
+      List.filter (fun i -> values.(i) = None) (List.init n Fun.id)
+      |> List.map (fun i -> (Request.locality arr.(i), i))
+      |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+      |> List.map snd |> Array.of_list
+    in
     let m = Array.length misses in
     let deliver j value =
       let i = misses.(j) in
@@ -381,8 +389,8 @@ let eval_stream ?engine ?account ?deadline_s reqs =
              | Some j -> deliver j (Option.get computed.(j))))
     | Seq | Domains _ ->
       (* One lane, or nested inside a stream that owns the pool: misses
-         compute inline, one per pull, in index order — an interrupted
-         consumer pays only for what it pulled. *)
+         compute inline, one per pull, in locality order — an
+         interrupted consumer pays only for what it pulled. *)
       mk
         (with_hits_first (fun () ->
              if !cursor >= m then None

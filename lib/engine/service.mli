@@ -114,10 +114,12 @@ val eval_batch :
 
     [eval_stream] resolves the whole grid up front — one cache lookup
     per keyed request, in request order, before any journal lookup or
-    compute — and hands only the misses to the scheduler.
-    {!stream_next} delivers [(index, measurement)] pairs: hits first,
-    in request order, then misses as lanes finish them, out of order,
-    so a straggler never gates the rest of the grid.  Each computed
+    compute — and hands only the misses to the scheduler, stably
+    sorted by {!Request.locality} so requests that share a receiver
+    front half run back to back.  {!stream_next} delivers
+    [(index, measurement)] pairs: hits first, in request order, then
+    misses as lanes finish them, out of order, so a straggler never
+    gates the rest of the grid.  Each computed
     miss is published (journal, cache, account) on the main domain at
     delivery.  Reassembling by index ({!stream_drain}) is bit-identical
     for any lane count.
@@ -148,7 +150,8 @@ val stream_next : stream -> ((int * Metrics.Spec.measurement) option, denial) re
 (** Next completed evaluation, or [Ok None] once all have been
     delivered (or after {!stream_abort}).  Blocks only when every
     remaining item is in flight on a worker lane; with no workers the
-    calling domain computes one item per pull, in index order. *)
+    calling domain computes one item per pull, in locality order
+    (index order among requests of equal {!Request.locality}). *)
 
 val stream_drain : stream -> (Metrics.Spec.measurement list, denial) result
 (** Consume to the end and return all measurements in request order —

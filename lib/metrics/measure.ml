@@ -21,8 +21,8 @@ let run_tone t config ~p_dbm ~n =
   Telemetry.Counter.incr trials_counter;
   let fs = Rfchain.Receiver.fs t.rx in
   let f_in = Rfchain.Receiver.test_tone_frequency t.rx ~n in
-  let input = Sigkit.Waveform.tone_dbm ~p_dbm ~freq:f_in ~fs n in
-  (f_in, Rfchain.Receiver.run t.rx ~analog:config ~input ())
+  let stimulus = Sigkit.Waveform.dbm_tone ~p_dbm ~freq:f_in ~fs () in
+  (f_in, Rfchain.Receiver.run_stimulus t.rx ~analog:config ~stimulus ~n ())
 
 let mod_output t config =
   let _, res = run_tone t config ~p_dbm:t.p_dbm ~n:Snr.default_fft_points in
@@ -78,8 +78,8 @@ let sfdr_db t config =
       let fs = Rfchain.Receiver.fs t.rx in
       let standard = Rfchain.Receiver.standard t.rx in
       let f1, f2 = Sfdr.tones_for ~f0:standard.Rfchain.Standards.f0_hz ~fs ~n in
-      let input = Sigkit.Waveform.two_tone_dbm ~p_dbm:t.p_dbm ~f1 ~f2 ~fs n in
-      let res = Rfchain.Receiver.run t.rx ~analog:config ~input () in
+      let stimulus = Sigkit.Waveform.dbm_two_tone ~p_dbm:t.p_dbm ~f1 ~f2 ~fs in
+      let res = Rfchain.Receiver.run_stimulus t.rx ~analog:config ~stimulus ~n () in
       Sfdr.of_bandpass ~fs ~f1 ~f2 ~osr res.Rfchain.Receiver.mod_output)
 
 let full t config =

@@ -61,9 +61,34 @@ val run :
   result
 (** Simulate the chain on an antenna-referred input record (volts into
     50 ohm).  [settle] extra samples (default 1024) are prepended and
-    dropped so records are steady-state.  [slice] (default true) keeps
-    the digital section's 1-bit input boundary; false is the ablation
-    that pretends the digital section accepted analog samples. *)
+    dropped so records are steady-state; the prefix repeats the record's
+    tail, which keeps a periodic record phase-coherent.  [slice]
+    (default true) keeps the digital section's 1-bit input boundary;
+    false is the ablation that pretends the digital section accepted
+    analog samples.  The reference path: it memoises nothing.  Raises
+    [Invalid_argument] on an empty [input] or a negative [settle],
+    before any work. *)
+
+val run_stimulus :
+  t ->
+  analog:Config.t ->
+  ?settle:int ->
+  stimulus:Sigkit.Waveform.stimulus ->
+  n:int ->
+  unit ->
+  result
+(** [run_stimulus t ~analog ?settle ~stimulus ~n ()] is
+    [run t ~analog ?settle ~input:(Sigkit.Waveform.render stimulus n) ()],
+    bit for bit (default decimator, sliced digital input), with the
+    same [receiver.runs] / [receiver.samples] counts and
+    [receiver.run] span.  The front half of the chain (stimulus,
+    settle rotation, VGLNA) is rendered straight into a workspace slot
+    (6 for a [Tone], 14 for a [Two_tone]) tagged with the die's
+    identity, the sampling rate, the stimulus bits, [n], [settle] and
+    the applied gain code; a later call on the same domain with an
+    equal tag reuses it and runs only the back half.  A receiver with
+    an [rf_fault] hook renders and amplifies afresh on every call.
+    Raises [Invalid_argument] when [n < 1] or [settle < 0]. *)
 
 val test_tone_frequency : t -> n:int -> float
 (** The single-tone test frequency used throughout the evaluation: a

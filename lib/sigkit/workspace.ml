@@ -1,8 +1,13 @@
-(* Each scratch array carries the memo of the last noise stream drawn
-   into it, cleared whenever [arr] hands the array out for writing. *)
+type tag = ..
+
+(* Each scratch array carries at most one description of its contents:
+   the memo of the last noise stream drawn into it, or an owner's tag.
+   Every writer clears the other's, and [arr] clears both whenever it
+   hands the array out for writing. *)
 type entry = {
   data : float array;
   memo : Rng.fill_memo;
+  mutable tag : tag option;
 }
 
 type t = { slots : (int, entry) Hashtbl.t }
@@ -24,18 +29,33 @@ let entry t ~slot ~len =
   | Some e -> e
   | None ->
     Atomic.incr allocs;
-    let e = { data = Array.make len 0.0; memo = Rng.fill_memo () } in
+    let e = { data = Array.make len 0.0; memo = Rng.fill_memo (); tag = None } in
     Hashtbl.add t.slots k e;
     e
 
 let arr t ~slot ~len =
   let e = entry t ~slot ~len in
   Rng.forget e.memo;
+  e.tag <- None;
   e.data
 
 let gaussian t ~slot ~len rng =
   let e = entry t ~slot ~len in
+  e.tag <- None;
   Rng.gaussian_fill_memo rng e.data ~n:len e.memo;
   e.data
+
+let tagged t ~slot ~len ~same tag fill =
+  let e = entry t ~slot ~len in
+  match e.tag with
+  | Some held when same held tag -> e.data
+  | _ ->
+    (* Untagged while [fill] runs: a fill that raises leaves a slot
+       that no later call can mistake for a finished one. *)
+    Rng.forget e.memo;
+    e.tag <- None;
+    fill e.data;
+    e.tag <- Some tag;
+    e.data
 
 let allocations () = Atomic.get allocs

@@ -18,11 +18,11 @@
     Slot discipline (keeps concurrent users of one domain apart; the
     full map and per-stage liveness argument are in DESIGN §15):
     0-1 [Fft] convenience wrappers, 2-5 [Spectrum],
-    6-13 the [Rfchain] evaluation chain (6 settle-extended record,
-    7 modulator output, 8-9 [Sdm] tagged comparator/input noise,
-    10-11 mixer I/Q, 12 [Decimator] CIC intermediate, 13 [Vglna]
-    noise batch, then [Sdm] buffer-mode jitter), 14 free for callers,
-    15 tests. *)
+    6-14 the [Rfchain] evaluation chain (6 settle-extended record,
+    tagged with its single-tone front half, 7 modulator output, 8-9
+    [Sdm] tagged comparator/input noise, 10-11 mixer I/Q, 12
+    [Decimator] CIC intermediate, 13 [Vglna] noise batch, then [Sdm]
+    buffer-mode jitter, 14 tagged two-tone front half), 15 tests. *)
 
 type t
 
@@ -43,7 +43,25 @@ val gaussian : t -> slot:int -> len:int -> Rng.t -> float array
     call with a generator at that same position (e.g. a fresh split of
     the same die and name) skips the draw and returns it unchanged.
     The result is read-only, valid until the next {!arr} or [gaussian]
-    call on that slot and length; {!arr} clears the tag. *)
+    call on that slot and length; {!arr} and {!tagged} clear the
+    tag. *)
+
+type tag = ..
+(** What a {!tagged} array holds.  Extensible: each owner of a tagged
+    slot adds its own constructor. *)
+
+val tagged :
+  t -> slot:int -> len:int -> same:(tag -> tag -> bool) -> tag -> (float array -> unit) ->
+  float array
+(** [tagged t ~slot ~len ~same tag fill] returns the [(slot, len)]
+    scratch array holding what [fill] writes into it.  When the array
+    already carries a tag [held] with [same held tag], it is returned
+    unchanged and [fill] does not run; otherwise the tag is cleared,
+    [fill] overwrites the array and then the array is tagged with
+    [tag].  [fill] must write every cell it reads back and must not use
+    this slot and length itself.  The result is read-only, valid until
+    the next {!arr}, {!gaussian} or [tagged] call on that slot and
+    length, each of which clears or replaces the tag. *)
 
 val allocations : unit -> int
 (** Process-wide count of scratch arrays materialised so far; a steady

@@ -346,32 +346,88 @@ let test_pool_stream_discard () =
 (* Reference check: batches are drained streams, so compare them with
    the simplest path there is — one [eval] per request on a fresh,
    sequential, uncached engine.  Measurements must agree bit for bit
-   and so must the trial odometer, at every lane count the CLI
-   exposes. *)
+   and so must the trial odometer. *)
+let batch_matches_reference engines reqs =
+  let trials f =
+    let t0 = counter "measure.trials" in
+    let ms = f () in
+    (ms, counter "measure.trials" - t0)
+  in
+  let reference, ref_trials =
+    let engine = Engine.Service.create ~jobs:1 ~cache:false () in
+    let r = trials (fun () -> List.map (fun req -> Engine.Service.eval ~engine req) reqs) in
+    Engine.Service.shutdown engine;
+    r
+  in
+  List.for_all
+    (fun engine ->
+      let batch, batch_trials =
+        trials (fun () -> Engine.Service.eval_batch ~engine:(Lazy.force engine) reqs)
+      in
+      List.for_all2 same_measurement reference batch && batch_trials = ref_trials)
+    engines
+
 let prop_batch_equals_reference =
   QCheck.Test.make ~name:"eval_batch = List.map eval on a fresh jobs-1 engine at jobs 1/4/8"
     ~count:4
     QCheck.(list_of_size (Gen.int_range 1 6) (int_range 0 63))
     (fun flipped_bits ->
-      let reqs = List.map (fun bit -> request (config_of_bit bit)) flipped_bits in
-      let trials f =
-        let t0 = counter "measure.trials" in
-        let ms = f () in
-        (ms, counter "measure.trials" - t0)
-      in
-      let reference, ref_trials =
-        let engine = Engine.Service.create ~jobs:1 ~cache:false () in
-        let r = trials (fun () -> List.map (fun req -> Engine.Service.eval ~engine req) reqs) in
-        Engine.Service.shutdown engine;
-        r
-      in
-      List.for_all
-        (fun engine ->
-          let batch, batch_trials =
-            trials (fun () -> Engine.Service.eval_batch ~engine:(Lazy.force engine) reqs)
-          in
-          List.for_all2 same_measurement reference batch && batch_trials = ref_trials)
-        [ seq_engine; pool_engine4; pool_engine8 ])
+      batch_matches_reference [ seq_engine; pool_engine4; pool_engine8 ]
+        (List.map (fun bit -> request (config_of_bit bit)) flipped_bits))
+
+(* A grid whose locality order (die, standard, gain code) is far from
+   its index order: two dies, three gain codes (one reached only
+   through [Snr_rx_at_power]'s own code) and four metrics. *)
+let locality_grid =
+  lazy
+    (let chip_a = Circuit.Process.fabricate ~seed:42 () in
+     let chip_b = Circuit.Process.fabricate ~seed:43 () in
+     let code c = { Rfchain.Config.nominal with vglna_gain = c } in
+     let at_power = Engine.Request.Snr_rx_at_power { n_fft = 64; p_dbm = -40.0; gain_code = 3 } in
+     List.map
+       (fun (chip, config_code, metric) ->
+         let req =
+           Engine.Request.make ~die:(Engine.Request.die_of_chip chip) ~standard
+             ~config:(code config_code) metric
+         in
+         let gain = match metric with Engine.Request.Snr_rx_at_power _ -> 3 | _ -> config_code in
+         (req, (Circuit.Process.identity chip, gain)))
+       [
+         (chip_a, 8, Engine.Request.Snr_mod);
+         (chip_b, 3, Engine.Request.Snr_mod);
+         (chip_a, 12, Engine.Request.Snr_rx { n_fft = 64 });
+         (chip_a, 8, at_power);
+         (chip_b, 8, Engine.Request.Sfdr);
+         (chip_a, 3, Engine.Request.Snr_mod);
+         (chip_b, 3, Engine.Request.Snr_rx { n_fft = 64 });
+         (chip_a, 8, Engine.Request.Sfdr);
+         (chip_a, 12, Engine.Request.Snr_mod);
+         (chip_b, 3, at_power);
+       ])
+
+(* One lane computes misses one per pull in stable locality order, so
+   requests sharing a receiver front half run back to back. *)
+let test_stream_locality_order () =
+  let grid = Lazy.force locality_grid in
+  let expected =
+    List.mapi (fun i (_, key) -> (key, i)) grid
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
+  in
+  let engine = Engine.Service.create ~jobs:1 () in
+  let stream = Engine.Service.eval_stream ~engine (List.map fst grid) in
+  let rec pull acc =
+    match Engine.Service.stream_next stream with
+    | Ok (Some (i, _)) -> pull (i :: acc)
+    | Ok None -> List.rev acc
+    | Error _ -> Alcotest.fail "no deadline, no denial"
+  in
+  Alcotest.(check (list int)) "misses delivered in stable locality order" expected (pull []);
+  Engine.Service.shutdown engine
+
+let test_batch_locality_grid () =
+  Alcotest.(check bool) "eval_batch = List.map eval on the locality grid at jobs 1/4" true
+    (batch_matches_reference [ seq_engine; pool_engine4 ] (List.map fst (Lazy.force locality_grid)))
 
 (* Cache hits short-circuit before anything reaches the scheduler and
    are delivered first, in request order, at replayed cost. *)
@@ -747,6 +803,10 @@ let () =
           Alcotest.test_case "cache hits are delivered first" `Quick test_stream_hits_first;
           Alcotest.test_case "abort releases the engine" `Quick test_stream_abort_reusable;
           Alcotest.test_case "map_jobs with nested engine calls" `Quick test_map_jobs_nested;
+          Alcotest.test_case "one lane runs misses in locality order" `Quick
+            test_stream_locality_order;
+          Alcotest.test_case "mixed two-die grid batch = List.map eval at jobs 1/4" `Quick
+            test_batch_locality_grid;
         ]
         @ qcheck [ prop_batch_equals_reference ] );
       ( "deadline",

@@ -457,6 +457,183 @@ let test_decimator_all_ratios () =
       Alcotest.(check (float 1e-6)) "unity DC gain" 1.0 y.(32))
     [ 0; 1; 2; 3 ]
 
+let counter name =
+  match Telemetry.Counter.find name with
+  | Some c -> Telemetry.Counter.value c
+  | None -> 0
+
+(* Degenerate records are refused by name before any work: no run is
+   counted and the modulator takes no step. *)
+let test_receiver_degenerate_records () =
+  let rx = Rfchain.Receiver.create (chip ()) std in
+  let analog = Rfchain.Config.nominal in
+  let fs = Rfchain.Receiver.fs rx in
+  let stimulus = Sigkit.Waveform.dbm_tone ~p_dbm:(-25.0) ~freq:3.02e9 ~fs () in
+  let runs0 = counter "receiver.runs" and steps0 = counter "sdm.steps" in
+  let refused who what f =
+    Alcotest.check_raises (who ^ ": " ^ what) (Invalid_argument (who ^ ": " ^ what)) (fun () ->
+        ignore (f ()))
+  in
+  let positive = "record length must be positive" and settle = "settle must be non-negative" in
+  refused "Receiver.run" positive (fun () -> Rfchain.Receiver.run rx ~analog ~input:[||] ());
+  refused "Receiver.run" settle (fun () ->
+      Rfchain.Receiver.run rx ~analog ~settle:(-5) ~input:(Sigkit.Waveform.render stimulus 64) ());
+  refused "Receiver.run_stimulus" positive (fun () ->
+      Rfchain.Receiver.run_stimulus rx ~analog ~stimulus ~n:0 ());
+  refused "Receiver.run_stimulus" settle (fun () ->
+      Rfchain.Receiver.run_stimulus rx ~analog ~settle:(-5) ~stimulus ~n:64 ());
+  Alcotest.(check int) "no run counted" runs0 (counter "receiver.runs");
+  Alcotest.(check int) "no modulator step taken" steps0 (counter "sdm.steps")
+
+(* ------------------------------------------------------ Front-end memo *)
+
+let same_result (a : Rfchain.Receiver.result) (b : Rfchain.Receiver.result) =
+  let same x y =
+    Array.length x = Array.length y
+    && Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) x y
+  in
+  same a.Rfchain.Receiver.mod_output b.Rfchain.Receiver.mod_output
+  && same a.Rfchain.Receiver.baseband_i b.Rfchain.Receiver.baseband_i
+  && same a.Rfchain.Receiver.baseband_q b.Rfchain.Receiver.baseband_q
+
+(* Receivers whose front halves must never be confused: two dies, an
+   aged copy of the first (same seed, different identity), a fabric
+   that applies another gain code than the word asks for, and an
+   [rf_fault] hook that bypasses the memo. *)
+let front_receivers =
+  lazy
+    (let d1 = chip ~seed:11 () and d2 = chip ~seed:12 () in
+     let aged = Circuit.Process.age d1 ~hours:1000.0 in
+     let mirror cfg = { cfg with Rfchain.Config.vglna_gain = 15 - cfg.Rfchain.Config.vglna_gain } in
+     let rf_fault x = Array.mapi (fun i v -> v +. (0.002 *. float_of_int (i land 7))) x in
+     [|
+       ("die 11", Rfchain.Receiver.create d1 std);
+       ("die 12", Rfchain.Receiver.create d2 std);
+       ("die 11 aged", Rfchain.Receiver.create aged std);
+       ("die 11 mirrored gain", Rfchain.Receiver.create ~fabric:mirror d1 std);
+       ("die 11 rf fault", Rfchain.Receiver.create ~rf_fault d1 std);
+     |])
+
+(* (n, settle): an odd length with the settle a multiple of it and with
+   a settle longer than it, and the measurement length both ways. *)
+let front_shapes = [| (1537, 3074); (1537, 2000); (8192, 8192); (8192, 1024) |]
+
+let front_stimulus ~fs ~n stim =
+  let freq = Sigkit.Waveform.coherent_frequency ~freq:3.02e9 ~fs ~n in
+  match stim with
+  | 0 -> Sigkit.Waveform.dbm_tone ~p_dbm:(-25.0) ~freq ~fs ()
+  | 1 -> Sigkit.Waveform.dbm_tone ~p_dbm:(-31.0) ~freq ~fs ()
+  | _ -> Sigkit.Waveform.dbm_two_tone ~p_dbm:(-25.0) ~f1:3.01e9 ~f2:3.03e9 ~fs
+
+type front_step =
+  | Measure of { rx : int; stim : int; shape : int; code : int }
+  | Plain of { rx : int; shape : int; code : int }  (* [run ~input] on a foreign record *)
+
+(* A seeded walk over the case space: each step repeats the last case
+   or moves one coordinate, so every tag field is exercised on its own
+   (die 11 swaps directly with die 12 and with its aged copy); a plain
+   [run ~input] on the same slot is always followed by a repeat of the
+   case it interrupted. *)
+let front_walk =
+  lazy
+    (let rng = Random.State.make [| 17 |] in
+     let swap a b rx = if rx = a then b else a in
+     let rec walk acc ((rx, stim, shape, code) as cur) k =
+       if k = 0 then List.rev acc
+       else
+         let measure (rx, stim, shape, code) = Measure { rx; stim; shape; code } in
+         let step next = walk (measure next :: acc) next (k - 1) in
+         match Random.State.int rng 8 with
+         | 0 -> step cur
+         | 1 -> step (rx, stim, shape, (code + 7) mod 16) (* a stride coprime to 16 *)
+         | 2 -> step (swap 0 1 rx, stim, shape, code)
+         | 3 -> step (swap 0 2 rx, stim, shape, code)
+         | 4 -> step (Random.State.int rng 5, stim, shape, code)
+         | 5 -> step (rx, Random.State.int rng 3, shape, code)
+         | 6 -> step (rx, stim, Random.State.int rng 4, code)
+         | _ ->
+           let plain =
+             Plain { rx = Random.State.int rng 5; shape; code = Random.State.int rng 16 }
+           in
+           walk (measure cur :: plain :: acc) cur (k - 1)
+     in
+     walk [] (0, 0, 0, 8) 240)
+
+let test_front_memo_oracle () =
+  let rxs = Lazy.force front_receivers in
+  let steps = Lazy.force front_walk in
+  let codes = List.filter_map (function Measure m -> Some m.code | Plain _ -> None) steps in
+  List.iter
+    (fun c -> if not (List.mem c codes) then Alcotest.failf "walk never measures gain code %d" c)
+    (List.init 16 Fun.id);
+  let analog code = { Rfchain.Config.nominal with vglna_gain = code } in
+  let fs = Rfchain.Standards.fs std in
+  (* Every expected result first, through the unmemoised path: it uses
+     slot 6 itself, so interleaving it would only ever test misses. *)
+  let oracle = Hashtbl.create 64 in
+  List.iter
+    (function
+      | Measure { rx; stim; shape; code } when not (Hashtbl.mem oracle (rx, stim, shape, code)) ->
+        let n, settle = front_shapes.(shape) in
+        let input = Sigkit.Waveform.render (front_stimulus ~fs ~n stim) n in
+        Hashtbl.add oracle (rx, stim, shape, code)
+          (Rfchain.Receiver.run (snd rxs.(rx)) ~analog:(analog code) ~settle ~input ())
+      | _ -> ())
+    steps;
+  let runs0 = counter "receiver.runs" and samples0 = counter "receiver.samples" in
+  let runs = ref 0 and samples = ref 0 in
+  List.iteri
+    (fun k step ->
+      match step with
+      | Plain { rx; shape; code } ->
+        let n, settle = front_shapes.(shape) in
+        let input = Sigkit.Waveform.tone_dbm ~p_dbm:(-40.0) ~freq:3.0e9 ~fs n in
+        ignore (Rfchain.Receiver.run (snd rxs.(rx)) ~analog:(analog code) ~settle ~input ());
+        incr runs;
+        samples := !samples + n
+      | Measure { rx; stim; shape; code } ->
+        let n, settle = front_shapes.(shape) in
+        let res =
+          Rfchain.Receiver.run_stimulus (snd rxs.(rx)) ~analog:(analog code) ~settle
+            ~stimulus:(front_stimulus ~fs ~n stim) ~n ()
+        in
+        incr runs;
+        samples := !samples + n;
+        if not (same_result (Hashtbl.find oracle (rx, stim, shape, code)) res) then
+          Alcotest.failf
+            "step %d (%s, stimulus %d, n=%d, settle=%d, code %d) differs from run ~input" k
+            (fst rxs.(rx)) stim n settle code)
+    steps;
+  Alcotest.(check int) "one receiver.runs per call" (runs0 + !runs) (counter "receiver.runs");
+  Alcotest.(check int) "receiver.samples counts n per call" (samples0 + !samples)
+    (counter "receiver.samples")
+
+(* A fill that raises must leave the slot untagged: a fabric that
+   applies an out-of-range gain code makes the VGLNA raise after the
+   stimulus is rendered, on every call and on both paths alike. *)
+let test_front_memo_failed_fill () =
+  let d = chip ~seed:11 () in
+  let out_of_range c = { c with Rfchain.Config.vglna_gain = 16 } in
+  let bad = Rfchain.Receiver.create ~fabric:out_of_range d std in
+  let good = Rfchain.Receiver.create d std in
+  let fs = Rfchain.Standards.fs std and n = 1537 in
+  let stimulus = front_stimulus ~fs ~n 0 in
+  let analog = Rfchain.Config.nominal in
+  let raises what f =
+    Alcotest.check_raises what (Invalid_argument "Vglna: gain code out of range") (fun () ->
+        ignore (f ()))
+  in
+  raises "reference path" (fun () ->
+      Rfchain.Receiver.run bad ~analog ~input:(Sigkit.Waveform.render stimulus n) ());
+  raises "first memoised call" (fun () ->
+      Rfchain.Receiver.run_stimulus bad ~analog ~stimulus ~n ());
+  raises "repeated memoised call" (fun () ->
+      Rfchain.Receiver.run_stimulus bad ~analog ~stimulus ~n ());
+  Alcotest.(check bool) "a healthy call afterwards is exact" true
+    (same_result
+       (Rfchain.Receiver.run good ~analog ~input:(Sigkit.Waveform.render stimulus n) ())
+       (Rfchain.Receiver.run_stimulus good ~analog ~stimulus ~n ()))
+
 (* ------------------------------------------------------ Workspace arena *)
 
 (* The allocating chain, composed from the public per-stage wrappers
@@ -550,6 +727,7 @@ let test_arena_slots_distinct () =
       ("mixer i (10)", Sigkit.Workspace.arr ws ~slot:10 ~len:n);
       ("mixer q (11)", Sigkit.Workspace.arr ws ~slot:11 ~len:n);
       ("vglna noise (13)", Sigkit.Workspace.arr ws ~slot:13 ~len:total);
+      ("two-tone front (14)", Sigkit.Workspace.arr ws ~slot:14 ~len:total);
     ]
   in
   List.iteri
@@ -664,6 +842,12 @@ let () =
           Alcotest.test_case "end to end" `Slow test_receiver_end_to_end;
           Alcotest.test_case "slicer" `Quick test_receiver_slice;
           Alcotest.test_case "deterministic" `Quick test_receiver_deterministic;
+          Alcotest.test_case "degenerate records refused up front" `Quick
+            test_receiver_degenerate_records;
+          Alcotest.test_case "memoised front half equals run ~input" `Quick
+            test_front_memo_oracle;
+          Alcotest.test_case "a failed front-half fill is never reused" `Quick
+            test_front_memo_failed_fill;
         ] );
       ( "arena",
         Alcotest.test_case "slot map is alias-free" `Quick test_arena_slots_distinct

@@ -471,6 +471,66 @@ let test_waveform_two_tone () =
   let p x = Sigkit.Waveform.rms x ** 2.0 in
   check_close ~eps:0.05 "two-tone power" 2.0 (p x /. p single)
 
+(* The sample formulas every stimulus was synthesised with before the
+   renderer existed, kept here verbatim as the oracle. *)
+let reference_tone ~amplitude ~freq ~fs ?(phase = 0.0) n =
+  let w = 2.0 *. Float.pi *. freq /. fs in
+  let out = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    out.(i) <- amplitude *. sin ((w *. float_of_int i) +. phase)
+  done;
+  out
+
+let reference_two_tone_dbm ~p_dbm ~f1 ~f2 ~fs n =
+  let a = Sigkit.Decibel.amplitude_of_dbm p_dbm in
+  let t1 = reference_tone ~amplitude:a ~freq:f1 ~fs n in
+  let t2 = reference_tone ~amplitude:a ~freq:f2 ~fs ~phase:(Float.pi /. 3.0) n in
+  Array.mapi (fun i x -> x +. t2.(i)) t1
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let test_waveform_render_rotated () =
+  let fs = 9.6e9 and n = 1537 in
+  let p_dbm = -25.0 and freq = 2.40e9 +. 7.0e6 and f2 = 2.41e9 in
+  let cases =
+    [
+      ( "tone",
+        Sigkit.Waveform.dbm_tone ~p_dbm ~freq ~fs ~phase:0.3 (),
+        reference_tone ~amplitude:(Sigkit.Decibel.amplitude_of_dbm p_dbm) ~freq ~fs ~phase:0.3 n );
+      ( "two-tone",
+        Sigkit.Waveform.dbm_two_tone ~p_dbm ~f1:freq ~f2 ~fs,
+        reference_two_tone_dbm ~p_dbm ~f1:freq ~f2 ~fs n );
+    ]
+  in
+  List.iter
+    (fun (what, stimulus, record) ->
+      Alcotest.(check bool) (what ^ ": render = the reference record") true
+        (same_bits record (Sigkit.Waveform.render stimulus n));
+      (* Odd rotations, into buffers shorter and several records longer
+         than the period, wrapping more than once. *)
+      List.iter
+        (fun (rot, len) ->
+          let dst = Array.make len nan in
+          Sigkit.Waveform.render_into stimulus ~n ~rot dst;
+          let expected = Array.init len (fun i -> record.((i + rot) mod n)) in
+          if not (same_bits expected dst) then
+            Alcotest.failf "%s: render_into ~rot:%d into %d cells differs" what rot len)
+        [ (1, 7); (3, n); (511, n + 1024); (n - 1, (3 * n) + 5); (777, 1) ])
+    cases;
+  Alcotest.(check bool) "tone_dbm is render of dbm_tone" true
+    (same_bits
+       (Sigkit.Waveform.tone_dbm ~p_dbm ~freq ~fs n)
+       (reference_tone ~amplitude:(Sigkit.Decibel.amplitude_of_dbm p_dbm) ~freq ~fs n));
+  Alcotest.(check bool) "two_tone_dbm is render of dbm_two_tone" true
+    (same_bits
+       (Sigkit.Waveform.two_tone_dbm ~p_dbm ~f1:freq ~f2 ~fs n)
+       (reference_two_tone_dbm ~p_dbm ~f1:freq ~f2 ~fs n));
+  Alcotest.check_raises "rotation outside the record"
+    (Invalid_argument "Waveform.render_into: rotation outside the record") (fun () ->
+      Sigkit.Waveform.render_into (let _, s, _ = List.hd cases in s) ~n ~rot:n (Array.make 4 0.0))
+
 let test_coherent_frequency () =
   let f = Sigkit.Waveform.coherent_frequency ~freq:100e3 ~fs:1e6 ~n:1024 in
   let k = f *. 1024.0 /. 1e6 in
@@ -616,6 +676,8 @@ let () =
         [
           Alcotest.test_case "rms" `Quick test_waveform_rms;
           Alcotest.test_case "two-tone power" `Quick test_waveform_two_tone;
+          Alcotest.test_case "rotated render = reference formulas" `Quick
+            test_waveform_render_rotated;
           Alcotest.test_case "coherent frequency" `Quick test_coherent_frequency;
         ] );
       ( "properties",
