@@ -1,4 +1,4 @@
-.PHONY: all build test faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke cli-smoke alloc-smoke perf-smoke bench-json bench-json-fast bench-gate ci clean
+.PHONY: all build test faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke cli-smoke alloc-smoke perf-smoke bench-json bench-gate ci clean
 
 all: build
 
@@ -158,13 +158,13 @@ cli-smoke: build
 
 # Steady-state allocation contract (DESIGN §15): the arena-converted
 # kernels carry absolute minor-words budgets (lib/benchkit alloc
-# budgets) checked by the bench harness itself — a reintroduced
+# budgets) checked by the bench executable itself — a reintroduced
 # per-stage copy of even one record buffer fails the run with exit 4.
 # Budgets are baseline-free; the --compare leg additionally holds the
 # converted kernels to the tightened slack against BENCH_4.json.
 alloc-smoke: build
-	./_build/default/bench/main.exe --quick --fast --only engine: \
-	  --json --out /tmp/alloc-smoke.json --compare BENCH_4.json \
+	./_build/default/bench/main.exe --fast --only engine: \
+	  --out /tmp/alloc-smoke.json --compare BENCH_4.json \
 	  > /tmp/alloc-smoke.out 2>&1 || { cat /tmp/alloc-smoke.out; exit 1; }
 	grep -q 'budgets: PASS' /tmp/alloc-smoke.out
 	grep -q 'gate: PASS' /tmp/alloc-smoke.out
@@ -181,19 +181,15 @@ perf-smoke:
 	tail -n 1 /tmp/perf-smoke-campaign.out | grep -q '"correct": true, "attempted": [0-9]*, "failed": 0,'
 
 # Perf trajectory: re-measure the Bechamel kernels and rewrite
-# BENCH_4.json (full quota; commit the result).  The -fast variant is
-# what CI runs on every push — shorter quota, same JSON schema.
+# BENCH_4.json (full quota; commit the result).
 bench-json:
-	dune exec bench/main.exe -- --quick --json
-
-bench-json-fast:
-	dune exec bench/main.exe -- --quick --fast --json
+	dune exec bench/main.exe -- --out BENCH_4.json
 
 # Regression gate: re-measure at the fast quota and compare against the
 # committed baseline; any kernel blowing past its tolerance (or a
 # kernel that silently stopped running) fails the build (exit 4).
 bench-gate:
-	dune exec bench/main.exe -- --quick --fast --json \
+	dune exec bench/main.exe -- --fast \
 	  --out /tmp/bench-gate.json --compare BENCH_4.json
 
 ci: build test cli-smoke faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke alloc-smoke perf-smoke bench-gate

@@ -2,22 +2,23 @@
     regression gate.
 
     The writer stamps each file with a run {!Telemetry.Manifest};
-    the reader also accepts the seed's "bench-kernels/1" files (no
-    manifest), so gates keep working against old committed baselines.
-    The gate applies generous multiplicative tolerances — baseline and
-    CI run on different machines and bench quotas, so only
-    multiple-of-baseline blowups are actionable — with extra headroom
-    for sub-microsecond kernels and an absolute allocation slack. *)
+    the reader rejects any other schema.  The gate applies generous
+    multiplicative tolerances — baseline and CI run on different
+    machines and bench quotas, so only multiple-of-baseline blowups
+    are actionable — with extra headroom for sub-microsecond kernels
+    and an absolute allocation slack. *)
 
 type kernel = {
   name : string;
   ns_per_run : float;  (** nan when the harness could not estimate *)
   minor_words_per_run : float;
+      (** exact [Gc.minor_words] delta per run on the calling domain
+          only: words a kernel's pool workers allocate on other
+          domains ([engine:batch8-2domains], [pool:*]) are not counted *)
 }
 
 type file = {
-  schema : int;  (** 1 or 2 *)
-  manifest : Telemetry.Manifest.t option;  (** schema 2 only *)
+  manifest : Telemetry.Manifest.t option;  (** dropped when it does not decode *)
   kernels : kernel list;
 }
 
@@ -41,9 +42,8 @@ val default_tolerance : tolerance
 
 val tolerance_for : string -> tolerance
 (** Per-kernel tolerance: sub-microsecond kernels get a wider
-    [ns_ratio]; fsync-bound kernels (disk-latency-dominated) only
-    fail on an order-of-magnitude blowup; arena-converted kernels
-    (DESIGN §15) keep half the allocation slack. *)
+    [ns_ratio]; arena-converted kernels (DESIGN §15) keep half the
+    allocation slack. *)
 
 val budget_for : string -> float option
 (** Absolute minor-words-per-run budget for an arena-converted kernel

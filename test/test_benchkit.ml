@@ -1,7 +1,8 @@
 (* Tests for the bench trajectory file format and its regression
-   gate: schema-2 write/read round-trips (manifest included), reading
-   the seed's schema-1 files, and the gate's pass / regress / missing
-   verdicts under both full-suite and --only semantics. *)
+   gate: schema-2 write/read round-trips (manifest included), rejection
+   of every other schema, the gate's pass / regress / missing verdicts
+   under both full-suite and --only semantics, and the committed
+   baseline's allocation budgets. *)
 
 open Benchkit
 
@@ -21,14 +22,13 @@ let with_temp_file f =
 let test_v2_roundtrip () =
   with_temp_file @@ fun path ->
   let manifest =
-    Telemetry.Manifest.create ~argv:[ "bench"; "--quick"; "--seed"; "7" ] ()
+    Telemetry.Manifest.create ~argv:[ "bench"; "--fast"; "--seed"; "7" ] ()
   in
   Telemetry.Manifest.finish ~exit_status:0 manifest;
   Bench_json.write ~path ~manifest kernels;
   match Bench_json.read path with
   | Error reason -> Alcotest.fail ("schema-2 file does not read back: " ^ reason)
   | Ok file ->
-    Alcotest.(check int) "schema" 2 file.Bench_json.schema;
     Alcotest.(check int) "kernel count" 3 (List.length file.Bench_json.kernels);
     let k = List.find (fun k -> k.Bench_json.name = "fft:1024") file.Bench_json.kernels in
     Alcotest.(check (float 1e-9)) "ns round-trips" 25000.25 k.Bench_json.ns_per_run;
@@ -93,31 +93,20 @@ let valid_bench_file =
        ({ Bench_json.name = "flaky"; ns_per_run = nan; minor_words_per_run = 1.0 } :: kernels);
      In_channel.with_open_bin path In_channel.input_all)
 
-let test_v1_compat () =
-  (* The seed's committed baseline format: no manifest, schema 1. *)
-  let v1 =
-    {|{
-  "schema": "bench-kernels/1",
-  "results": [
-    { "name": "fft:1024", "ns_per_run": 24000.0, "minor_words_per_run": 128.0 },
-    { "name": "sdm:loop", "ns_per_run": 900000.0, "minor_words_per_run": 0.0 }
-  ]
-}|}
-  in
-  match Bench_json.of_string v1 with
-  | Error reason -> Alcotest.fail ("schema-1 text does not parse: " ^ reason)
-  | Ok file ->
-    Alcotest.(check int) "schema" 1 file.Bench_json.schema;
-    Alcotest.(check bool) "no manifest" true (file.Bench_json.manifest = None);
-    Alcotest.(check int) "kernel count" 2 (List.length file.Bench_json.kernels)
-
 let test_rejects_garbage () =
-  (match Bench_json.of_string "{\"schema\":\"bench-kernels/9\",\"kernels\":[]}" with
-  | Ok _ -> Alcotest.fail "unknown schema accepted"
-  | Error _ -> ());
-  match Bench_json.of_string "not json" with
-  | Ok _ -> Alcotest.fail "garbage accepted"
-  | Error _ -> ()
+  List.iter
+    (fun (what, text) ->
+      match Bench_json.of_string text with
+      | Ok _ -> Alcotest.fail (what ^ " accepted")
+      | Error _ -> ())
+    [
+      ("unknown schema", {|{"schema":"bench-kernels/9","kernels":[]}|});
+      (* The seed's schema-1 files are no longer read. *)
+      ( "schema-1 file",
+        {|{"schema":"bench-kernels/1","results":[{"name":"fft:1024","ns_per_run":24000.0,"minor_words_per_run":128.0}]}|}
+      );
+      ("garbage", "not json");
+    ]
 
 (* ------------------------------------------------------------ gate *)
 
@@ -205,6 +194,17 @@ let test_gate_noisy_tolerance () =
   in
   Alcotest.(check int) "nan baseline passes" 0 (List.length (Bench_json.regressions cs))
 
+(* The committed baseline must carry every absolute budget, each within
+   it, so a retirement or re-baseline cannot silently drop or break one. *)
+let test_committed_budgets () =
+  match Bench_json.read "../BENCH_4.json" with
+  | Error reason -> Alcotest.fail ("BENCH_4.json does not read: " ^ reason)
+  | Ok file ->
+    let budgeted = Bench_json.check_budgets file.Bench_json.kernels in
+    Alcotest.(check int) "every budgeted kernel present" 6 (List.length budgeted);
+    Alcotest.(check (list string)) "every budget holds" []
+      (List.map Bench_json.verdict_to_string (Bench_json.regressions budgeted))
+
 let () =
   Alcotest.run "benchkit"
     [
@@ -212,7 +212,6 @@ let () =
         [
           Alcotest.test_case "schema-2 round-trip with manifest" `Quick test_v2_roundtrip;
           Alcotest.test_case "nan encodes as null and survives" `Quick test_nan_roundtrip;
-          Alcotest.test_case "schema-1 baselines still read" `Quick test_v1_compat;
           Alcotest.test_case "unknown schema and garbage rejected" `Quick test_rejects_garbage;
         ]
         @ Mutate.cases ~what:"bench-kernels/2" ~count:2000 valid_bench_file Bench_json.of_string );
@@ -223,5 +222,7 @@ let () =
           Alcotest.test_case "allocation blowup regresses" `Quick test_gate_mwd_regression;
           Alcotest.test_case "vanished kernel under require_all" `Quick test_gate_missing;
           Alcotest.test_case "noisy and nan tolerances" `Quick test_gate_noisy_tolerance;
+          Alcotest.test_case "committed baseline carries every budget" `Quick
+            test_committed_budgets;
         ] );
     ]
