@@ -56,10 +56,10 @@ engine-smoke:
 	dune exec bin/repro.exe -- fig10 --seed 42 --standard bluetooth --jobs 4 > /tmp/fig10-jobs4.out
 	cmp /tmp/fig10-jobs1.out /tmp/fig10-jobs4.out
 
-# The sharded work-stealing scheduler must be invisible in the
-# results: a full campaign report (JSON, covering the grid cells, flip
-# probes and demos) must be byte-identical across the whole jobs
-# sweep, including the 8-lane oversubscribed case, and fig7 must match
+# The pool's scheduling (which lane claims which chunk) must be
+# invisible in the results: a full campaign report (JSON, covering
+# the grid cells, flip probes and demos) must be byte-identical across
+# the whole jobs sweep, including the 8-lane oversubscribed case, and fig7 must match
 # at --jobs 8 (engine-smoke covers 1/2/4).
 sched-smoke: build
 	./_build/default/bin/repro.exe fig7 --fast --seed 42 --standard bluetooth --jobs 1 > /tmp/sched-fig7-jobs1.out
@@ -123,8 +123,9 @@ resume-smoke: build
 
 # Live monitoring, end to end: run a monitored campaign, scrape
 # /metrics and /healthz mid-flight, and require a valid OpenMetrics
-# document (terminated by "# EOF") showing nonzero engine activity,
-# a healthz liveness object, and a run manifest with the engine hash.
+# document (terminated by "# EOF") showing nonzero engine activity
+# and the engine's pool gauges, a healthz liveness object, and a run
+# manifest with the engine hash.
 monitor-smoke: build
 	rm -f /tmp/monitor-manifest.json /tmp/monitor-scrape.txt /tmp/monitor-healthz.json
 	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --jobs 2 \
@@ -141,6 +142,8 @@ monitor-smoke: build
 	grep -q '^# EOF' /tmp/monitor-scrape.txt
 	grep -q '^repro_engine_evals_total [1-9]' /tmp/monitor-scrape.txt
 	grep -q '^repro_campaign_cells_planned' /tmp/monitor-scrape.txt
+	grep -q '^repro_pool_lanes ' /tmp/monitor-scrape.txt
+	grep -q '^repro_pool_queue_depth ' /tmp/monitor-scrape.txt
 	grep -q '"status":"ok"' /tmp/monitor-healthz.json
 	grep -q '"engine_hash":"[0-9a-f]' /tmp/monitor-manifest.json
 	grep -q 'heartbeat' /tmp/monitor-smoke.err

@@ -126,24 +126,23 @@ let bench_engine_miss_invalid () =
 let bench_engine_batch engine () =
   ignore (Engine.Service.eval_batch ~engine:(Lazy.force engine) (Lazy.force engine_batch))
 
-(* POOL kernel: the sharded scheduler's own claim/steal overhead,
-   isolated from the simulator.  An eager 4-lane pool runs 256 no-op
-   items dealt as single-index chunks, so every index crosses the
-   submit -> queue -> claim (or steal) path; the per-item figure is
-   the scheduling tax a real work item pays on top of its compute. *)
-let steal_pool = lazy (Engine.Pool.create ~eager:true 3)
+(* POOL kernels: the scheduler's own overhead, isolated from the
+   simulator.  [pool:claim] runs 256 no-op items on an eager 4-lane
+   pool as single-index chunks, so every index costs one claim on the
+   job's shared cursor plus one completion; the per-item figure is the
+   scheduling tax a real work item pays on top of its compute. *)
+let claim_pool = lazy (Engine.Pool.create ~eager:true 3)
 
-let bench_pool_steal () =
-  Engine.Pool.drain (Engine.Pool.submit_stream ~chunk:1 (Lazy.force steal_pool) ignore 256)
+let bench_pool_claim () =
+  Engine.Pool.drain (Engine.Pool.submit_stream ~chunk:1 (Lazy.force claim_pool) ignore 256)
 
 (* [pool:wakeup-capped] times a default-chunk submit small enough that
-   the wakeup budget (DESIGN §14) engages a single lane: the eager
-   workers stay parked, so the figure is the cost of posting and
+   the wakeup budget (DESIGN §14) has use for the caller's lane only:
+   8 no-op items fit one chunk, no worker is signalled and the three
+   eager workers stay parked, so the figure is the cost of posting and
    completing a batch without poking any sleeping domain. *)
 let bench_pool_wakeup_capped () =
-  (* 8 no-op items under the default layout: ⌈8 / max_chunk⌉ = 1 lane
-     engaged, three eager workers left asleep. *)
-  Engine.Pool.drain (Engine.Pool.submit_stream (Lazy.force steal_pool) ignore 8)
+  Engine.Pool.drain (Engine.Pool.submit_stream (Lazy.force claim_pool) ignore 8)
 
 (* TELEMETRY kernels: the instrumentation's own cost.  The disabled
    span is the price every instrumented call site pays on a plain run
@@ -191,7 +190,7 @@ let tests =
        eager 3-worker fixture into existence: from that point on every
        minor GC pays the parked-domain barrier tax (§13), which would
        double an allocation-heavy kernel's figure. *)
-    Test.make ~name:"pool:steal" (Staged.stage bench_pool_steal);
+    Test.make ~name:"pool:claim" (Staged.stage bench_pool_claim);
     Test.make ~name:"pool:wakeup-capped" (Staged.stage bench_pool_wakeup_capped);
     Test.make ~name:"telemetry:span-disabled" (Staged.stage bench_span_disabled);
     Test.make ~name:"telemetry:counter-incr" (Staged.stage bench_counter_incr);

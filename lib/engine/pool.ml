@@ -1,5 +1,6 @@
-(* Sharded work-stealing worker pool over Domain/Mutex/Condition — no
-   dependencies beyond the stdlib, per the repo's no-new-deps rule.
+(* Worker pool over Domain/Mutex/Condition with one atomic claim cursor
+   per job — no dependencies beyond the stdlib, per the repo's
+   no-new-deps rule.
 
    The pool runs index-parallel jobs: [submit_stream t f n] posts
    [f i] for every [i] in [0..n-1] and returns a ticket; the caller
@@ -10,30 +11,20 @@
    total.  Determinism is the caller's contract: [f] must write result
    [i] to slot [i] only, so claim order never shows in the output.
 
-   Scheduling (DESIGN §13).  The previous design kept one shared claim
-   cursor under one pool mutex with [Condition.broadcast] on every
-   post and completion; its own histograms (DESIGN §12) showed
-   first-claim latency growing past the work-item cost as lanes were
-   added.  This design shards the schedule instead:
-
-   - Submit chunks [0..n-1] into contiguous ranges and deals them
-     round-robin across per-lane run queues, main lane first so the
-     caller always starts on local work.  Each queue has its own mutex
-     and condition variable.
-   - A lane claims whole chunks from its own queue; when that drains
-     it steals a chunk from the busiest other queue.  Items inside a
-     claimed chunk run without touching any queue lock.
-   - Wakeups are targeted: submit [signal]s exactly the worker lanes
-     that received chunks, and each completion [signal]s the one
-     consumer.  No broadcast remains on the submit/steal/complete
-     path, and a lane that wakes to find nothing claimable counts
-     [pool.wakeup.spurious].
-
-   Lock order: [t.m] may be held while taking a lane mutex (stats); a
-   lane mutex is never held while taking [t.m].
+   Scheduling (DESIGN §13).  Each ticket carries one [int Atomic.t]
+   cursor, and a lane claims its next contiguous chunk with
+   [Atomic.fetch_and_add cursor chunk]; a lane that draws an index at
+   or past [n] is done with the job.  Chunks are claimed in submission
+   order, so a caller that sorts its items for locality (DESIGN §15)
+   keeps back-to-back runs, and a lane stuck on a slow chunk never
+   holds claimable work hostage: the others keep drawing from the same
+   cursor.  Idle workers sleep on one shared condition variable under
+   the job mutex; submit signals at most as many of them as the job
+   has use for, and a worker that wakes to find nothing claimable
+   counts [pool.wakeup.spurious].
 
    Completion (DESIGN §14).  Every item runs under one exception
-   handler in [run_chunk]: an exception raised by [f i] is recorded on
+   handler in [run_next]: an exception raised by [f i] is recorded on
    the ticket as that item's failure and re-raised by the consumer
    when it delivers [i].  Completed indices go into one completion
    buffer that the pool owns and reuses across jobs, guarded by [cm];
@@ -44,7 +35,6 @@
    not idle: it claims and runs a chunk on the main lane like any
    other lane. *)
 
-let steal_counter = Telemetry.Counter.make "pool.steal.count"
 let spurious_counter = Telemetry.Counter.make "pool.wakeup.spurious"
 
 (* Scheduling diagnostics (see DESIGN §12/§13): [pool.queue.wait_ns] is
@@ -57,39 +47,31 @@ let lane_busy_hist = Telemetry.Histogram.make "pool.lane.busy"
 
 let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
 
-(* The scheduler's largest submit-time chunk, and the unit of the
-   wakeup budget: a submit engages at most ⌈n / max_chunk⌉ lanes, so a
-   tiny batch no longer wakes (and GC-taxes) domains that would each
-   receive less than a chunk's worth of work. *)
+(* The largest default chunk, and the unit of the wakeup budget: a
+   submit signals at most ⌈n / max_chunk⌉ - 1 workers, so a tiny batch
+   does not wake (and GC-tax) domains that would each get less than a
+   chunk's worth of work. *)
 let max_chunk = 16
 
-type lane = {
-  lm : Mutex.t;  (* guards [chunks]; [queued] is atomic for racy scans *)
-  ready : Condition.t;  (* this lane's private wakeup (workers only) *)
-  mutable chunks : (int * int) list;  (* queued [lo, hi) ranges, FIFO *)
-  queued : int Atomic.t;  (* items across queued chunks *)
-  (* The item under evaluation (-1 idle).  Written only by the owning
-     domain; read racily (monitoring-grade) by [stats] and the
-     occupancy histogram. *)
-  mutable cur : int;
-  (* Generation of the lane's last first-claim, owner-private: stamps
-     one [pool.queue.wait_ns] observation per lane per job. *)
-  mutable claim_gen : int;
-}
-
 type t = {
-  m : Mutex.t;  (* job lifecycle: post and release *)
-  lanes : lane array;  (* slot [workers] is the main lane *)
+  m : Mutex.t;  (* job lifecycle and worker sleep *)
+  work : Condition.t;  (* idle workers wait here for claimable work *)
   mutable job : ticket option;
   mutable generation : int;
   mutable posted_ns : int64;  (* when the current job was posted *)
   mutable shutdown : bool;
   mutable domains : unit Domain.t list;
-  steals : int Atomic.t;  (* lifetime stolen chunks, for [stats] *)
-  workers : int;  (* worker domains actually spawned (lanes - 1) *)
+  workers : int;  (* worker domains spawned; lane slot [workers] is the caller *)
+  (* Per lane: the item under evaluation (-1 idle), written only by the
+     owning domain and read racily (monitoring-grade) by [stats] and
+     the occupancy histogram; and the generation of the lane's last
+     first-claim, owner-private, which stamps one [pool.queue.wait_ns]
+     observation per lane per job. *)
+  cur : int array;
+  claim_gen : int array;
   (* The completion channel, reused by every job.  [completions] holds
      finished indices in completion order ([pushed] of them);
-     [retired] also counts items [discard] dropped unrun, and the job
+     [retired] also counts items [discard] retired unrun, and the job
      is over once it reaches the job's [n]. *)
   cm : Mutex.t;
   cready : Condition.t;  (* the consumer's wakeup *)
@@ -105,88 +87,32 @@ and ticket = {
   pool : t;
   f : int -> unit;
   n : int;
+  chunk : int;
+  cursor : int Atomic.t;  (* first unclaimed index; may overshoot [n] *)
   mutable delivered : int;  (* consumer's read cursor into [completions] *)
   mutable seen : int;  (* [pushed] at the consumer's last look *)
   mutable failed : (int * exn) option;  (* first failing item, under [cm] *)
   mutable closed : bool;  (* job state torn down (drained or discarded) *)
 }
 
-let new_lane () =
-  {
-    lm = Mutex.create ();
-    ready = Condition.create ();
-    chunks = [];
-    queued = Atomic.make 0;
-    cur = -1;
-    claim_gen = 0;
-  }
-
-(* Caller holds [lane.lm]. *)
-let pop lane =
-  match lane.chunks with
-  | [] -> None
-  | ((lo, hi) as chunk) :: rest ->
-    lane.chunks <- rest;
-    ignore (Atomic.fetch_and_add lane.queued (lo - hi));
-    Some chunk
+(* Racy (monitoring-grade) count of lanes running an item. *)
+let busy_lanes t =
+  let busy = ref 0 in
+  for slot = 0 to t.workers do
+    if t.cur.(slot) >= 0 then incr busy
+  done;
+  !busy
 
 (* Claim-site diagnostics, recorded at each chunk claim without any
-   shared lock: one wait observation per lane per job, plus the racy
+   shared lock: one wait observation per lane per job, plus the
    busy-lane occupancy scan. *)
-let observe_claim t lane =
-  if lane.claim_gen <> t.generation then begin
-    lane.claim_gen <- t.generation;
+let observe_claim t slot =
+  if t.claim_gen.(slot) <> t.generation then begin
+    t.claim_gen.(slot) <- t.generation;
     Telemetry.Histogram.observe queue_wait_hist
       (Int64.to_float (Int64.sub (now_ns ()) t.posted_ns))
   end;
-  let busy = ref 0 in
-  Array.iter (fun l -> if l.cur >= 0 then incr busy) t.lanes;
-  Telemetry.Histogram.observe lane_busy_hist (float_of_int !busy)
-
-(* Steal one chunk for [thief]: scan the other queues racily for the
-   busiest, then pop under that queue's own mutex (re-checking, since
-   the owner may have drained it meanwhile).  One pass over descending
-   candidates is enough — a miss means the work is in flight, not
-   queued: queues only grow at submit. *)
-let steal t thief =
-  let best = ref None in
-  Array.iter
-    (fun lane ->
-      if lane != thief then
-        let q = Atomic.get lane.queued in
-        if q > 0 then
-          match !best with
-          | Some (_, bq) when bq >= q -> ()
-          | _ -> best := Some (lane, q))
-    t.lanes;
-  match !best with
-  | None -> None
-  | Some (victim, _) ->
-    Mutex.lock victim.lm;
-    let chunk = pop victim in
-    Mutex.unlock victim.lm;
-    (match chunk with
-    | Some _ ->
-      Telemetry.Counter.incr steal_counter;
-      ignore (Atomic.fetch_and_add t.steals 1)
-    | None -> ());
-    chunk
-
-(* Next chunk for [lane]: own queue first, then steal. *)
-let get_work t lane =
-  Mutex.lock lane.lm;
-  let own = pop lane in
-  Mutex.unlock lane.lm;
-  match own with
-  | Some chunk ->
-    observe_claim t lane;
-    Some chunk
-  | None -> (
-    match steal t lane with
-    | Some chunk ->
-      observe_claim t lane;
-      Some chunk
-    | None -> None)
+  Telemetry.Histogram.observe lane_busy_hist (float_of_int (busy_lanes t))
 
 (* Publish item [i] as completed.  Appending the index and retiring
    the item happen in one critical section: the consumer treats
@@ -203,41 +129,52 @@ let complete t tk i failure =
   if t.waiting then Condition.signal t.cready;
   Mutex.unlock t.cm
 
-(* Run a claimed range.  No queue lock is held while items execute;
-   this handler is the pool's only exception boundary — whatever [f i]
-   raises becomes that item's failure, so no exception escapes into a
-   lane's loop. *)
-let run_chunk t tk lane (lo, hi) =
-  for i = lo to hi - 1 do
-    lane.cur <- i;
-    match tk.f i with
-    | () -> complete t tk i None
-    | exception e -> complete t tk i (Some e)
-  done;
-  lane.cur <- -1
+(* Claim the job's next chunk for lane [slot] and run it; false once
+   the cursor has passed [n].  A claim below [n] means those items are
+   not yet retired, so the job (and the completion buffer) is still
+   this ticket's.  This handler is the pool's only exception boundary
+   — whatever [f i] raises becomes that item's failure, so no
+   exception escapes into a lane's loop. *)
+let run_next t tk slot =
+  let lo = Atomic.fetch_and_add tk.cursor tk.chunk in
+  if lo >= tk.n then false
+  else begin
+    observe_claim t slot;
+    for i = lo to min tk.n (lo + tk.chunk) - 1 do
+      t.cur.(slot) <- i;
+      match tk.f i with
+      | () -> complete t tk i None
+      | exception e -> complete t tk i (Some e)
+    done;
+    t.cur.(slot) <- -1;
+    true
+  end
 
-let worker_loop t lane =
-  let running = ref true in
-  while !running do
-    match if t.shutdown then None else get_work t lane with
-    | Some chunk -> (
+let unclaimed tk = Atomic.get tk.cursor < tk.n
+
+(* Idle workers sleep until the posted job has unclaimed items.  The
+   job is checked under [m], which submit holds while it signals, so a
+   worker busy elsewhere at signal time still finds the job before it
+   next sleeps. *)
+let worker_loop t slot =
+  Mutex.lock t.m;
+  while not t.shutdown do
+    match t.job with
+    | Some tk when unclaimed tk ->
+      Mutex.unlock t.m;
+      while run_next t tk slot do
+        ()
+      done;
+      Mutex.lock t.m
+    | _ -> (
+      Condition.wait t.work t.m;
+      (* Woken with nothing to claim: no job, or one whose cursor the
+         other lanes have already spent. *)
       match t.job with
-      | Some tk -> run_chunk t tk lane chunk
-      | None -> () (* unreachable: chunks never outlive their job *))
-    | None ->
-      (* Nothing local, nothing stealable: sleep on the private
-         condition until a submit deals this lane new chunks (or
-         shutdown).  Queues only grow at submit, which signals this
-         lane, so sleeping cannot strand claimable work. *)
-      Mutex.lock lane.lm;
-      if lane.chunks = [] && not t.shutdown then begin
-        Condition.wait lane.ready lane.lm;
-        if lane.chunks = [] && not t.shutdown then
-          Telemetry.Counter.incr spurious_counter
-      end;
-      if t.shutdown then running := false;
-      Mutex.unlock lane.lm
-  done
+      | Some tk when unclaimed tk -> ()
+      | _ -> if not t.shutdown then Telemetry.Counter.incr spurious_counter)
+  done;
+  Mutex.unlock t.m
 
 let shutdown t =
   Mutex.lock t.m;
@@ -246,17 +183,8 @@ let shutdown t =
     t.shutdown <- true;
     let domains = t.domains in
     t.domains <- [];
+    Condition.broadcast t.work;
     Mutex.unlock t.m;
-    (* Targeted wakeups even here: each sleeping worker idles on its
-       own condition variable. *)
-    Array.iteri
-      (fun slot lane ->
-        if slot < t.workers then begin
-          Mutex.lock lane.lm;
-          Condition.signal lane.ready;
-          Mutex.unlock lane.lm
-        end)
-      t.lanes;
     List.iter Domain.join domains
   end
 
@@ -269,7 +197,7 @@ let shutdown t =
    single-core host that synchronisation rides the OS scheduler and
    was measured to double an 8-item batch, DESIGN §13).  So by
    default [create] spawns at most [recommended_domain_count () - 1]
-   workers — possibly zero, leaving the stealing caller as the only
+   workers — possibly zero, leaving the claiming caller as the only
    lane — and the requested surplus simply never exists.  [~eager]
    spawns the full request regardless, for tests and benchmarks that
    need real worker lanes. *)
@@ -282,14 +210,15 @@ let create ?(eager = false) workers =
   let t =
     {
       m = Mutex.create ();
-      lanes = Array.init (workers + 1) (fun _ -> new_lane ());
+      work = Condition.create ();
       job = None;
       generation = 0;
       posted_ns = 0L;
       shutdown = false;
       domains = [];
-      steals = Atomic.make 0;
       workers;
+      cur = Array.make (workers + 1) (-1);
+      claim_gen = Array.make (workers + 1) 0;
       cm = Mutex.create ();
       cready = Condition.create ();
       waiting = false;
@@ -298,92 +227,55 @@ let create ?(eager = false) workers =
       retired = 0;
     }
   in
-  t.domains <- List.init workers (fun slot -> Domain.spawn (fun () -> worker_loop t t.lanes.(slot)));
-  (* Idle workers block on their lane condition; make sure process exit
-     does not hang waiting for them. *)
+  t.domains <- List.init workers (fun slot -> Domain.spawn (fun () -> worker_loop t slot));
+  (* Idle workers block on [work]; make sure process exit does not
+     hang waiting for them. *)
   at_exit (fun () -> shutdown t);
   t
 
-let workers t = t.workers
-
-type stats = {
-  lanes : int;
-  busy_lanes : int;
-  job_active : bool;
-  queue_depths : int list;
-  steals : int;
-}
+type stats = { lanes : int; busy_lanes : int; queued : int }
 
 let stats t =
   Mutex.lock t.m;
-  let busy = ref 0 in
-  Array.iter (fun l -> if l.cur >= 0 then incr busy) t.lanes;
-  let s =
-    {
-      lanes = t.workers + 1;
-      busy_lanes = !busy;
-      job_active = t.job <> None;
-      queue_depths = Array.to_list (Array.map (fun l -> Atomic.get l.queued) t.lanes);
-      steals = Atomic.get t.steals;
-    }
-  in
+  let queued = match t.job with Some tk -> max 0 (tk.n - Atomic.get tk.cursor) | None -> 0 in
   Mutex.unlock t.m;
-  s
+  { lanes = t.workers + 1; busy_lanes = busy_lanes t; queued }
 
-(* Deal [0..n-1] into contiguous chunks round-robin across the first
-   [lanes_cap] lanes in deal order (main lane first, so the caller's
-   first claim is always local).  Chunks are dealt from the last one
-   down, so each lane's list comes out in index order without an
-   append per chunk; every queue is empty between jobs.  Returns which
-   lanes received work. *)
-let distribute (t : t) n chunk ~lanes_cap =
-  let lanes = Array.length t.lanes in
-  let use = min lanes (max 1 lanes_cap) in
-  let dealt = Array.make lanes [] in
-  let items = Array.make lanes 0 in
-  for k = ((n + chunk - 1) / chunk) - 1 downto 0 do
-    let slot = (t.workers + (k mod use)) mod lanes in
-    let lo = k * chunk in
-    let hi = min n (lo + chunk) in
-    dealt.(slot) <- (lo, hi) :: dealt.(slot);
-    items.(slot) <- items.(slot) + (hi - lo)
-  done;
-  Array.iteri
-    (fun slot chunks ->
-      if chunks <> [] then begin
-        let lane = t.lanes.(slot) in
-        Mutex.lock lane.lm;
-        lane.chunks <- chunks;
-        ignore (Atomic.fetch_and_add lane.queued items.(slot));
-        Mutex.unlock lane.lm
-      end)
-    dealt;
-  items
-
-(* Batch-size-aware submit layout.  By default a submit engages only
-   ⌈n / max_chunk⌉ lanes — waking a domain costs a condvar signal, an
-   OS reschedule and a per-domain share of every stop-the-world minor
-   GC (DESIGN §13), which is a bad trade for less than a chunk's worth
-   of work — and sizes chunks to spread [n] evenly over exactly those
-   lanes.  Large batches degenerate to the old layout (every lane, 16
-   a chunk); small ones stay on the caller's lane and wake nobody.
-   Stealing still rebalances inside the engaged set if the items turn
-   out to be skewed.  An explicit [?chunk] override keeps the
-   every-lane deal so tests and benchmarks can force queue traffic. *)
+(* Batch-size-aware layout: (chunk size, lanes the job has use for).
+   By default a job has use for ⌈n / max_chunk⌉ lanes — waking a
+   domain costs a condvar signal, an OS reschedule and a per-domain
+   share of every stop-the-world minor GC (DESIGN §13), which is a bad
+   trade for less than a chunk's worth of work — and its chunks spread
+   [n] evenly over exactly those lanes.  Large batches use every lane,
+   16 a chunk; small ones stay on the caller's lane and wake nobody.
+   An explicit [?chunk] override uses every lane, so tests and
+   benchmarks can force claim traffic. *)
 let job_layout (t : t) n chunk =
-  let lanes = Array.length t.lanes in
+  let lanes = t.workers + 1 in
   match chunk with
   | Some c -> (max 1 c, lanes)
   | None ->
     let cap = min lanes (max 1 ((n + max_chunk - 1) / max_chunk)) in
     (max 1 (min max_chunk ((n + cap - 1) / cap)), cap)
 
-(* Post the job and deal its chunks.  Exactly one job may be in
-   flight: posting over an undrained ticket is a caller bug, reported
-   rather than deadlocked on. *)
+(* Post the job and wake the workers it has use for.  Exactly one job
+   may be in flight: posting over an undrained ticket is a caller bug,
+   reported rather than deadlocked on. *)
 let submit_stream ?chunk (t : t) f n =
+  let n = max n 0 in
+  let chunk, lanes = job_layout t n chunk in
   let tk =
-    { pool = t; f; n = max n 0; delivered = 0; seen = 0; failed = None; closed = n <= 0 }
+    {
+      pool = t;
+      f;
+      n;
+      chunk;
+      cursor = Atomic.make 0;
+      delivered = 0;
+      seen = 0;
+      failed = None;
+      closed = (n = 0);
+    }
   in
   if n > 0 then begin
     Mutex.lock t.m;
@@ -395,25 +287,21 @@ let submit_stream ?chunk (t : t) f n =
       Mutex.unlock t.m;
       invalid_arg "Pool.submit_stream: a job is already in flight (drain or discard it first)"
     end;
-    t.job <- Some tk;
-    t.generation <- t.generation + 1;
-    t.posted_ns <- now_ns ();
-    Mutex.unlock t.m;
-    (* No lane touches the channel between jobs, so resetting it here,
-       before any chunk is dealt, cannot race. *)
+    (* No lane touches the channel between jobs, and none can claim
+       before the job is published below, so resetting it here cannot
+       race. *)
     Mutex.lock t.cm;
     if Array.length t.completions < n then t.completions <- Array.make n 0;
     t.pushed <- 0;
     t.retired <- 0;
     Mutex.unlock t.cm;
-    let chunk, lanes_cap = job_layout t n chunk in
-    let items = distribute t n chunk ~lanes_cap in
-    (* Targeted wakeups: only the worker lanes that actually received a
-       chunk are signalled; everyone else keeps sleeping. *)
-    Array.iteri
-      (fun slot lane ->
-        if slot < t.workers && items.(slot) > 0 then Condition.signal lane.ready)
-      t.lanes
+    t.job <- Some tk;
+    t.generation <- t.generation + 1;
+    t.posted_ns <- now_ns ();
+    for _ = 1 to min t.workers (lanes - 1) do
+      Condition.signal t.work
+    done;
+    Mutex.unlock t.m
   end;
   tk
 
@@ -434,28 +322,18 @@ let await t ready =
   done;
   t.waiting <- false
 
-(* Abort: drop every still-queued chunk (retiring the dropped items
-   unrun), then wait out the in-flight ones — each signals [cready] as
-   it lands.  Undelivered results are discarded; the pool is ready for
-   the next job on return.  Idempotent, and a no-op after the ticket
-   drained naturally. *)
+(* Abort: move the cursor to [n] so nothing more can be claimed, retire
+   the items from the first unclaimed one up to [n] unrun, then wait
+   out the in-flight ones — each signals [cready] as it lands.
+   Undelivered results are discarded; the pool is ready for the next
+   job on return.  Idempotent, and a no-op after the ticket drained
+   naturally. *)
 let discard tk =
   if not tk.closed then begin
     let t = tk.pool in
-    let dropped = ref 0 in
-    Array.iter
-      (fun lane ->
-        Mutex.lock lane.lm;
-        let draining = ref true in
-        while !draining do
-          match pop lane with
-          | Some (lo, hi) -> dropped := !dropped + (hi - lo)
-          | None -> draining := false
-        done;
-        Mutex.unlock lane.lm)
-      t.lanes;
+    let first = Atomic.exchange tk.cursor tk.n in
     Mutex.lock t.cm;
-    t.retired <- t.retired + !dropped;
+    t.retired <- t.retired + max 0 (tk.n - first);
     await t (fun () -> t.retired >= tk.n);
     Mutex.unlock t.cm;
     release tk
@@ -488,16 +366,14 @@ let rec deliver tk =
       i
     end
     else begin
-      (* Nothing completed yet — be a lane rather than a bystander. *)
-      let main = t.lanes.(t.workers) in
-      (match get_work t main with
-      | Some chunk -> run_chunk t tk main chunk
-      | None ->
-        (* Everything left is in flight on other lanes: sleep until a
-           completion lands. *)
+      (* Nothing completed yet — be a lane rather than a bystander.
+         Once the cursor is spent, everything left is in flight on
+         other lanes: sleep until a completion lands. *)
+      if not (run_next t tk t.workers) then begin
         Mutex.lock t.cm;
         await t (fun () -> t.pushed > tk.delivered);
-        Mutex.unlock t.cm);
+        Mutex.unlock t.cm
+      end;
       deliver tk
     end
   end

@@ -1,5 +1,5 @@
-(** Sharded work-stealing pool of worker domains for index-parallel
-    jobs.
+(** Pool of worker domains for index-parallel jobs, scheduled by one
+    atomic claim cursor per job.
 
     Built on [Domain]/[Mutex]/[Condition] only.  There is one way to
     run a job: {!submit_stream} posts [f i] for every [i < n] and
@@ -10,13 +10,13 @@
     what makes the result independent of claim order; a delivered
     index guarantees its slot write is visible to the consumer.
 
-    Scheduling (DESIGN §13): submit deals contiguous index chunks
-    round-robin across per-lane run queues (main lane first); a lane
-    claims chunks from its own queue and steals from the busiest other
-    queue when it drains.  Wakeups are targeted [signal]s — only lanes
-    that can make progress are woken — and a wake that finds nothing
-    claimable counts [pool.wakeup.spurious].  Each steal counts
-    [pool.steal.count].
+    Scheduling (DESIGN §13): every lane — each worker domain and the
+    consuming caller — claims the job's next contiguous chunk of
+    indices from one atomic cursor, so chunks are claimed in submission
+    order and a lane that finishes early simply claims more.  Idle
+    workers sleep on one condition variable; submit signals only as
+    many as the job has use for, and a wake that finds nothing
+    claimable counts [pool.wakeup.spurious].
 
     Failures: every item runs under one exception handler.  An
     exception raised by [f i] is that item's failure; delivering the
@@ -27,12 +27,12 @@ type t
 
 val create : ?eager:bool -> int -> t
 (** [create workers] asks for that many worker domains (>= 1); they
-    idle on per-lane condition variables between jobs and are joined
+    idle on a shared condition variable between jobs and are joined
     at process exit.
 
     Sizing is hardware-aware by default: at most
     [Domain.recommended_domain_count () - 1] workers are actually
-    spawned (possibly zero, leaving the stealing caller as the only
+    spawned (possibly zero, leaving the claiming caller as the only
     lane).  A worker beyond the machine's available parallelism can
     only timeshare a saturated core, yet its existence taxes every
     stop-the-world minor collection — oversubscription measurably
@@ -42,33 +42,19 @@ val create : ?eager:bool -> int -> t
     benchmarks use it to force worker-lane participation.  Results
     are bit-identical either way — only wall-clock changes. *)
 
-val workers : t -> int
-(** Worker domains actually spawned (lanes - 1); at most the request
-    passed to {!create}. *)
-
-val max_chunk : int
-(** The scheduler's largest submit-time chunk (16), and the unit of
-    the submit-time wakeup budget: a default-chunked submit engages at
-    most [ceil (n / max_chunk)] lanes, so tiny batches stay on the
-    caller's lane instead of waking domains for less than a chunk's
-    worth of work. *)
-
 type stats = {
   lanes : int;  (** workers + the participating main lane *)
   busy_lanes : int;  (** lanes running a claimed index right now *)
-  job_active : bool;
-  queue_depths : int list;  (** queued items per lane, main lane last *)
-  steals : int;  (** lifetime stolen chunks *)
+  queued : int;  (** items of the current job not yet claimed *)
 }
 
 val stats : t -> stats
 (** Instantaneous scheduler snapshot (takes the job mutex briefly;
-    queue depths are atomic reads); safe from any domain, used by the
-    live monitor.  Scheduling history accumulates in the
+    the claim cursor is an atomic read); safe from any domain, used by
+    the live monitor.  Scheduling history accumulates in the
     [pool.queue.wait_ns] (post-to-first-claim latency per lane per
     job) and [pool.lane.busy] (occupancy observed at each chunk claim)
-    histograms, plus the [pool.steal.count] and
-    [pool.wakeup.spurious] counters. *)
+    histograms, plus the [pool.wakeup.spurious] counter. *)
 
 (** {1 Jobs (DESIGN §14)}
 
@@ -80,15 +66,16 @@ type ticket
     {!submit_stream} (the pool's main lane) may consume it. *)
 
 val submit_stream : ?chunk:int -> t -> (int -> unit) -> int -> ticket
-(** [submit_stream t f n] deals items [0..n-1] across the lanes and
-    returns immediately.  By default a submit engages only
-    [ceil (n / max_chunk)] lanes and spreads [n] evenly over them;
-    [chunk] overrides the chunk size and deals across every lane
-    (tests and benchmarks that want to force queue traffic). *)
+(** [submit_stream t f n] posts items [0..n-1] and returns
+    immediately.  By default the job is cut into chunks of at most 16
+    indices spread evenly over [ceil (n / 16)] lanes, and only that
+    many lanes (the caller's included) are woken; [chunk] overrides the
+    chunk size and wakes every lane (tests and benchmarks that want to
+    force claim traffic). *)
 
 val next_result : ticket -> int option
 (** Deliver the next completed index, in completion order.  If nothing
-    has completed, the calling domain claims and runs a queued chunk
+    has completed, the calling domain claims and runs the next chunk
     itself, and only sleeps when every remaining item is in flight on
     another lane.  Returns [None] once all [n] items have
     been delivered (the pool is then free for the next job) or after
@@ -100,9 +87,10 @@ val drain : ticket -> unit
     {!next_result}; raises [Invalid_argument] on a discarded ticket. *)
 
 val discard : ticket -> unit
-(** Abort: drop every still-queued item, wait out the in-flight ones,
-    and free the pool for the next job.  Undelivered results are lost.
-    Idempotent; a no-op on a fully delivered ticket. *)
+(** Abort: retire every still-unclaimed item unrun, wait out the
+    in-flight ones, and free the pool for the next job.  Undelivered
+    results are lost.  Idempotent; a no-op on a fully delivered
+    ticket. *)
 
 val shutdown : t -> unit
 (** Join all workers.  Idempotent; the pool is unusable afterwards. *)

@@ -93,11 +93,8 @@ let monitor_gauges () =
         [
           ("pool_lanes", float_of_int s.Pool.lanes);
           ("pool_lanes_busy", float_of_int s.Pool.busy_lanes);
-          ("pool_steals", float_of_int s.Pool.steals);
+          ("pool_queue_depth", float_of_int s.Pool.queued);
         ]
-        @ List.mapi
-            (fun i d -> (Printf.sprintf "pool_queue_depth_lane%d" i, float_of_int d))
-            s.Pool.queue_depths
     in
     let deadline_g =
       match t.deadline with

@@ -139,7 +139,7 @@ let pool_engine = lazy (Engine.Service.create ~jobs:2 ~cache:false ())
 let pool_engine4 = lazy (Engine.Service.create ~jobs:4 ~cache:false ())
 let pool_engine8 = lazy (Engine.Service.create ~jobs:8 ~cache:false ())
 
-(* The whole jobs sweep the CLI exposes: the sharded scheduler must be
+(* The whole jobs sweep the CLI exposes: the scheduler must be
    invisible in the results at every lane count. *)
 let prop_backend_equivalence =
   QCheck.Test.make ~name:"Seq and Domains backends agree bit-for-bit at jobs 2/4/8"
@@ -155,8 +155,8 @@ let prop_backend_equivalence =
         [ pool_engine; pool_engine4; pool_engine8 ])
 
 (* Campaign output across the jobs sweep: the fig7-style grid of cells
-   and the flip probes must be bit-identical however the scheduler
-   deals, steals and rebalances the batches.  (The CLI-level byte
+   and the flip probes must be bit-identical however the lanes split
+   the batches' chunks between them.  (The CLI-level byte
    compare of the full fig7/campaign reports is `make engine-smoke` /
    `make sched-smoke`; this is the in-process property.) *)
 let same_campaign (a : Faults.Campaign.t) (b : Faults.Campaign.t) =
@@ -246,41 +246,78 @@ let test_pool_reusable_after_exception () =
     (Array.for_all (fun v -> v > 0) out);
   Engine.Pool.shutdown pool
 
-(* Steal under skew: single-index chunks deal every 4th index to each
-   of the 4 lanes, and the indices owned by worker lanes are made
-   slow.  Whichever lane drains first (on a small CI box that is the
-   main lane, whose items are fast and whose workers may barely get
-   scheduled) must pull the remaining chunks off the loaded queues —
-   completion plus a nonzero steal count proves the path, on one core
-   or many. *)
-let test_pool_steal_under_skew () =
+(* Claims rebalance under skew: single-index chunks on 4 lanes, with 3
+   of every 4 indices made slow.  Whichever lane is free draws the next
+   index from the shared cursor, so however the lanes get scheduled (on
+   one core or many) every index must run exactly once and the pool
+   must take the next job. *)
+let test_pool_claims_under_skew () =
   let pool = Engine.Pool.create ~eager:true 3 in
-  let steals0 = counter "pool.steal.count" in
   let n = 64 in
-  let out = Array.make n 0 in
+  let out = Array.init n (fun _ -> Atomic.make 0) in
   pool_run ~chunk:1 pool
     (fun i ->
-      (* Deal order is main,w0,w1,w2 — [i mod 4 <> 0] lands on a
-         worker lane's queue.  A coarse spin stands in for a slow
-         work item. *)
+      (* A coarse spin stands in for a slow work item. *)
       if i mod 4 <> 0 then
         for _ = 1 to 20_000 do
           Domain.cpu_relax ()
         done;
-      out.(i) <- out.(i) + 1)
+      Atomic.incr out.(i))
     n;
-  Alcotest.(check bool) "every index ran exactly once" true (Array.for_all (( = ) 1) out);
-  Alcotest.(check bool) "at least one chunk was stolen" true
-    (counter "pool.steal.count" > steals0);
+  Alcotest.(check bool) "every index ran exactly once" true
+    (Array.for_all (fun c -> Atomic.get c = 1) out);
+  let next = Array.make 8 0 in
+  pool_run pool (fun i -> next.(i) <- i + 1) 8;
+  Alcotest.(check bool) "pool reusable after the skewed job" true
+    (Array.for_all (fun v -> v > 0) next);
   Engine.Pool.shutdown pool
+
+(* Discard after [k] deliveries, at any chunk size: the cursor jumps to
+   [n] and the unclaimed tail is retired unrun, so the retire count
+   must land on exactly [n] — one short and discard would hang, one
+   over and the next job's buffer would be torn down early.  Delivered
+   indices are distinct, no index runs twice, nothing runs after
+   [discard] returns, and the next job on the same pool completes. *)
+let discard_pool = lazy (Engine.Pool.create ~eager:true 2)
+
+let prop_discard_retires_exactly =
+  QCheck.Test.make ~name:"discard after k deliveries retires the rest exactly once" ~count:60
+    QCheck.(triple (int_range 1 200) (int_range 1 24) (int_range 0 200))
+    (fun (n, chunk, k) ->
+      let pool = Lazy.force discard_pool in
+      let k = min k n in
+      let ran = Array.init n (fun _ -> Atomic.make 0) in
+      let ticket =
+        Engine.Pool.submit_stream ~chunk pool
+          (fun i ->
+            if i mod 3 = 0 then
+              for _ = 1 to 200 do
+                Domain.cpu_relax ()
+              done;
+            Atomic.incr ran.(i))
+          n
+      in
+      let delivered = List.init k (fun _ -> Engine.Pool.next_result ticket) in
+      Engine.Pool.discard ticket;
+      let after_discard = Array.map Atomic.get ran in
+      let out = Array.make 16 0 in
+      pool_run ~chunk:3 pool (fun i -> out.(i) <- i + 1) 16;
+      let delivered = List.filter_map Fun.id delivered in
+      List.length delivered = k
+      && List.length (List.sort_uniq compare delivered) = k
+      && List.for_all (fun i -> after_discard.(i) = 1) delivered
+      && Array.for_all (fun c -> c <= 1) after_discard
+      && Array.for_all2 (fun c before -> Atomic.get c = before) ran after_discard
+      && Engine.Pool.next_result ticket = None
+      && Array.for_all (fun v -> v > 0) out)
 
 (* ------------------------------------------------------------- stream *)
 
 (* Out-of-order delivery: item 0 blocks until item 1 (on the other
    lane) has run, then sleeps long enough for item 1's completion to be
-   queued first.  Whichever lane ends up with which item — deal, steal
-   or claim — item 1's completion strictly precedes item 0's, so the
-   first delivery must be index 1.  That is the barrier's absence made
+   queued first.  Whichever lane ends up claiming which item, item 1's
+   completion strictly precedes item 0's, so the first delivery must
+   be index 1.  That is the barrier's absence made
    observable: under the old per-chunk submit, nothing was delivered
    until the whole batch joined. *)
 let test_pool_stream_out_of_order () =
@@ -792,8 +829,9 @@ let () =
         [
           Alcotest.test_case "reusable after a raising job" `Quick
             test_pool_reusable_after_exception;
-          Alcotest.test_case "steal under skew" `Quick test_pool_steal_under_skew;
-        ] );
+          Alcotest.test_case "claims rebalance under skew" `Quick test_pool_claims_under_skew;
+        ]
+        @ qcheck [ prop_discard_retires_exactly ] );
       ( "stream",
         [
           Alcotest.test_case "out-of-order delivery, no submit barrier" `Quick
