@@ -177,11 +177,16 @@ alloc-smoke: build
 # counts, the stage ledger's closure (<= 10% of Receiver.run outside
 # the stage spans) and the replica/engine bit-exactness all have to
 # hold, so each run must end with "correct": true and "failed": 0.
+# The attack workload is the only one that runs verified-SNR bundles
+# and unclocked oracle candidates, so it checks the capture order of
+# Measure.snr_mod_verified_db and the memoised comparator jitter.
 perf-smoke:
 	bash perfbench/run.sh --workload key-sweep --seed 0 --trace 1 > /tmp/perf-smoke-key-sweep.out
 	tail -n 1 /tmp/perf-smoke-key-sweep.out | grep -q '"correct": true, "attempted": [0-9]*, "failed": 0,'
 	bash perfbench/run.sh --workload campaign --seed 0 --trace 1 > /tmp/perf-smoke-campaign.out
 	tail -n 1 /tmp/perf-smoke-campaign.out | grep -q '"correct": true, "attempted": [0-9]*, "failed": 0,'
+	bash perfbench/run.sh --workload attack --seed 0 --trace 1 > /tmp/perf-smoke-attack.out
+	tail -n 1 /tmp/perf-smoke-attack.out | grep -q '"correct": true, "attempted": [0-9]*, "failed": 0,'
 
 # Perf trajectory: re-measure the Bechamel kernels and rewrite
 # BENCH_4.json (full quota; commit the result).

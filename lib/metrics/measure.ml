@@ -43,13 +43,17 @@ let tone_power_at t config ~p_dbm =
 
 let snr_mod_verified_db t config =
   Telemetry.Span.with_ ~name:"measure.snr_mod_verified" (fun () ->
-      let p_hi = tone_power_at t config ~p_dbm:t.p_dbm in
+      (* The 6 dB-down record first, so the two full-power captures
+         run back to back and the second finds its front half still
+         in the slot.  Each capture is a pure function of its inputs,
+         so the order changes no value. *)
       let p_lo = tone_power_at t config ~p_dbm:(t.p_dbm -. 6.0) in
+      let p_hi = tone_power_at t config ~p_dbm:t.p_dbm in
       let drop_db = Sigkit.Decibel.db_of_power_ratio (p_hi /. Float.max 1e-300 p_lo) in
       if Float.abs (drop_db -. 6.0) > 3.0 then neg_infinity
       else
-        (* Linearity confirmed; the first record's SNR stands.  Re-measure
-           to return it (counted: it is one more capture). *)
+        (* Linearity confirmed; the full-power record's SNR stands.
+           Re-measure to return it (counted: it is one more capture). *)
         snr_mod_db t config)
 
 let baseband_snr t config ~p_dbm ~n_fft =

@@ -31,7 +31,8 @@ val snr_mod_verified_db : t -> Rfchain.Config.t -> float
     re-measured 6 dB down; if the output tone does not track (within
     +-3 dB), the "signal" is something else — typically an
     injection-locked tank regenerating the test frequency — and the
-    result is [neg_infinity].  Two trials.  This is how a bench (or a
+    result is [neg_infinity].  Two trials, plus a third that returns
+    the SNR when the tone tracks.  This is how a bench (or a
     careful attacker) rejects false unlocks that fool the raw FFT
     metric. *)
 

@@ -13,52 +13,48 @@ let ratio c = 16 lsl c.ratio_select
 
 let cic_order = 3
 
-(* Workspace slot for the CIC intermediate (see DESIGN §15).  The two
-   quadrature channels run sequentially, so one slot serves both. *)
-let cic_slot = 12
+(* Workspace slots for the CIC intermediates (see DESIGN §15): the I
+   channel (and the single channel of [decimate]) in 12, the Q channel
+   of [downconvert_iq] in 11. *)
+let cic_i_slot = 12
+let cic_q_slot = 11
 
-(* CIC decimator: [order] integrators at the input rate, decimation by
-   [r], [order] combs at the output rate, gain-normalised.  The result
-   is a workspace scratch array — valid only until the next decimation
-   on this domain; callers must consume it before then (the comb pass
-   overwrites every cell before any is read, so stale contents are
-   fine). *)
-let cic ~r x =
-  let n_out = Array.length x / r in
-  if n_out = 0 then [||]
-  else begin
-    let acc = Array.make cic_order 0.0 in
-    let decimated = Sigkit.Workspace.arr (Sigkit.Workspace.get ()) ~slot:cic_slot ~len:n_out in
-    let out_idx = ref 0 in
-    for i = 0 to (n_out * r) - 1 do
-      acc.(0) <- acc.(0) +. x.(i);
-      for s = 1 to cic_order - 1 do
-        acc.(s) <- acc.(s) +. acc.(s - 1)
-      done;
-      if (i + 1) mod r = 0 then begin
-        decimated.(!out_idx) <- acc.(cic_order - 1);
-        incr out_idx
-      end
+(* The CIC decimator in two halves: [cic_order] integrators at the
+   input rate keeping every r-th value of the last one, then
+   [cic_order] combs at the output rate, gain-normalised.  Both are
+   written out for order 3 with the stage state in local floats, so
+   the loops stay unboxed.  The intermediate lives in a workspace slot
+   and is valid only until the next decimation on this domain; the
+   comb overwrites every cell before any is read, so stale contents
+   are fine. *)
+let integrate ~r ~n_out x out =
+  let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 in
+  for j = 0 to n_out - 1 do
+    for k = j * r to ((j + 1) * r) - 1 do
+      a0 := !a0 +. Array.unsafe_get x k;
+      a1 := !a1 +. !a0;
+      a2 := !a2 +. !a1
     done;
-    (* Comb stages fused into one in-place pass: element j only needs
-       each stage's previous output, so the [cic_order] separate
-       [Array.map] allocations collapse into a [prev] vector, with the
-       gain normalisation folded into the final stage.  The per-stage
-       difference chain is evaluated in the same order as the staged
-       version, so the result is bit-identical. *)
-    let gain = float_of_int r ** float_of_int cic_order in
-    let prev = Array.make cic_order 0.0 in
-    for j = 0 to n_out - 1 do
-      let d = ref (Array.unsafe_get decimated j) in
-      for s = 0 to cic_order - 1 do
-        let v = !d in
-        d := v -. Array.unsafe_get prev s;
-        Array.unsafe_set prev s v
-      done;
-      Array.unsafe_set decimated j (!d /. gain)
-    done;
-    decimated
-  end
+    Array.unsafe_set out j !a2
+  done
+
+(* Combs fused into one in-place pass: element j only needs each
+   stage's previous input, with the gain normalisation folded into the
+   final stage.  The difference chain is evaluated in the order of the
+   staged version, so the result is bit-identical. *)
+let comb ~r y =
+  let gain = float_of_int r ** float_of_int cic_order in
+  let p0 = ref 0.0 and p1 = ref 0.0 and p2 = ref 0.0 in
+  for j = 0 to Array.length y - 1 do
+    let v0 = Array.unsafe_get y j in
+    let v1 = v0 -. !p0 in
+    p0 := v0;
+    let v2 = v1 -. !p1 in
+    p1 := v1;
+    let v3 = v2 -. !p2 in
+    p2 := v2;
+    Array.unsafe_set y j (v3 /. gain)
+  done
 
 (* 31-tap Hann-windowed half-band low-pass for the final 2x stage: the
    sharp stage that keeps shaped quantization noise from aliasing into
@@ -124,9 +120,83 @@ let fir_decimate2 x =
 let average_decimate2 x =
   Array.init (Array.length x / 2) (fun j -> 0.5 *. (x.(2 * j) +. x.((2 * j) + 1)))
 
+let decimate2 c mid = if c.compensator then fir_decimate2 mid else average_decimate2 mid
+
+(* The CIC runs at half the overall ratio; the 2x stage does the rest. *)
+let cic_ratio c = ratio c / 2
+
 let decimate c x =
-  let r = ratio c in
-  let mid = cic ~r:(r / 2) x in
-  if c.compensator then fir_decimate2 mid else average_decimate2 mid
+  let r = cic_ratio c in
+  let n_out = Array.length x / r in
+  if n_out = 0 then decimate2 c [||]
+  else begin
+    let mid = Sigkit.Workspace.arr (Sigkit.Workspace.get ()) ~slot:cic_i_slot ~len:n_out in
+    integrate ~r ~n_out x mid;
+    comb ~r mid;
+    decimate2 c mid
+  end
 
 let run_iq c (i_ch, q_ch) = (decimate c i_ch, decimate c q_ch)
+
+(* The digital section's 1-bit boundary, as [Mixer.downconvert_into]
+   applies it. *)
+let[@inline] bit ~slice x = if slice then (if x >= 0.0 then 1.0 else -1.0) else x
+
+(* [Mixer.downconvert_into] then [run_iq], in one pass over the window
+   and without the two full-rate channels.  The mixer's sequences have
+   period 4 and every CIC ratio is a multiple of 4, so each inner step
+   takes one period: sample 4m feeds I, 4m+1 feeds Q negated, 4m+2
+   feeds I negated, 4m+3 feeds Q.  On the idle channel the staged
+   chain adds the mixer's +0.0 to the first integrator, which leaves
+   it unchanged (an integrator that starts at +0.0 never holds -0.0),
+   so that add is skipped; the other two stages still step.  Every
+   other float op is the staged one, in the same order, so the output
+   is bit-identical. *)
+let downconvert_iq ?(slice = false) c src ~pos ~n =
+  if pos < 0 || n < 0 || pos + n > Array.length src then
+    invalid_arg "Decimator.downconvert_iq: bad window";
+  let r = cic_ratio c in
+  let n_out = n / r in
+  if n_out = 0 then (decimate2 c [||], decimate2 c [||])
+  else begin
+    let ws = Sigkit.Workspace.get () in
+    let yi = Sigkit.Workspace.arr ws ~slot:cic_i_slot ~len:n_out in
+    let yq = Sigkit.Workspace.arr ws ~slot:cic_q_slot ~len:n_out in
+    let i0 = ref 0.0 and i1 = ref 0.0 and i2 = ref 0.0 in
+    let q0 = ref 0.0 and q1 = ref 0.0 and q2 = ref 0.0 in
+    let periods = r / 4 in
+    for j = 0 to n_out - 1 do
+      for m = j * periods to ((j + 1) * periods) - 1 do
+        let p = pos + (4 * m) in
+        let x0 = bit ~slice (Array.unsafe_get src p) in
+        let x1 = bit ~slice (Array.unsafe_get src (p + 1)) in
+        let x2 = bit ~slice (Array.unsafe_get src (p + 2)) in
+        let x3 = bit ~slice (Array.unsafe_get src (p + 3)) in
+        i0 := !i0 +. x0;
+        i1 := !i1 +. !i0;
+        i2 := !i2 +. !i1;
+        q1 := !q1 +. !q0;
+        q2 := !q2 +. !q1;
+        i1 := !i1 +. !i0;
+        i2 := !i2 +. !i1;
+        q0 := !q0 +. (-.x1);
+        q1 := !q1 +. !q0;
+        q2 := !q2 +. !q1;
+        i0 := !i0 +. (-.x2);
+        i1 := !i1 +. !i0;
+        i2 := !i2 +. !i1;
+        q1 := !q1 +. !q0;
+        q2 := !q2 +. !q1;
+        i1 := !i1 +. !i0;
+        i2 := !i2 +. !i1;
+        q0 := !q0 +. x3;
+        q1 := !q1 +. !q0;
+        q2 := !q2 +. !q1
+      done;
+      Array.unsafe_set yi j !i2;
+      Array.unsafe_set yq j !q2
+    done;
+    comb ~r yi;
+    comb ~r yq;
+    (decimate2 c yi, decimate2 c yq)
+  end

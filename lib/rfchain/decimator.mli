@@ -31,4 +31,18 @@ val decimate : config -> float array -> float array
     it does not use slot 12. *)
 
 val run_iq : config -> float array * float array -> float array * float array
-(** Decimate both quadrature channels with identical filters. *)
+(** Decimate both quadrature channels with identical filters.  With
+    {!Mixer.downconvert_into} before it, this is the staged reference
+    for {!downconvert_iq}. *)
+
+val downconvert_iq :
+  ?slice:bool -> config -> float array -> pos:int -> n:int -> float array * float array
+(** [downconvert_iq ?slice c src ~pos ~n] mixes the [n]-sample window of
+    [src] starting at [pos] down by fs/4 and decimates both quadrature
+    channels: bit-identical to {!Mixer.downconvert_into} [?slice] into
+    two channels followed by {!run_iq} [c], in one pass and without the
+    full-rate channels.  [slice] (default false) applies the digital
+    section's 1-bit boundary first.  The CIC intermediates live in
+    {!Sigkit.Workspace} slots 12 (I) and 11 (Q), so [src] must not be
+    either of them; only the returned pair is allocated.  Raises
+    [Invalid_argument] when the window does not fit in [src]. *)

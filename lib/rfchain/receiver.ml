@@ -47,8 +47,6 @@ let samples = Telemetry.Counter.make "receiver.samples"
 let extended_slot = 6
 let two_tone_slot = 14
 let mod_slot = 7
-let mix_i_slot = 10
-let mix_q_slot = 11
 
 (* Both entry points: refuse a degenerate record before any work, then
    count and span one run, with the analog word as the knobs see it. *)
@@ -65,8 +63,8 @@ let instrumented t ~who ~analog ~settle ~n f =
 let rotation ~n ~settle = (n - (settle mod n)) mod n
 
 (* The half of the chain after the VGLNA, shared by both entry points:
-   SDM -> slice + mixer -> decimator on the settle-extended VGLNA
-   output [amplified]. *)
+   SDM, then slice + mixer + decimator in one pass, on the
+   settle-extended VGLNA output [amplified]. *)
 let back_half t ~analog ~digital ~settle ~slice ~n amplified =
   let total = settle + n in
   let ws = Sigkit.Workspace.get () in
@@ -74,10 +72,7 @@ let back_half t ~analog ~digital ~settle ~slice ~n amplified =
   let mod_full = Sigkit.Workspace.arr ws ~slot:mod_slot ~len:total in
   Sdm.run_into sdm amplified mod_full;
   let mod_output = Array.sub mod_full settle n in
-  let i_ch = Sigkit.Workspace.arr ws ~slot:mix_i_slot ~len:n in
-  let q_ch = Sigkit.Workspace.arr ws ~slot:mix_q_slot ~len:n in
-  Mixer.downconvert_into ~slice mod_full ~pos:settle ~n ~i_out:i_ch ~q_out:q_ch;
-  let baseband_i, baseband_q = Decimator.run_iq digital (i_ch, q_ch) in
+  let baseband_i, baseband_q = Decimator.downconvert_iq ~slice digital mod_full ~pos:settle ~n in
   {
     mod_output;
     baseband_i;

@@ -161,13 +161,12 @@ let hist_len = 8
 let hist_mask = hist_len - 1
 
 (* Workspace slots (DESIGN §15).  8-9 hold the comparator and input
-   noise, tagged with their stream: each stream is a fresh split of the
-   die's root, a pure function of (die, name), so a die's repeat runs
-   find the draw already there.  13 is the VGLNA noise batch, dead once
-   [Vglna.run_inplace] returns; buffer-mode jitter reuses it. *)
+   noise and 10 the buffer-mode jitter, each tagged with its stream:
+   every stream is a fresh split of the die's root, a pure function of
+   (die, name), so a die's repeat runs find the draw already there. *)
 let comp_slot = 8
 let input_slot = 9
-let jitter_slot = 13
+let jitter_slot = 10
 
 (* One loop for every configuration word: the four mode bits are loop
    invariants and every noise sample is drawn before the loop, so the
@@ -219,11 +218,9 @@ let run_into t input output =
      path is synchronous and jitter-free. *)
   let jitter_buf =
     if clocked then [||]
-    else begin
-      let b = Sigkit.Workspace.arr ws ~slot:jitter_slot ~len:n in
-      Sigkit.Rng.gaussian_fill (Circuit.Process.noise_stream t.chip ~name:"run.jitter") b ~n;
-      b
-    end
+    else
+      Sigkit.Workspace.gaussian ws ~slot:jitter_slot ~len:n
+        (Circuit.Process.noise_stream t.chip ~name:"run.jitter")
   in
   (* Fractional loop-delay error is modelled as linear interpolation
      between decision-history taps (a shifted DAC pulse delivers charge

@@ -69,9 +69,9 @@ val run_into : t -> float array -> float array -> unit
     at least that long; every cell in that range is overwritten, so a
     stale scratch buffer is fine).  [output] must not alias [input].
     Uses {!Sigkit.Workspace} slots 8-9 for the comparator and input
-    noise (via {!Sigkit.Workspace.gaussian}, so a die's repeat runs
-    reuse the draw) and, in buffer mode, slot 13 for the jitter noise;
-    bit-identical to {!run}. *)
+    noise and, in buffer mode, slot 10 for the jitter noise (all via
+    {!Sigkit.Workspace.gaussian}, so a die's repeat runs reuse the
+    draw); bit-identical to {!run}. *)
 
 val tank_frequency : t -> float
 (** True resonance frequency of the (first) tank under this die and

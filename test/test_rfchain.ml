@@ -340,6 +340,45 @@ let prop_sdm_oracle_random_words =
       let sdm = Rfchain.Sdm.create (chip ~seed ()) ~fs (Rfchain.Config.of_bits bits) in
       sdm_matches_oracle sdm (oracle_input ~fs n))
 
+(* The buffer-mode jitter is drawn once per (die, length) into a tagged
+   slot.  Repeats on one die must stay bit-identical to the first run
+   (and to the oracle) whatever ran in between: the VGLNA's noise batch
+   in slot 13, the same length on another die (same slot, another
+   stream) and another length on this die. *)
+let test_sdm_jitter_memo () =
+  let fs = Rfchain.Standards.fs std in
+  let unclocked c =
+    Rfchain.Sdm.create c ~fs { Rfchain.Config.nominal with comp_clock_enable = false }
+  in
+  let sdm = unclocked (chip ()) in
+  let n = 2048 in
+  let input = oracle_input ~fs n in
+  let run sdm input =
+    let out = Array.make (Array.length input) Float.nan in
+    Rfchain.Sdm.run_into sdm input out;
+    out
+  in
+  let first = run sdm input in
+  if not (bits_equal (reference_sdm sdm input) first) then
+    Alcotest.fail "first unclocked run differs from the oracle";
+  (* The interleaved modulator runs must match the oracle too: a memo
+     that ignored the stream would hand them this die's draw. *)
+  let oracle_run sdm input =
+    if not (bits_equal (reference_sdm sdm input) (run sdm input)) then
+      Alcotest.fail "interleaved unclocked run differs from the oracle"
+  in
+  let vglna = Rfchain.Vglna.create (chip ()) ~fs in
+  List.iter
+    (fun (what, other) ->
+      other ();
+      if not (bits_equal first (run sdm input)) then
+        Alcotest.failf "unclocked rerun after %s differs from the first run" what)
+    [
+      ("a VGLNA run", fun () -> Rfchain.Vglna.run_inplace vglna ~code:9 (Array.copy input));
+      ("a run on another die", fun () -> oracle_run (unclocked (chip ~seed:7 ())) input);
+      ("a run at another length", fun () -> oracle_run sdm (oracle_input ~fs 1537));
+    ]
+
 (* ---------------------------------------------------------------- Mixer *)
 
 let test_mixer_translates () =
@@ -409,6 +448,47 @@ let test_decimator_stopband () =
   let steady = Array.sub y 64 (Array.length y - 64) in
   Alcotest.(check bool) "alias image suppressed > 30 dB" true
     (Sigkit.Waveform.rms steady < 0.02)
+
+(* The fused kernel against the staged chain it replaces, float for
+   float: every digital config, sliced or not, a random window offset
+   and record lengths that are not a multiple of the CIC ratio or are
+   shorter than the overall ratio (empty output).  The source mixes
+   exact zeros of both signs and +-1 into random values so the slicer's
+   boundary and the mixer's negations are exercised. *)
+let fused_case_gen =
+  QCheck.Gen.(
+    let* bits = int_range 0 7 in
+    let* slice = bool in
+    let* pos = int_range 1 300 in
+    let* periods = int_range 0 6 in
+    let* rem = int_range 0 127 in
+    let* seed = int in
+    return (bits, slice, pos, periods, rem, seed))
+
+let prop_fused_downconvert_iq =
+  QCheck.Test.make ~name:"Decimator.downconvert_iq equals Mixer.downconvert_into + run_iq"
+    ~count:200
+    (QCheck.make fused_case_gen ~print:(fun (b, sl, p, k, r, seed) ->
+         Printf.sprintf "bits=%d slice=%b pos=%d periods=%d rem=%d seed=%d" b sl p k r seed))
+    (fun (bits, slice, pos, periods, rem, seed) ->
+      let c = Rfchain.Decimator.config_of_bits bits in
+      let ratio = Rfchain.Decimator.ratio c in
+      let n = (periods * ratio) + (rem mod ratio) in
+      let st = Random.State.make [| seed |] in
+      let src =
+        Array.init (pos + n + 5) (fun _ ->
+            match Random.State.int st 8 with
+            | 0 -> 0.0
+            | 1 -> -0.0
+            | 2 -> 1.0
+            | 3 -> -1.0
+            | _ -> Random.State.float st 4.0 -. 2.0)
+      in
+      let i_ch = Array.make n Float.nan and q_ch = Array.make n Float.nan in
+      Rfchain.Mixer.downconvert_into ~slice src ~pos ~n ~i_out:i_ch ~q_out:q_ch;
+      let ri, rq = Rfchain.Decimator.run_iq c (i_ch, q_ch) in
+      let fi, fq = Rfchain.Decimator.downconvert_iq ~slice c src ~pos ~n in
+      bits_equal ri fi && bits_equal rq fq)
 
 (* ------------------------------------------------------------- Receiver *)
 
@@ -717,6 +797,7 @@ let test_arena_slots_distinct () =
      array, including the slots whose lengths coincide. *)
   let n = 1024 and settle = 256 in
   let total = settle + n in
+  let cic = n / (Rfchain.Decimator.ratio Rfchain.Decimator.default_config / 2) in
   let ws = Sigkit.Workspace.get () in
   let live =
     [
@@ -724,8 +805,9 @@ let test_arena_slots_distinct () =
       ("mod_full (7)", Sigkit.Workspace.arr ws ~slot:7 ~len:total);
       ("sdm comp noise (8)", Sigkit.Workspace.arr ws ~slot:8 ~len:total);
       ("sdm input noise (9)", Sigkit.Workspace.arr ws ~slot:9 ~len:total);
-      ("mixer i (10)", Sigkit.Workspace.arr ws ~slot:10 ~len:n);
-      ("mixer q (11)", Sigkit.Workspace.arr ws ~slot:11 ~len:n);
+      ("sdm jitter (10)", Sigkit.Workspace.arr ws ~slot:10 ~len:total);
+      ("cic q (11)", Sigkit.Workspace.arr ws ~slot:11 ~len:cic);
+      ("cic i (12)", Sigkit.Workspace.arr ws ~slot:12 ~len:cic);
       ("vglna noise (13)", Sigkit.Workspace.arr ws ~slot:13 ~len:total);
       ("two-tone front (14)", Sigkit.Workspace.arr ws ~slot:14 ~len:total);
     ]
@@ -822,6 +904,7 @@ let () =
           Alcotest.test_case "gmin disable" `Quick test_sdm_gmin_disable;
           Alcotest.test_case "oscillation matches tank" `Quick test_sdm_osc_matches_tank;
           Alcotest.test_case "oracle: 16 mode combinations" `Quick test_sdm_oracle_modes;
+          Alcotest.test_case "jitter memo survives interleaved work" `Quick test_sdm_jitter_memo;
         ]
         @ qcheck [ prop_sdm_oracle_random_words ] );
       ( "mixer",
@@ -836,7 +919,8 @@ let () =
           Alcotest.test_case "all ratios" `Quick test_decimator_all_ratios;
           Alcotest.test_case "passband" `Quick test_decimator_passband;
           Alcotest.test_case "stopband" `Quick test_decimator_stopband;
-        ] );
+        ]
+        @ qcheck [ prop_fused_downconvert_iq ] );
       ( "receiver",
         [
           Alcotest.test_case "end to end" `Slow test_receiver_end_to_end;
