@@ -1,4 +1,4 @@
-.PHONY: all build test faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke cli-smoke alloc-smoke perf-smoke bench-json bench-gate ci clean
+.PHONY: all build test dead-surface faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke cli-smoke alloc-smoke perf-smoke bench-json bench-gate ci clean
 
 all: build
 
@@ -7,6 +7,12 @@ build:
 
 test:
 	dune runtest
+
+# No exported value without a caller: every `val` in lib/**/*.mli must
+# be used somewhere outside its own module (tests count) or inside it
+# beyond its definition.  Prints each dead value and fails if any.
+dead-surface:
+	sh tools/dead_surface.sh
 
 # End-to-end smoke of the stress campaign: must exit 0 with every
 # campaign check passing (grep fails the target on any [FAIL] line).
@@ -200,7 +206,7 @@ bench-gate:
 	dune exec bench/main.exe -- --fast \
 	  --out /tmp/bench-gate.json --compare BENCH_4.json
 
-ci: build test cli-smoke faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke alloc-smoke perf-smoke bench-gate
+ci: build test dead-surface cli-smoke faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke alloc-smoke perf-smoke bench-gate
 
 clean:
 	dune clean

@@ -3,7 +3,7 @@ let dr_sweep_trial_seconds = 3.0 *. 3600.0
 let sfdr_trial_seconds = 30.0 *. 60.0
 let hardware_trial_seconds = 1.0
 
-let key_space = 2.0 ** 64.0
+let key_space = 2.0 ** float_of_int Rfchain.Config.key_bits
 
 (* The paper argues very few key combinations are functional; a handful
    of valid words leaves the expectation at ~2^63 trials. *)

@@ -20,9 +20,6 @@ val sfdr_trial_seconds : float
 val hardware_trial_seconds : float
 (** Optimistic re-fabbed-hardware trial: 1 s. *)
 
-val key_space : float
-(** 2^64. *)
-
 val expected_brute_force_trials : float
 (** Expected trials to hit one valid key assuming [valid_keys]
     functional words: half the space per valid key. *)

@@ -82,8 +82,6 @@ let bias_error t x =
     out;
   sqrt (!acc /. float_of_int (Array.length out))
 
-let secret_key t = Array.copy t.secret
-
 let descriptor =
   {
     Technique.name = "neural-network biasing";

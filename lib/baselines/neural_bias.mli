@@ -28,6 +28,4 @@ val bias_error : t -> float array -> float
 (** RMS distance of the inferred biases from the design point when
     presenting a candidate analog key. *)
 
-val secret_key : t -> float array
-
 val descriptor : Technique.t

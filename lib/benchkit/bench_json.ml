@@ -176,8 +176,6 @@ let alloc_budgets =
     ("fig7:snr-mod-per-key", 24_000.0);
   ]
 
-let budget_for name = List.assoc_opt name alloc_budgets
-
 type verdict =
   | Pass
   | Regressed of {

@@ -45,10 +45,6 @@ val tolerance_for : string -> tolerance
     [ns_ratio]; arena-converted kernels (DESIGN §15) keep half the
     allocation slack. *)
 
-val budget_for : string -> float option
-(** Absolute minor-words-per-run budget for an arena-converted kernel
-    (the [make alloc-smoke] contract), if it has one. *)
-
 type verdict =
   | Pass
   | Regressed of {

@@ -21,14 +21,6 @@ type outcome = {
   attempts : int;
 }
 
-let failure_to_string = function
-  | Tank_dead { measurements; _ } ->
-    Printf.sprintf "tank dead: no oscillation at maximum Q-enhancement (%d measurements)"
-      measurements
-  | Spec_shortfall { shortfall_db; report } ->
-    Printf.sprintf "spec shortfall: %.1f dB below specification (best SNR(mod) %.1f dB)"
-      shortfall_db report.snr_mod_db
-
 let step14_fields =
   [
     "gmin_bias";

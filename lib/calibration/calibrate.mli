@@ -50,8 +50,6 @@ type outcome = {
   attempts : int;    (** calibration attempts spent (1 = no retry needed) *)
 }
 
-val failure_to_string : failure -> string
-
 val step14_fields : string list
 (** The knobs refined by the iterative step, in the (secret) order the
     procedure visits them. *)

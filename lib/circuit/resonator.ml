@@ -49,8 +49,6 @@ let reset t =
   t.x1 <- 0.0;
   t.x2 <- 0.0
 
-let kick t amplitude = t.y1 <- t.y1 +. amplitude
-
 let run t input = Array.map (fun x -> step t x) input
 
 (* Frequency from the span between the first and last interpolated

@@ -47,9 +47,6 @@ val feed : t -> float -> unit
 val reset : t -> unit
 (** Zero the state. *)
 
-val kick : t -> float -> unit
-(** Add an impulse to the state — used to start oscillation mode. *)
-
 val run : t -> float array -> float array
 (** Map [step] over a record (state persists across the call). *)
 

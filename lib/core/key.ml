@@ -23,5 +23,3 @@ let pp fmt t =
 
 let unlocks _t measurement standard =
   (Metrics.Spec.check standard measurement).Metrics.Spec.functional
-
-let search_space = 2.0 ** 64.0

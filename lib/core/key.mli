@@ -26,6 +26,3 @@ val pp : Format.formatter -> t -> unit
 val unlocks : t -> Metrics.Spec.measurement -> Rfchain.Standards.t -> bool
 (** Whether measurements taken under this key meet the standard's
     specification — the operational definition of "unlocked". *)
-
-val search_space : float
-(** 2^64 as a float, for attack-cost arithmetic. *)

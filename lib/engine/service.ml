@@ -33,7 +33,6 @@ let create ?(jobs = 1) ?(cache = true) ?(cache_capacity = default_cache_capacity
   }
 
 let jobs t = t.jobs
-let cache_enabled t = t.cache <> None
 let checkpoint t = t.checkpoint
 
 let shutdown t = match t.backend with Seq -> () | Domains pool -> Pool.shutdown pool

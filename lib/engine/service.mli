@@ -51,7 +51,6 @@ val create :
     in-flight evaluation once it passes. *)
 
 val jobs : t -> int
-val cache_enabled : t -> bool
 val checkpoint : t -> Checkpoint.t option
 
 val shutdown : t -> unit

@@ -97,5 +97,3 @@ let die chip faults =
     (chip_of chip faults)
 
 let receiver chip standard faults = Engine.Request.receiver (die chip faults) standard
-
-let rig ~seed ~standard faults = receiver (Circuit.Process.fabricate ~seed ()) standard faults

@@ -32,6 +32,3 @@ val die : Circuit.Process.chip -> Fault.t list -> Engine.Request.die
 val receiver : Circuit.Process.chip -> Rfchain.Standards.t -> Fault.t list -> Rfchain.Receiver.t
 (** A receiver on the given die with all faults installed (built
     through the engine's one receiver constructor). *)
-
-val rig : seed:int -> standard:Rfchain.Standards.t -> Fault.t list -> Rfchain.Receiver.t
-(** [receiver] on a freshly fabricated die with the given seed. *)

@@ -73,9 +73,3 @@ let of_baseband_iq ?(n_fft = 2048) ~fs ~f_signal ~f_band (i_ch, q_ch) =
     else if not (near_dc k) then noise := !noise +. power.(k)
   done;
   if !noise <= 0.0 then infinity else Sigkit.Decibel.db_of_power_ratio (!signal /. !noise)
-
-let power_in_band_dbfs ?n_fft ~fs ~f_lo ~f_hi record =
-  let spec = spectrum ?n_fft ~fs record in
-  let band = Sigkit.Spectrum.band_power spec ~f_lo ~f_hi in
-  let total = Sigkit.Spectrum.band_power spec ~f_lo:0.0 ~f_hi:(fs /. 2.0) in
-  if total <= 0.0 then neg_infinity else Sigkit.Decibel.db_of_power_ratio (band /. total)

@@ -41,7 +41,3 @@ val of_baseband_iq :
 (** SNR of the complex (i, q) baseband: carrier at the signed offset
     [f_signal], noise integrated over [-f_band, f_band] without image
     folding — the receiver-output metric of Fig. 9. *)
-
-val power_in_band_dbfs : ?n_fft:int -> fs:float -> f_lo:float -> f_hi:float -> float array -> float
-(** Band power in dB relative to a full-scale (+-1) square wave —
-    a helper for noise-floor diagnostics. *)

@@ -120,8 +120,6 @@ let validate t =
     if List.for_all (fun net -> in_range net && defined.(net)) t.outputs then Ok ()
     else Error "undefined primary output"
 
-let gate_count t = List.length t.gates
-
 let random_inputs_into rng t buf =
   if Array.length buf <> t.n_inputs then invalid_arg "Gate.random_inputs_into: arity";
   for i = 0 to t.n_inputs - 1 do

@@ -50,8 +50,6 @@ val eval_into : t -> scratch -> key:bool array -> bool array -> bool array -> un
 val validate : t -> (unit, string) result
 (** Structural checks: net ranges, topological order, output defined. *)
 
-val gate_count : t -> int
-
 val random_inputs : Sigkit.Rng.t -> t -> bool array
 
 val random_inputs_into : Sigkit.Rng.t -> t -> bool array -> unit

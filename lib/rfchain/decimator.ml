@@ -5,10 +5,6 @@ type config = {
 
 let default_config = { ratio_select = 2; compensator = true }
 
-let config_of_bits bits = { ratio_select = bits land 3; compensator = bits land 4 <> 0 }
-
-let bits_of_config c = (c.ratio_select land 3) lor (if c.compensator then 4 else 0)
-
 let ratio c = 16 lsl c.ratio_select
 
 let cic_order = 3

@@ -15,10 +15,6 @@ type config = {
 val default_config : config
 (** Ratio 64 (the evaluation's OSR) with compensation. *)
 
-val config_of_bits : int -> config
-val bits_of_config : config -> int
-(** 3-bit codec: bits 0-1 ratio select, bit 2 compensator. *)
-
 val ratio : config -> int
 
 val decimate : config -> float array -> float array

@@ -20,7 +20,6 @@ let create ?fabric ?rf_fault chip standard =
 let chip t = t.chip
 let standard t = t.standard
 let fs t = Standards.fs t.standard
-let has_hooks t = t.fabric <> None || t.rf_fault <> None
 let fabric t = t.fabric
 let rf_fault t = t.rf_fault
 
@@ -64,8 +63,10 @@ let rotation ~n ~settle = (n - (settle mod n)) mod n
 
 (* The half of the chain after the VGLNA, shared by both entry points:
    SDM, then slice + mixer + decimator in one pass, on the
-   settle-extended VGLNA output [amplified]. *)
-let back_half t ~analog ~digital ~settle ~slice ~n amplified =
+   settle-extended VGLNA output [amplified], decimated with the
+   default digital setting. *)
+let back_half t ~analog ~settle ~slice ~n amplified =
+  let digital = Decimator.default_config in
   let total = settle + n in
   let ws = Sigkit.Workspace.get () in
   let sdm = Sdm.create t.chip ~fs:(fs t) analog in
@@ -81,7 +82,7 @@ let back_half t ~analog ~digital ~settle ~slice ~n amplified =
     fs_baseband = fs t /. float_of_int (Decimator.ratio digital);
   }
 
-let run t ~analog ?(digital = Decimator.default_config) ?(settle = 1024) ?(slice = true) ~input () =
+let run t ~analog ?(settle = 1024) ?(slice = true) ~input () =
   let n = Array.length input in
   instrumented t ~who:"Receiver.run" ~analog ~settle ~n @@ fun analog ->
   let total = settle + n in
@@ -104,7 +105,7 @@ let run t ~analog ?(digital = Decimator.default_config) ?(settle = 1024) ?(slice
     | Some f -> f extended
   in
   Vglna.run_inplace t.vglna ~code:analog.Config.vglna_gain extended;
-  back_half t ~analog ~digital ~settle ~slice ~n extended
+  back_half t ~analog ~settle ~slice ~n extended
 
 (* What a tagged front-end slot holds: the VGLNA output for one die
    (its behavioural identity and the rate its noise is specified at),
@@ -163,7 +164,7 @@ let run_stimulus t ~analog ?(settle = 1024) ~stimulus ~n () =
           Sigkit.Waveform.render_into stimulus ~n ~rot extended;
           Vglna.run_inplace t.vglna ~code extended)
   in
-  back_half t ~analog ~digital:Decimator.default_config ~settle ~slice:true ~n amplified
+  back_half t ~analog ~settle ~slice:true ~n amplified
 
 (* Offset the coherent test tone by a quarter of the band: far enough
    from the carrier bin for clean binning, while the aliased third

@@ -3,8 +3,9 @@
     Chain: VGLNA -> band-pass RF sigma-delta modulator -> digital fs/4
     down-conversion mixer -> digital decimation filter.  The analog
     section is configured by the 64-bit {!Config} word (the secret key
-    under the locking scheme); the digital section by the 3-bit
-    {!Decimator.config}.
+    under the locking scheme); the digital section runs the 3-bit
+    {!Decimator.default_config}, a per-standard setting the paper
+    treats as easy to derive.
 
     The digital section's input is a single-bit port: whatever waveform
     the modulator emits is hard-sliced to +-1 at that boundary.  For a
@@ -39,11 +40,6 @@ val chip : t -> Circuit.Process.chip
 val standard : t -> Standards.t
 val fs : t -> float
 
-val has_hooks : t -> bool
-(** True when a [fabric] or [rf_fault] hook is installed.  A hook-free
-    receiver is a pure function of its chip fingerprint, which is what
-    lets the evaluation engine cache its measurements. *)
-
 val fabric : t -> (Config.t -> Config.t) option
 val rf_fault : t -> (float array -> float array) option
 (** The injection hooks as passed to {!create} — exposed so the
@@ -53,7 +49,6 @@ val rf_fault : t -> (float array -> float array) option
 val run :
   t ->
   analog:Config.t ->
-  ?digital:Decimator.config ->
   ?settle:int ->
   ?slice:bool ->
   input:float array ->
@@ -62,7 +57,8 @@ val run :
 (** Simulate the chain on an antenna-referred input record (volts into
     50 ohm).  [settle] extra samples (default 1024) are prepended and
     dropped so records are steady-state; the prefix repeats the record's
-    tail, which keeps a periodic record phase-coherent.  [slice]
+    tail, which keeps a periodic record phase-coherent.  The digital
+    section runs {!Decimator.default_config}.  [slice]
     (default true) keeps the digital section's 1-bit input boundary;
     false is the ablation that pretends the digital section accepted
     analog samples.  The reference path: it memoises nothing.  Raises
@@ -79,7 +75,7 @@ val run_stimulus :
   result
 (** [run_stimulus t ~analog ?settle ~stimulus ~n ()] is
     [run t ~analog ?settle ~input:(Sigkit.Waveform.render stimulus n) ()],
-    bit for bit (default decimator, sliced digital input), with the
+    bit for bit (sliced digital input), with the
     same [receiver.runs] / [receiver.samples] counts and
     [receiver.run] span.  The front half of the chain (stimulus,
     settle rotation, VGLNA) is rendered straight into a workspace slot

@@ -133,9 +133,7 @@ let create chip ~fs (config : Config.t) =
   }
 
 let tank_frequency t = 1.0 /. (2.0 *. Float.pi *. sqrt (t.tank1.l_henry *. t.tank1.c_farad))
-let pole_radius t = t.r
 let oscillates t = t.r >= 1.0
-let signal_gain t = t.gmin /. t.gdac
 
 let osc_probes = Telemetry.Counter.make "sdm.osc_probes"
 

@@ -77,9 +77,6 @@ val tank_frequency : t -> float
 (** True resonance frequency of the (first) tank under this die and
     configuration — ground truth for tests; not observable on silicon. *)
 
-val pole_radius : t -> float
-(** Realised Q-enhancement pole radius for this configuration. *)
-
 val oscillates : t -> bool
 (** Whether the tank self-oscillates (pole radius >= 1) — what a bench
     engineer observes in calibration oscillation mode. *)
@@ -99,6 +96,3 @@ val required_delay_code : Circuit.Process.chip -> fs:float -> int
 (** The loop-delay code that exactly compensates this die's excess loop
     delay at [fs] — design knowledge the calibration derives from the
     sampling frequency (paper step 11). *)
-
-val signal_gain : t -> float
-(** In-band signal transfer gain (gmin / gdac), for level planning. *)

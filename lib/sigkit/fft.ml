@@ -22,33 +22,5 @@ let forward re im =
   observe n;
   Telemetry.Span.with_ ~name:"fft.transform" (fun () -> Plan.exec (Plan.get n) re im)
 
-let inverse re im =
-  let n = check re im in
-  observe n;
-  Telemetry.Span.with_ ~name:"fft.transform" (fun () ->
-      Plan.exec_inverse (Plan.get n) re im);
-  let nf = float_of_int n in
-  for i = 0 to n - 1 do
-    re.(i) <- re.(i) /. nf;
-    im.(i) <- im.(i) /. nf
-  done
-
-let real_forward x =
-  let n = Array.length x in
-  if not (is_pow2 n) || n < 2 then
-    invalid_arg "Fft.real_forward: length must be a power of two >= 2";
-  observe n;
-  Telemetry.Span.with_ ~name:"fft.transform" (fun () ->
-      let p = Plan.real_get n in
-      let m = n / 2 in
-      let re = Array.make (m + 1) 0.0 and im = Array.make (m + 1) 0.0 in
-      let ws = Workspace.get () in
-      let scratch_re = Workspace.arr ws ~slot:0 ~len:m in
-      let scratch_im = Workspace.arr ws ~slot:1 ~len:m in
-      Plan.real_forward p x ~re ~im ~scratch_re ~scratch_im;
-      (re, im))
-
-let of_real x = (Array.copy x, Array.make (Array.length x) 0.0)
-
 let magnitude_squared re im =
   Array.init (Array.length re) (fun i -> (re.(i) *. re.(i)) +. (im.(i) *. im.(i)))

@@ -15,21 +15,5 @@ val forward : float array -> float array -> unit
     normalisation).  Raises [Invalid_argument] on length mismatch or
     non-power-of-two length. *)
 
-val inverse : float array -> float array -> unit
-(** Inverse transform in place, normalised by 1/N so that
-    [inverse (forward x) = x]. *)
-
-val real_forward : float array -> float array * float array
-(** [real_forward x] transforms a real record of power-of-two length
-    [n >= 2] via the packed [n/2] complex transform (half the butterfly
-    work of {!forward}), returning the one-sided spectrum
-    [(re, im)] of length [n/2 + 1] — bins [0 .. n/2], matching the
-    corresponding bins of the full complex transform.  Scratch comes
-    from the calling domain's {!Workspace}; only the result arrays are
-    allocated. *)
-
-val of_real : float array -> float array * float array
-(** Copy a real record into freshly allocated (re, im) arrays. *)
-
 val magnitude_squared : float array -> float array -> float array
 (** Pointwise |X_k|^2 of a transformed record. *)

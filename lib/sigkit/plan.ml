@@ -11,11 +11,10 @@ type t = {
 }
 
 type real = {
-  rn : int;                    (* full real record size *)
-  m : int;                     (* rn / 2 *)
+  m : int;                     (* half the real record size n *)
   cplan : t;
-  ur : float array;            (* cos(2 pi k / rn), k = 0 .. m *)
-  ui : float array;            (* sin(2 pi k / rn) *)
+  ur : float array;            (* cos(2 pi k / n), k = 0 .. m *)
+  ui : float array;            (* sin(2 pi k / n) *)
 }
 
 (* A plain atomic rather than a telemetry counter: plan builds are
@@ -26,7 +25,6 @@ let builds = Atomic.make 0
 let build_count () = Atomic.get builds
 
 let size p = p.n
-let real_size p = p.rn
 
 let log2_of n =
   let rec go b p = if p = n then b else go (b + 1) (p * 2) in
@@ -82,7 +80,7 @@ let build_real n =
     ur.(k) <- cos angle;
     ui.(k) <- sin angle
   done;
-  { rn = n; m; cplan; ur; ui }
+  { m; cplan; ur; ui }
 
 let real_get n =
   if not (is_pow2 n) || n < 2 then
@@ -146,12 +144,6 @@ let exec p re im =
   check_len p re im;
   exec_sized p re im
 
-(* Swapping real and imaginary parts on input and output turns the
-   forward kernel into the (unnormalised) inverse one. *)
-let exec_inverse p re im =
-  check_len p re im;
-  exec_sized p im re
-
 (* Untangle the packed transform: with Z the m-point transform of
    z_k = x_{2k} + j x_{2k+1}, the even/odd-sample spectra are
    E_k = (Z_k + conj Z_{m-k})/2 and O_k = (Z_k - conj Z_{m-k})/(2j),
@@ -178,15 +170,3 @@ let real_forward_packed p ~packed_re ~packed_im ~re ~im =
     Array.unsafe_set re k (er +. (c *. odr) +. (s *. odi));
     Array.unsafe_set im k (ei +. (c *. odi) -. (s *. odr))
   done
-
-let real_forward p x ~re ~im ~scratch_re ~scratch_im =
-  let m = p.m in
-  if Array.length x < p.rn then
-    invalid_arg "Plan.real_forward: record shorter than plan size";
-  if Array.length scratch_re <> m || Array.length scratch_im <> m then
-    invalid_arg "Plan.real_forward: scratch length must be n/2";
-  for k = 0 to m - 1 do
-    Array.unsafe_set scratch_re k (Array.unsafe_get x (2 * k));
-    Array.unsafe_set scratch_im k (Array.unsafe_get x ((2 * k) + 1))
-  done;
-  real_forward_packed p ~packed_re:scratch_re ~packed_im:scratch_im ~re ~im

@@ -34,9 +34,6 @@ val exec : t -> float array -> float array -> unit
     kernel [e^{-j2 pi kn/N}]) in place.  Raises [Invalid_argument] on a
     length mismatch with the plan size. *)
 
-val exec_inverse : t -> float array -> float array -> unit
-(** Unnormalised inverse transform in place (callers scale by [1/N]). *)
-
 type real
 (** A real-input transform plan for size [n]: the packed [n/2] complex
     plan plus the untangling twiddles [e^{-j2 pi k/n}]. *)
@@ -45,23 +42,6 @@ val real_get : int -> real
 (** [real_get n] returns the (memoized) real plan for size [n].  Raises
     [Invalid_argument] unless [n] is a power of two with [n >= 2]. *)
 
-val real_size : real -> int
-
-val real_forward :
-  real ->
-  float array ->
-  re:float array ->
-  im:float array ->
-  scratch_re:float array ->
-  scratch_im:float array ->
-  unit
-(** [real_forward p x ~re ~im ~scratch_re ~scratch_im] computes the
-    one-sided spectrum [X_0 .. X_{n/2}] of the real record [x] (first
-    [n] samples are used) into [re]/[im] (length at least [n/2 + 1]),
-    using caller-supplied scratch of length exactly [n/2].  Matches the
-    full complex transform of [x] on bins [0 .. n/2] with half the
-    butterfly work. *)
-
 val real_forward_packed :
   real ->
   packed_re:float array ->
@@ -69,7 +49,11 @@ val real_forward_packed :
   re:float array ->
   im:float array ->
   unit
-(** Lower-level entry: the caller has already packed
-    [z_k = x_{2k} + j x_{2k+1}] (possibly fused with windowing) into
-    [packed_re]/[packed_im] of length exactly [n/2], which are consumed
-    as scratch.  Results land in [re]/[im] as for {!real_forward}. *)
+(** [real_forward_packed p ~packed_re ~packed_im ~re ~im] computes the
+    one-sided spectrum [X_0 .. X_{n/2}] of a real record [x] of the
+    plan's size [n] into [re]/[im] (length at least [n/2 + 1]).  The
+    caller has already packed [z_k = x_{2k} + j x_{2k+1}] (possibly
+    fused with windowing) into [packed_re]/[packed_im] of length
+    exactly [n/2], which are consumed as scratch.  Matches the full
+    complex transform of [x] on bins [0 .. n/2] with half the
+    butterfly work. *)

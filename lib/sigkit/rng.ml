@@ -130,46 +130,19 @@ let gaussian_fill t buf ~n =
     end
   done
 
-(* A memo of the last fill into one buffer.  The splitmix64 counter
-   alone determines every later draw, so a generator with no pending
-   spare whose counter equals the memo's start would refill the buffer
-   with exactly what it already holds.  Counters live in a bytes cell
-   for the same unboxing reason as [t.state]. *)
-type fill_memo = {
-  counters : Bytes.t;                (* start at 0, end at 8 *)
-  mutable filled : int;              (* n of the memoised fill; -1 = none *)
-  mutable end_spare : float;
-  mutable end_has_spare : bool;
-}
+(* A saved position: the counter and the pending spare are the
+   generator's whole stream.  A pending spare is the second half of the
+   pair whose last uniform moved the counter to where it is, so the
+   counter and the has-spare bit alone tell two positions apart. *)
+type state = { counter : int64; spare : float; has_spare : bool }
 
-let fill_memo () =
-  { counters = Bytes.make 16 '\000'; filled = -1; end_spare = 0.0; end_has_spare = false }
+let save t = { counter = get64 t.state 0; spare = t.cached; has_spare = t.has_cached }
 
-let forget m = m.filled <- -1
+let restore t s =
+  set64 t.state 0 s.counter;
+  t.cached <- s.spare;
+  t.has_cached <- s.has_spare
 
-let gaussian_fill_memo t buf ~n m =
-  if m.filled = n && (not t.has_cached) && Int64.equal (get64 t.state 0) (get64 m.counters 0)
-  then begin
-    (* Hit: leave the generator exactly where the fill would. *)
-    set64 t.state 0 (get64 m.counters 8);
-    t.cached <- m.end_spare;
-    t.has_cached <- m.end_has_spare
-  end
-  else begin
-    m.filled <- -1;
-    (* A pending spare is not part of the counter: such a fill is done
-       but never memoised. *)
-    let memoisable = not t.has_cached in
-    set64 m.counters 0 (get64 t.state 0);
-    gaussian_fill t buf ~n;
-    if memoisable then begin
-      set64 m.counters 8 (get64 t.state 0);
-      m.end_spare <- t.cached;
-      m.end_has_spare <- t.has_cached;
-      m.filled <- n
-    end
-  end
-
-let gaussian_scaled t ~mean ~sigma = mean +. (sigma *. gaussian t)
+let is_at t s = Int64.equal (get64 t.state 0) s.counter && Bool.equal t.has_cached s.has_spare
 
 let bool t = Int64.logand (bits64 t) 1L = 1L

@@ -41,28 +41,22 @@ val gaussian_fill : t -> float array -> n:int -> unit
     produce.  Lets hot loops pre-fill per-run noise buffers.  Raises
     [Invalid_argument] if [n] exceeds the buffer length. *)
 
-type fill_memo
-(** What the last {!gaussian_fill_memo} into one buffer drew: the
-    generator position it started from and the position (and spare)
-    it left behind. *)
+type state
+(** A saved generator position: the splitmix64 counter and any pending
+    Box–Muller spare, which together fix every later draw. *)
 
-val fill_memo : unit -> fill_memo
-(** An empty memo: the next {!gaussian_fill_memo} fills. *)
+val save : t -> state
+(** The generator's current position. *)
 
-val forget : fill_memo -> unit
-(** Invalidate the memo, e.g. because its buffer was overwritten. *)
+val restore : t -> state -> unit
+(** [restore t s] moves [t] to [s]: its next draws are those that
+    followed [save].  The split seed is untouched. *)
 
-val gaussian_fill_memo : t -> float array -> n:int -> fill_memo -> unit
-(** [gaussian_fill_memo t buf ~n m] has the effect of
-    [gaussian_fill t buf ~n], in [buf] and in [t], provided [m] is only
-    ever used with [buf] and [buf] has not been written since.  When
-    [m] records a fill of the same [n] from the same generator
-    position, it skips the draw and only moves [t] to where that fill
-    left it (allocating nothing).  A fill started with a pending
-    Box–Muller spare is never memoised. *)
-
-val gaussian_scaled : t -> mean:float -> sigma:float -> float
-(** Normal draw with the given mean and standard deviation. *)
+val is_at : t -> state -> bool
+(** [is_at t s] holds when [t]'s next draws are exactly those saved in
+    [s]: the same counter, and a spare pending in both or in neither
+    (a pending spare is fixed by the counter that drew it).  Allocates
+    nothing. *)
 
 val bool : t -> bool
 (** Fair coin flip. *)

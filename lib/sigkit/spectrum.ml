@@ -94,5 +94,3 @@ let tone_power t ~freq =
     acc := !acc +. t.power.(k)
   done;
   !acc
-
-let psd_db t = Array.map Decibel.db_of_power_ratio t.power

@@ -39,6 +39,3 @@ val tone_power : t -> freq:float -> float
 val tone_bins : t -> freq:float -> int * int
 (** Inclusive bin range attributed to a tone at [freq] (peak bin +-
     window main lobe), for exclusion from noise integrals. *)
-
-val psd_db : t -> float array
-(** Bin powers in dB (10 log10), for plotting PSD shapes. *)

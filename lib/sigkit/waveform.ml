@@ -80,8 +80,6 @@ let add a b =
 
 let scale k = Array.map (fun x -> k *. x)
 
-let gaussian_noise rng ~sigma n = Array.init n (fun _ -> sigma *. Rng.gaussian rng)
-
 let rms x =
   let acc = ref 0.0 in
   Array.iter (fun v -> acc := !acc +. (v *. v)) x;

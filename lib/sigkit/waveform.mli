@@ -54,8 +54,6 @@ val two_tone_dbm : p_dbm:float -> f1:float -> f2:float -> fs:float -> int -> flo
 val add : float array -> float array -> float array
 val scale : float -> float array -> float array
 
-val gaussian_noise : Rng.t -> sigma:float -> int -> float array
-
 val rms : float array -> float
 val peak : float array -> float
 

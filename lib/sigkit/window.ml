@@ -41,18 +41,6 @@ let apply kind x =
   let w = table kind (Array.length x) in
   Array.mapi (fun i xi -> xi *. w.(i)) x
 
-let coherent_gain = function
-  | Rectangular -> 1.0
-  | Hann -> 0.5
-  | Hamming -> 0.54
-  | Blackman_harris -> 0.35875
-
-let noise_bandwidth = function
-  | Rectangular -> 1.0
-  | Hann -> 1.5
-  | Hamming -> 1.3628
-  | Blackman_harris -> 2.0044
-
 let main_lobe_bins = function
   | Rectangular -> 1
   | Hann -> 3

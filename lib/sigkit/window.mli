@@ -24,14 +24,6 @@ val coefficients : kind -> int -> float array
 val apply : kind -> float array -> float array
 (** Pointwise multiplication of a signal record by the window. *)
 
-val coherent_gain : kind -> float
-(** Mean window value: amplitude scaling experienced by a coherent tone. *)
-
-val noise_bandwidth : kind -> float
-(** Equivalent noise bandwidth in bins (ENBW); 1.0 for rectangular,
-    1.5 for Hann, ~2.0 for Blackman-Harris.  Needed to convert windowed
-    periodogram bins into unbiased band power. *)
-
 val main_lobe_bins : kind -> int
 (** Half-width (in bins) over which a windowed coherent tone spreads;
     bins within this distance of a tone are attributed to the tone when

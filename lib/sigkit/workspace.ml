@@ -1,14 +1,16 @@
 type tag = ..
 
 (* Each scratch array carries at most one description of its contents:
-   the memo of the last noise stream drawn into it, or an owner's tag.
-   Every writer clears the other's, and [arr] clears both whenever it
-   hands the array out for writing. *)
+   its owner's tag, or [None] while they are unknown.  [arr] clears it
+   whenever it hands the array out for writing. *)
 type entry = {
   data : float array;
-  memo : Rng.fill_memo;
   mutable tag : tag option;
 }
+
+(* A noise draw: where the generator started and where the fill left
+   it.  The length is the entry's own key. *)
+type tag += Noise of { start : Rng.state; finish : Rng.state }
 
 type t = { slots : (int, entry) Hashtbl.t }
 
@@ -29,21 +31,27 @@ let entry t ~slot ~len =
   | Some e -> e
   | None ->
     Atomic.incr allocs;
-    let e = { data = Array.make len 0.0; memo = Rng.fill_memo (); tag = None } in
+    let e = { data = Array.make len 0.0; tag = None } in
     Hashtbl.add t.slots k e;
     e
 
 let arr t ~slot ~len =
   let e = entry t ~slot ~len in
-  Rng.forget e.memo;
   e.tag <- None;
   e.data
 
 let gaussian t ~slot ~len rng =
   let e = entry t ~slot ~len in
-  e.tag <- None;
-  Rng.gaussian_fill_memo rng e.data ~n:len e.memo;
-  e.data
+  match e.tag with
+  | Some (Noise { start; finish }) when Rng.is_at rng start ->
+    Rng.restore rng finish;
+    e.data
+  | _ ->
+    e.tag <- None;
+    let start = Rng.save rng in
+    Rng.gaussian_fill rng e.data ~n:len;
+    e.tag <- Some (Noise { start; finish = Rng.save rng });
+    e.data
 
 let tagged t ~slot ~len ~same tag fill =
   let e = entry t ~slot ~len in
@@ -52,7 +60,6 @@ let tagged t ~slot ~len ~same tag fill =
   | _ ->
     (* Untagged while [fill] runs: a fill that raises leaves a slot
        that no later call can mistake for a finished one. *)
-    Rng.forget e.memo;
     e.tag <- None;
     fill e.data;
     e.tag <- Some tag;

@@ -17,7 +17,7 @@
 
     Slot discipline (keeps concurrent users of one domain apart; the
     full map and per-stage liveness argument are in DESIGN §15):
-    0-1 [Fft] convenience wrappers, 2-5 [Spectrum],
+    0-1 free, 2-5 [Spectrum],
     6-14 the [Rfchain] evaluation chain (6 settle-extended record,
     tagged with its single-tone front half, 7 modulator output, 8-10
     [Sdm] tagged comparator/input noise and buffer-mode jitter, 11-12
@@ -39,12 +39,14 @@ val gaussian : t -> slot:int -> len:int -> Rng.t -> float array
 (** [gaussian t ~slot ~len rng] returns the [(slot, len)] scratch array
     holding [len] standard normal draws from [rng]: the same values,
     and the same effect on [rng], as [Rng.gaussian_fill rng a ~n:len].
-    The array is tagged with the stream's starting position, so a later
-    call with a generator at that same position (e.g. a fresh split of
-    the same die and name) skips the draw and returns it unchanged.
-    The result is read-only, valid until the next {!arr} or [gaussian]
-    call on that slot and length; {!arr} and {!tagged} clear the
-    tag. *)
+    The array is tagged like a {!tagged} one, with the generator's
+    position before the draw and the position (pending spare included)
+    the draw left it at.  A later call with a generator at that same
+    starting position (e.g. a fresh split of the same die and name)
+    skips the draw, moves the generator to the end position and
+    returns the array unchanged.  The result is read-only, valid until
+    the next {!arr}, [gaussian] or {!tagged} call on that slot and
+    length; {!arr} clears the tag and {!tagged} replaces it. *)
 
 type tag = ..
 (** What a {!tagged} array holds.  Extensible: each owner of a tagged

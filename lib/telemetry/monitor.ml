@@ -125,7 +125,7 @@ let metrics_body () = Openmetrics.render ~gauges:(gauges ()) ()
 
 (* ------------------------------------------------------------- heartbeat *)
 
-let interval_ns = Atomic.make 1_000_000_000  (* 1 s *)
+let interval_ns = 1_000_000_000L  (* 1 s *)
 let last_beat_ns = Atomic.make 0L
 let beat_mutex = Mutex.create ()
 
@@ -156,25 +156,19 @@ let tick () =
   if Atomic.get active then begin
     let now = now_ns () in
     let last = Atomic.get last_beat_ns in
-    if Int64.sub now last >= Int64.of_int (Atomic.get interval_ns) && Mutex.try_lock beat_mutex
+    if Int64.sub now last >= interval_ns && Mutex.try_lock beat_mutex
     then
       Fun.protect
         ~finally:(fun () -> Mutex.unlock beat_mutex)
         (fun () ->
           (* Re-check under the lock: another domain may have beaten
              between the load and the lock. *)
-          if Int64.sub now (Atomic.get last_beat_ns) >= Int64.of_int (Atomic.get interval_ns)
+          if Int64.sub now (Atomic.get last_beat_ns) >= interval_ns
           then begin
             Atomic.set last_beat_ns now;
             beat ()
           end)
   end
-
-let set_heartbeat ?interval_s on =
-  (match interval_s with
-  | Some s when s > 0.0 -> Atomic.set interval_ns (int_of_float (s *. 1e9))
-  | _ -> ());
-  Atomic.set active on
 
 (* ---------------------------------------------------------- HTTP scrape *)
 
@@ -196,7 +190,6 @@ let healthz_body () =
 
 type server = {
   sock : Unix.file_descr;
-  srv_port : int;
   shutdown : bool Atomic.t;
   mutable domain : unit Domain.t option;
 }
@@ -287,7 +280,7 @@ let start_server ~port =
       let srv_port =
         match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port
       in
-      let srv = { sock; srv_port; shutdown = Atomic.make false; domain = None } in
+      let srv = { sock; shutdown = Atomic.make false; domain = None } in
       srv.domain <- Some (Domain.spawn (fun () -> accept_loop srv));
       Mutex.lock server_mutex;
       server := Some srv;
@@ -299,12 +292,6 @@ let start_server ~port =
         "monitor: scrape server listening";
       Ok srv_port
   end
-
-let server_port () =
-  Mutex.lock server_mutex;
-  let p = Option.map (fun s -> s.srv_port) !server in
-  Mutex.unlock server_mutex;
-  p
 
 let reset () =
   Atomic.set active false;

@@ -43,14 +43,11 @@ val healthz_body : unit -> string
 
 (** {1 Heartbeat} *)
 
-val set_heartbeat : ?interval_s:float -> bool -> unit
-(** Enable/disable heartbeat emission (default interval 1s).
-    Heartbeats are [Log.info] lines emitted from {!tick}. *)
-
 val tick : unit -> unit
 (** Called by [Cancel.poll] on the 4096-sample cadence.  When
-    monitoring is enabled and the interval has elapsed, emits one
-    heartbeat; otherwise a single atomic load. *)
+    monitoring is enabled (by {!start_server}) and a second has passed
+    since the last one, emits one heartbeat, a [Log.info] line;
+    otherwise a single atomic load. *)
 
 (** {1 Scrape server} *)
 
@@ -61,7 +58,6 @@ val start_server : port:int -> (int, string) result
     response; it is stopped automatically at exit. *)
 
 val stop_server : unit -> unit
-val server_port : unit -> int option
 
 val reset : unit -> unit
 (** Testing: disable monitoring and clear the progress board. *)

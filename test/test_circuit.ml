@@ -210,15 +210,6 @@ let test_comparator_buffer () =
   done;
   check_close "buffer clips" Circuit.Comparator.buffer_clip !v
 
-(* ------------------------------------------------------------------ Dac *)
-
-let test_dac_levels () =
-  let d = Circuit.Dac.create (chip ()) ~gain:1.0 in
-  let pos = Circuit.Dac.convert d 1.0 and neg = Circuit.Dac.convert d (-1.0) in
-  Alcotest.(check bool) "signs" true (pos > 0.0 && neg < 0.0);
-  check_close ~eps:0.02 "levels near unity" 1.0 pos;
-  check_close ~eps:0.02 "levels near unity" 1.0 (-.neg)
-
 (* --------------------------------------------------------- Noise_source *)
 
 let test_noise_sigma () =
@@ -344,7 +335,6 @@ let () =
           Alcotest.test_case "hysteresis" `Quick test_comparator_hysteresis;
           Alcotest.test_case "buffer mode" `Quick test_comparator_buffer;
         ] );
-      ("dac", [ Alcotest.test_case "levels" `Quick test_dac_levels ]);
       ( "noise",
         [
           Alcotest.test_case "sigma" `Quick test_noise_sigma;

@@ -189,64 +189,6 @@ let test_threats () =
   let remark = Core.Threat_model.remarking std ~seed:990009 in
   Alcotest.(check bool) "remarking defeated" false remark.Core.Threat_model.attacker_success
 
-(* ------------------------------------------------------------- Key_codec *)
-
-let test_codec_hex_roundtrip () =
-  let config = Rfchain.Config.nominal in
-  let hex = Core.Key_codec.config_to_hex config in
-  Alcotest.(check int) "16 digits" 16 (String.length hex);
-  match Core.Key_codec.config_of_hex hex with
-  | Ok c -> Alcotest.(check bool) "roundtrip" true (Rfchain.Config.equal c config)
-  | Error e -> Alcotest.fail e
-
-let test_codec_rejects_bad_hex () =
-  let is_err s = Result.is_error (Core.Key_codec.config_of_hex s) in
-  Alcotest.(check bool) "short" true (is_err "abc");
-  Alcotest.(check bool) "long" true (is_err "00112233445566778899");
-  Alcotest.(check bool) "non-hex" true (is_err "00112233445566zz")
-
-let test_codec_image_roundtrip () =
-  let c = chip () in
-  let keys =
-    [
-      Core.Key.make ~standard:Rfchain.Standards.bluetooth ~chip:c Rfchain.Config.nominal;
-      Core.Key.make ~standard:Rfchain.Standards.max_frequency ~chip:c
-        (Rfchain.Config.with_field Rfchain.Config.nominal "gm_q" 17);
-    ]
-  in
-  match Core.Key_codec.record_of_keys keys with
-  | Error e -> Alcotest.fail e
-  | Ok record -> (
-    let image = Core.Key_codec.to_image record in
-    match Core.Key_codec.of_image image with
-    | Error e -> Alcotest.fail e
-    | Ok parsed ->
-      Alcotest.(check int) "die preserved" record.Core.Key_codec.chip_seed
-        parsed.Core.Key_codec.chip_seed;
-      Alcotest.(check int) "entry count" 2 (List.length parsed.Core.Key_codec.entries);
-      List.iter2
-        (fun (sa, ca) (sb, cb) ->
-          Alcotest.(check string) "standard" sa sb;
-          Alcotest.(check bool) "config" true (Rfchain.Config.equal ca cb))
-        record.Core.Key_codec.entries parsed.Core.Key_codec.entries)
-
-let test_codec_image_errors () =
-  let is_err s = Result.is_error (Core.Key_codec.of_image s) in
-  Alcotest.(check bool) "missing die header" true (is_err "bluetooth=0011223344556677\n");
-  Alcotest.(check bool) "bad seed" true (is_err "die abc\n");
-  Alcotest.(check bool) "bad line" true (is_err "die 1\nnonsense\n");
-  Alcotest.(check bool) "duplicate standard" true
-    (is_err "die 1\nbt=0011223344556677\nbt=0011223344556677\n");
-  Alcotest.(check bool) "comments and blanks ok" true
-    (Result.is_ok (Core.Key_codec.of_image "# c\n\ndie 7\nbt=0011223344556677\n"))
-
-let test_codec_record_validation () =
-  let k1 = Core.Key.make ~standard:Rfchain.Standards.bluetooth ~chip:(chip ~seed:1 ()) Rfchain.Config.nominal in
-  let k2 = Core.Key.make ~standard:Rfchain.Standards.zigbee ~chip:(chip ~seed:2 ()) Rfchain.Config.nominal in
-  Alcotest.(check bool) "mixed dice rejected" true
-    (Result.is_error (Core.Key_codec.record_of_keys [ k1; k2 ]));
-  Alcotest.(check bool) "empty rejected" true (Result.is_error (Core.Key_codec.record_of_keys []))
-
 (* ------------------------------------------------------------ Properties *)
 
 let prop_puf_xor_roundtrip =
@@ -272,14 +214,6 @@ let prop_activation_binds_key_bits =
       && not
            (Core.Activation.verify pub
               { act with Core.Activation.user_key = { uk with key_bits = Int64.add bits 1L } }))
-
-let prop_hex_roundtrip =
-  QCheck.Test.make ~name:"hex codec roundtrips any word" ~count:200 QCheck.int64
-    (fun bits ->
-      let config = Rfchain.Config.of_bits bits in
-      match Core.Key_codec.config_of_hex (Core.Key_codec.config_to_hex config) with
-      | Ok c -> Rfchain.Config.equal c config
-      | Error _ -> false)
 
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
@@ -321,13 +255,5 @@ let () =
           Alcotest.test_case "open-loop signature" `Quick test_open_loop_signature;
         ] );
       ("threat model", [ Alcotest.test_case "scenarios" `Slow test_threats ]);
-      ( "key codec",
-        [
-          Alcotest.test_case "hex roundtrip" `Quick test_codec_hex_roundtrip;
-          Alcotest.test_case "bad hex" `Quick test_codec_rejects_bad_hex;
-          Alcotest.test_case "image roundtrip" `Quick test_codec_image_roundtrip;
-          Alcotest.test_case "image errors" `Quick test_codec_image_errors;
-          Alcotest.test_case "record validation" `Quick test_codec_record_validation;
-        ] );
-      ("properties", qcheck [ prop_puf_xor_roundtrip; prop_activation_binds_key_bits; prop_hex_roundtrip ]);
+      ("properties", qcheck [ prop_puf_xor_roundtrip; prop_activation_binds_key_bits ]);
     ]

@@ -412,13 +412,10 @@ let test_mixer_quadrature () =
 
 (* ------------------------------------------------------------ Decimator *)
 
-let test_decimator_bits () =
+let test_decimator_default () =
   let c = Rfchain.Decimator.default_config in
   Alcotest.(check int) "default ratio 64" 64 (Rfchain.Decimator.ratio c);
-  for bits = 0 to 7 do
-    Alcotest.(check int) "3-bit codec roundtrip" bits
-      (Rfchain.Decimator.bits_of_config (Rfchain.Decimator.config_of_bits bits))
-  done
+  Alcotest.(check bool) "compensator in the path" true c.Rfchain.Decimator.compensator
 
 let test_decimator_dc_gain () =
   let c = Rfchain.Decimator.default_config in
@@ -471,7 +468,7 @@ let prop_fused_downconvert_iq =
     (QCheck.make fused_case_gen ~print:(fun (b, sl, p, k, r, seed) ->
          Printf.sprintf "bits=%d slice=%b pos=%d periods=%d rem=%d seed=%d" b sl p k r seed))
     (fun (bits, slice, pos, periods, rem, seed) ->
-      let c = Rfchain.Decimator.config_of_bits bits in
+      let c = { Rfchain.Decimator.ratio_select = bits land 3; compensator = bits land 4 <> 0 } in
       let ratio = Rfchain.Decimator.ratio c in
       let n = (periods * ratio) + (rem mod ratio) in
       let st = Random.State.make [| seed |] in
@@ -914,7 +911,7 @@ let () =
         ] );
       ( "decimator",
         [
-          Alcotest.test_case "3-bit codec" `Quick test_decimator_bits;
+          Alcotest.test_case "default ratio" `Quick test_decimator_default;
           Alcotest.test_case "DC gain" `Quick test_decimator_dc_gain;
           Alcotest.test_case "all ratios" `Quick test_decimator_all_ratios;
           Alcotest.test_case "passband" `Quick test_decimator_passband;

@@ -136,6 +136,8 @@ let test_window_apply_length () =
 
 (* ------------------------------------------------------------------ Fft *)
 
+let of_real x = (Array.copy x, Array.make (Array.length x) 0.0)
+
 let test_fft_pow2 () =
   Alcotest.(check bool) "1024 is pow2" true (Sigkit.Fft.is_pow2 1024);
   Alcotest.(check bool) "1000 is not" false (Sigkit.Fft.is_pow2 1000);
@@ -154,17 +156,19 @@ let test_fft_roundtrip () =
   let rng = Sigkit.Rng.create 99 in
   let n = 256 in
   let x = Array.init n (fun _ -> Sigkit.Rng.gaussian rng) in
-  let re, im = Sigkit.Fft.of_real x in
+  let re, im = of_real x in
   Sigkit.Fft.forward re im;
-  Sigkit.Fft.inverse re im;
-  Array.iteri (fun i v -> check_close ~eps:1e-9 "roundtrip" x.(i) v) re
+  (* Swapping the real and imaginary parts turns the forward kernel
+     into the unnormalised inverse one. *)
+  Sigkit.Fft.forward im re;
+  Array.iteri (fun i v -> check_close ~eps:1e-9 "roundtrip" x.(i) (v /. float_of_int n)) re
 
 let test_fft_parseval () =
   let rng = Sigkit.Rng.create 17 in
   let n = 512 in
   let x = Array.init n (fun _ -> Sigkit.Rng.gaussian rng) in
   let time_energy = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 x in
-  let re, im = Sigkit.Fft.of_real x in
+  let re, im = of_real x in
   Sigkit.Fft.forward re im;
   let freq_energy =
     Array.fold_left ( +. ) 0.0 (Sigkit.Fft.magnitude_squared re im) /. float_of_int n
@@ -174,7 +178,7 @@ let test_fft_parseval () =
 let test_fft_sine_bin () =
   let n = 1024 and k = 37 in
   let x = Array.init n (fun i -> sin (2.0 *. Float.pi *. float_of_int (k * i) /. float_of_int n)) in
-  let re, im = Sigkit.Fft.of_real x in
+  let re, im = of_real x in
   Sigkit.Fft.forward re im;
   let mag = Sigkit.Fft.magnitude_squared re im in
   let peak = ref 0 in
@@ -247,7 +251,12 @@ let prop_real_fft_matches_reference =
       let x = Array.init n (fun _ -> Sigkit.Rng.gaussian rng) in
       let rre = Array.copy x and rim = Array.make n 0.0 in
       reference_forward rre rim;
-      let re, im = Sigkit.Fft.real_forward x in
+      (* The packed path [Spectrum.periodogram] runs, unwindowed. *)
+      let m = n / 2 in
+      let packed_re = Array.init m (fun k -> x.(2 * k))
+      and packed_im = Array.init m (fun k -> x.((2 * k) + 1)) in
+      let re = Array.make (m + 1) 0.0 and im = Array.make (m + 1) 0.0 in
+      Sigkit.Plan.real_forward_packed (Sigkit.Plan.real_get n) ~packed_re ~packed_im ~re ~im;
       (* Relative to the spectrum scale: the recurrence itself drifts by
          a few ulps per stage, so compare against the largest bin. *)
       let scale = ref 1.0 in
@@ -392,6 +401,63 @@ let test_workspace_gaussian_spare () =
   let again = Sigkit.Workspace.gaussian w ~slot:15 ~len (spared ()) in
   Alcotest.(check bool) "spared stream at a tagged counter is not a hit" true
     (same_floats again got_spared)
+
+(* A fill started with a spare pending is tagged like any other: the
+   repeat is a hit with the plain fill's values and continuation. *)
+let test_workspace_gaussian_spare_hit () =
+  let w = Sigkit.Workspace.get () in
+  let len = 21 in
+  let spared () =
+    let r = stream "spare-hit" in
+    ignore (Sigkit.Rng.gaussian r);
+    r
+  in
+  ignore (Sigkit.Workspace.arr w ~slot:15 ~len);
+  let a = Sigkit.Workspace.gaussian w ~slot:15 ~len (spared ()) in
+  let first = a.(0) in
+  a.(0) <- 42.0;
+  let r = spared () and reference = spared () in
+  let b = Sigkit.Workspace.gaussian w ~slot:15 ~len r in
+  Alcotest.(check (float 0.0)) "hit, not refilled" 42.0 b.(0);
+  b.(0) <- first;
+  Alcotest.(check bool) "hit equals gaussian_fill" true (same_floats b (plain_fill reference len));
+  check_continuation "after a spared hit" r reference
+
+(* An entry carries one description: a noise tag and an owner's tag
+   replace each other, so neither is ever taken for the other. *)
+type Sigkit.Workspace.tag += Probe
+
+let test_workspace_one_tag () =
+  let w = Sigkit.Workspace.get () in
+  let len = 48 in
+  let same a b = match (a, b) with Probe, Probe -> true | _ -> false in
+  let fills = ref 0 in
+  let probe () =
+    Sigkit.Workspace.tagged w ~slot:15 ~len ~same Probe (fun a ->
+        incr fills;
+        Array.fill a 0 len 7.0)
+  in
+  let noise msg =
+    let r = stream "one-tag" and reference = stream "one-tag" in
+    let got = Sigkit.Workspace.gaussian w ~slot:15 ~len r in
+    Alcotest.(check bool) (msg ^ " equals gaussian_fill") true
+      (same_floats got (plain_fill reference len));
+    check_continuation msg r reference
+  in
+  let probed msg expected_fills =
+    let got = probe () in
+    Alcotest.(check int) (msg ^ ": fill ran") expected_fills !fills;
+    Alcotest.(check bool) (msg ^ " holds the owner's fill") true
+      (Array.for_all (Float.equal 7.0) got)
+  in
+  ignore (Sigkit.Workspace.arr w ~slot:15 ~len);
+  (* gaussian -> tagged -> gaussian: the second draw is redrawn. *)
+  noise "first draw";
+  probed "tagged after a draw" 1;
+  noise "draw after tagged";
+  (* tagged -> gaussian -> tagged: the second fill runs again. *)
+  probed "tagged after a draw, again" 2;
+  probed "repeat is a hit" 2
 
 (* Two domains running the workspace-backed measurement path
    concurrently must reproduce the sequential results bit for bit:
@@ -547,10 +613,10 @@ let prop_fft_linearity =
       let n = Array.length x in
       n = 64
       && begin
-           let re1, im1 = Sigkit.Fft.of_real x in
+           let re1, im1 = of_real x in
            Sigkit.Fft.forward re1 im1;
            let scaled = Array.map (fun v -> k *. v) x in
-           let re2, im2 = Sigkit.Fft.of_real scaled in
+           let re2, im2 = of_real scaled in
            Sigkit.Fft.forward re2 im2;
            Array.for_all2 (fun a b -> Float.abs ((k *. a) -. b) < 1e-6 *. (1.0 +. Float.abs b)) re1 re2
          end)
@@ -664,6 +730,9 @@ let () =
           Alcotest.test_case "workspace gaussian alternating" `Quick
             test_workspace_gaussian_alternating;
           Alcotest.test_case "workspace gaussian spare" `Quick test_workspace_gaussian_spare;
+          Alcotest.test_case "workspace gaussian spare hit" `Quick
+            test_workspace_gaussian_spare_hit;
+          Alcotest.test_case "workspace one tag" `Quick test_workspace_one_tag;
         ] );
       ( "spectrum",
         [
