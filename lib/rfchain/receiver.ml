@@ -40,9 +40,11 @@ let runs = Telemetry.Counter.make "receiver.runs"
 let samples = Telemetry.Counter.make "receiver.samples"
 
 (* Workspace slots of the evaluation chain (see DESIGN §15 for the full
-   map and aliasing argument).  Every slot but the two tagged front-end
-   slots is dead again by the time a run returns: the only arrays that
-   escape are the freshly allocated result fields. *)
+   map and aliasing argument).  Every slot but the tagged ones (front
+   halves, ΣΔ noise and drive) is dead again by the time a run
+   returns: the only arrays that escape are the freshly allocated
+   result fields.  The VGLNA borrows [mod_slot] for its noise batch,
+   which is dead before the modulator writes there. *)
 let extended_slot = 6
 let two_tone_slot = 14
 let mod_slot = 7
@@ -64,14 +66,15 @@ let rotation ~n ~settle = (n - (settle mod n)) mod n
 (* The half of the chain after the VGLNA, shared by both entry points:
    SDM, then slice + mixer + decimator in one pass, on the
    settle-extended VGLNA output [amplified], decimated with the
-   default digital setting. *)
-let back_half t ~analog ~settle ~slice ~n amplified =
+   default digital setting.  [memo] describes [amplified] to the SDM
+   (see [Sdm.run_into]). *)
+let back_half ?memo t ~analog ~settle ~slice ~n amplified =
   let digital = Decimator.default_config in
   let total = settle + n in
   let ws = Sigkit.Workspace.get () in
   let sdm = Sdm.create t.chip ~fs:(fs t) analog in
   let mod_full = Sigkit.Workspace.arr ws ~slot:mod_slot ~len:total in
-  Sdm.run_into sdm amplified mod_full;
+  Sdm.run_into ?memo sdm amplified mod_full;
   let mod_output = Array.sub mod_full settle n in
   let baseband_i, baseband_q = Decimator.downconvert_iq ~slice digital mod_full ~pos:settle ~n in
   {
@@ -147,7 +150,7 @@ let run_stimulus t ~analog ?(settle = 1024) ~stimulus ~n () =
     | Sigkit.Waveform.Tone _ -> extended_slot
     | Sigkit.Waveform.Two_tone _ -> two_tone_slot
   in
-  let amplified =
+  let amplified, memo =
     match t.rf_fault with
     | Some f ->
       (* An opaque hook sits between stimulus and VGLNA: no memo. *)
@@ -155,16 +158,24 @@ let run_stimulus t ~analog ?(settle = 1024) ~stimulus ~n () =
       Sigkit.Waveform.render_into stimulus ~n ~rot extended;
       let extended = f extended in
       Vglna.run_inplace t.vglna ~code extended;
-      extended
+      (extended, None)
     | None ->
       let front =
         Front { die = Circuit.Process.identity t.chip; rate = fs t; stimulus; n; settle; code }
       in
-      Sigkit.Workspace.tagged ws ~slot ~len:total ~same:same_front front (fun extended ->
-          Sigkit.Waveform.render_into stimulus ~n ~rot extended;
-          Vglna.run_inplace t.vglna ~code extended)
+      let amplified =
+        Sigkit.Workspace.tagged ws ~slot ~len:total ~same:same_front front (fun extended ->
+            Sigkit.Waveform.render_into stimulus ~n ~rot extended;
+            Vglna.run_inplace t.vglna ~code extended)
+      in
+      (* The SDM keeps one drive, so only single tones get it: a
+         two-tone would evict it each time calibration alternates the
+         two at one length. *)
+      match stimulus with
+      | Sigkit.Waveform.Tone _ -> (amplified, Some (front, same_front))
+      | Sigkit.Waveform.Two_tone _ -> (amplified, None)
   in
-  back_half t ~analog ~settle ~slice:true ~n amplified
+  back_half ?memo t ~analog ~settle ~slice:true ~n amplified
 
 (* Offset the coherent test tone by a quarter of the band: far enough
    from the carrier bin for clean binning, while the aliased third

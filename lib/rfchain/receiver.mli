@@ -82,8 +82,10 @@ val run_stimulus :
     (6 for a [Tone], 14 for a [Two_tone]) tagged with the die's
     identity, the sampling rate, the stimulus bits, [n], [settle] and
     the applied gain code; a later call on the same domain with an
-    equal tag reuses it and runs only the back half.  A receiver with
-    an [rf_fault] hook renders and amplifies afresh on every call.
+    equal tag reuses it and runs only the back half.  For a [Tone] the
+    modulator also keeps its input drive under that tag
+    ({!Sdm.run_into}'s [memo]).  A receiver with an [rf_fault] hook
+    renders and amplifies afresh on every call and keeps no drive.
     Raises [Invalid_argument] when [n < 1] or [settle < 0]. *)
 
 val test_tone_frequency : t -> n:int -> float

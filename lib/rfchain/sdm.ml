@@ -161,22 +161,69 @@ let hist_mask = hist_len - 1
 (* Workspace slots (DESIGN §15).  8-9 hold the comparator and input
    noise and 10 the buffer-mode jitter, each tagged with its stream:
    every stream is a fresh split of the die's root, a pure function of
-   (die, name), so a die's repeat runs find the draw already there. *)
+   (die, name), so a die's repeat runs find the draw already there.
+   13 holds the drive of a described input record (below). *)
 let comp_slot = 8
 let input_slot = 9
 let jitter_slot = 10
+let drive_slot = 13
 
-(* One loop for every configuration word: the four mode bits are loop
-   invariants and every noise sample is drawn before the loop, so the
-   per-sample work stays unboxed in local floats.  The recurrences are
-   [Circuit.Resonator.output]/[feed], [Circuit.Comparator.step] and
-   [Circuit.Nonlinear.apply] replicated expression for expression, so
-   the output is bit-identical to composing those modules (test_rfchain
-   keeps that composition as the oracle).  The history shift is a
-   masked circular index.  Array accesses are unsafe: [input],
+(* The loop's input drive, in a pass of its own: the Gmin stage
+   ([Circuit.Nonlinear.apply], replicated expression for expression)
+   plus the input-referred noise.  Neither depends on the loop state.
+   [u] may be [input] itself. *)
+let drive_into t input u =
+  let n = Array.length input in
+  let noise =
+    Sigkit.Workspace.gaussian (Sigkit.Workspace.get ()) ~slot:input_slot ~len:n
+      (Circuit.Process.noise_stream t.chip ~name:"run.input")
+  in
+  let in_sigma = t.input_noise_sigma in
+  if t.config.gmin_enable then begin
+    let gmin = t.gmin in
+    let g_a1, g_a2, g_a3, g_rail = Circuit.Nonlinear.coefficients t.gmin_stage in
+    let g_railed = Float.is_finite g_rail in
+    for i = 0 to n - 1 do
+      let x = Array.unsafe_get input i in
+      let y = (g_a1 *. x) +. (g_a2 *. x *. x) +. (g_a3 *. x *. x *. x) in
+      let y = if g_railed then g_rail *. tanh (y /. g_rail) else y in
+      Array.unsafe_set u i ((gmin *. y) +. (in_sigma *. Array.unsafe_get noise i))
+    done
+  end
+  else
+    for i = 0 to n - 1 do
+      Array.unsafe_set u i (0.0 +. (in_sigma *. Array.unsafe_get noise i))
+    done
+
+(* What the drive slot holds: the drive of the input record that the
+   caller's tag describes, under one [gmin_bias], with the Gmin stage
+   on.  That tag fixes the die (see sdm.mli), and with it the input
+   noise and the die's Gmin draws; of the word, only [gmin_bias] moves
+   [gmin] and the stage's IIP3. *)
+type Sigkit.Workspace.tag += Drive of { input : Sigkit.Workspace.tag; gmin_bias : int }
+
+let same_drive same_input held wanted =
+  match held, wanted with
+  | Drive a, Drive b -> a.gmin_bias = b.gmin_bias && same_input a.input b.input
+  | _ -> false
+
+(* Samples between cancellation polls: the cadence of
+   [Telemetry.Cancel.tick_poll], one poll at samples 0, 4096, ... *)
+let poll_block = 4096
+
+(* One loop for every configuration word, carrying only the
+   recurrence: the mode bits are loop invariants, the input drive and
+   every noise sample are ready before it, the calibration buffer is a
+   pointwise pass after it, and the cancellation poll runs between
+   blocks, so the per-sample body calls no function.  The recurrences
+   are [Circuit.Resonator.output]/[feed], [Circuit.Comparator.step]
+   and [Circuit.Nonlinear.apply] replicated expression for expression,
+   so the output is bit-identical to composing those modules
+   (test_rfchain keeps that composition as the oracle).  The history
+   shift is a masked circular index.  Array accesses are unsafe: the drive,
    [output] and the noise buffers all have length >= n (the empty
    jitter buffer of the clocked modes is never read). *)
-let run_into t input output =
+let run_into ?memo t input output =
   let n = Array.length input in
   if Array.length output < n then invalid_arg "Sdm.run_into: output shorter than input";
   Telemetry.Counter.incr runs;
@@ -184,8 +231,19 @@ let run_into t input output =
   Telemetry.Span.with_ ~name:"sdm.run" (fun () ->
   let cfg = t.config in
   let clocked = cfg.comp_clock_enable and fb_on = cfg.fb_enable in
-  let gmin_on = cfg.gmin_enable and cal_buffer = cfg.cal_buffer_enable in
   let ws = Sigkit.Workspace.get () in
+  (* Without the Gmin stage the drive is bare noise, one multiply per
+     sample: not worth a slot. *)
+  let drive =
+    match memo with
+    | Some (input_tag, same_input) when cfg.gmin_enable ->
+      Sigkit.Workspace.tagged ws ~slot:drive_slot ~len:n ~same:(same_drive same_input)
+        (Drive { input = input_tag; gmin_bias = cfg.gmin_bias })
+        (fun u -> drive_into t input u)
+    | _ ->
+      drive_into t input output;
+      output
+  in
   (* Without the clock the latch never regenerates: its full
      input-referred noise shows up on the buffered output. *)
   let comp_sigma =
@@ -204,10 +262,6 @@ let run_into t input output =
     else
       Sigkit.Workspace.gaussian ws ~slot:comp_slot ~len:n
         (Circuit.Process.noise_stream t.chip ~name:"run.comp")
-  in
-  let input_buf =
-    Sigkit.Workspace.gaussian ws ~slot:input_slot ~len:n
-      (Circuit.Process.noise_stream t.chip ~name:"run.input")
   in
   (* An unclocked comparator output crosses into the clocked digital
      domain asynchronously: no retiming, so the effective sampling
@@ -242,87 +296,93 @@ let run_into t input output =
   let lp_alpha = Circuit.Comparator.buffer_pole_alpha in
   let lp_gain = Circuit.Comparator.buffer_gain and clip = Circuit.Comparator.buffer_clip in
   let gdac = t.gdac and mismatch = t.dac_mismatch in
-  let gmin = t.gmin in
-  let g_a1, g_a2, g_a3, g_rail = Circuit.Nonlinear.coefficients t.gmin_stage in
-  let g_railed = Float.is_finite g_rail in
-  let in_sigma = t.input_noise_sigma in
-  let bgain = t.buffer_gain in
   let v_prev = ref 0.0 in
   let hist = Array.make hist_len 0.0 in
   let head = ref 0 in
-  for i = 0 to n - 1 do
+  let block = ref 0 in
+  while !block < n do
     (* Cancellation point: a deadline or SIGINT stops the capture
        within 4096 samples (raises; never perturbs the recurrence). *)
-    Telemetry.Cancel.tick_poll i;
-    (* Forward path first: both resonator outputs depend only on past
-       loop inputs, so no algebraic loop arises. *)
-    let w1 =
-      let y = (a1_1 *. !r1y1) +. (a2 *. !r1y2) +. !r1x2 in
-      let y = if y > limit then limit else if y < -.limit then -.limit else y in
-      r1y2 := !r1y1;
-      r1y1 := y;
-      r1x2 := !r1x1;
-      y
-    in
-    let w2 =
-      let y = (a1_2 *. !r2y1) +. (a2 *. !r2y2) +. !r2x2 in
-      let y = if y > limit then limit else if y < -.limit then -.limit else y in
-      r2y2 := !r2y1;
-      r2y1 := y;
-      r2x2 := !r2x1;
-      y
-    in
-    let s = preamp *. (w2 +. open_loop_offset) in
-    let v_in = s +. offset +. (comp_sigma *. Array.unsafe_get comp_buf i) in
-    let v =
-      if clocked then begin
-        (* Regenerative latch with hysteresis. *)
-        let d = if Float.abs v_in <= hyst then !comp_prev else if v_in > 0.0 then 1.0 else -1.0 in
-        comp_prev := d;
-        d
-      end
-      else begin
-        (* Unclocked latch: a one-pole low-pass, attenuated and clipped. *)
-        lp_state := !lp_state +. (lp_alpha *. (v_in -. !lp_state));
-        let b = lp_gain *. !lp_state in
-        if b > clip then clip else if b < -.clip then -.clip else b
-      end
-    in
-    (* Circular decision history; tap k is the decision k samples old,
-       i.e. index (head + k) under the mask. *)
-    let h = (!head + hist_mask) land hist_mask in
-    head := h;
-    Array.unsafe_set hist h v;
-    let v_delayed =
-      (fa *. Array.unsafe_get hist ((h + d_int) land hist_mask))
-      +. (d_frac *. Array.unsafe_get hist ((h + d_int + 1) land hist_mask))
-    in
-    let fb = if fb_on then gdac *. (v_delayed +. mismatch) else 0.0 in
-    let u =
-      let signal =
-        if gmin_on then begin
-          let x = Array.unsafe_get input i in
-          let y = (g_a1 *. x) +. (g_a2 *. x *. x) +. (g_a3 *. x *. x *. x) in
-          let y = if g_railed then g_rail *. tanh (y /. g_rail) else y in
-          gmin *. y
-        end
-        else 0.0
+    Telemetry.Cancel.poll ();
+    let stop = if n - !block < poll_block then n else !block + poll_block in
+    for i = !block to stop - 1 do
+      (* Read first: the drive may be [output], whose cell i is stored
+         last. *)
+      let u = Array.unsafe_get drive i in
+      (* Forward path first: both resonator outputs depend only on past
+         loop inputs, so no algebraic loop arises. *)
+      let w1 =
+        let y = (a1_1 *. !r1y1) +. (a2 *. !r1y2) +. !r1x2 in
+        let y = if y > limit then limit else if y < -.limit then -.limit else y in
+        r1y2 := !r1y1;
+        r1y1 := y;
+        r1x2 := !r1x1;
+        y
       in
-      signal +. (in_sigma *. Array.unsafe_get input_buf i)
-    in
-    r1x1 := u -. (k1 *. fb);
-    r2x1 := w1 -. (k2 *. fb);
-    let v_sampled =
-      if clocked then v
-      else begin
-        let slope = v -. !v_prev in
-        v_prev := v;
-        v +. (0.2 *. Array.unsafe_get jitter_buf i *. slope)
-      end
-    in
-    Array.unsafe_set output i
-      (if cal_buffer then 1.2 *. tanh (bgain *. v_sampled /. 1.2) else v_sampled)
-  done)
+      let w2 =
+        let y = (a1_2 *. !r2y1) +. (a2 *. !r2y2) +. !r2x2 in
+        let y = if y > limit then limit else if y < -.limit then -.limit else y in
+        r2y2 := !r2y1;
+        r2y1 := y;
+        r2x2 := !r2x1;
+        y
+      in
+      let s = preamp *. (w2 +. open_loop_offset) in
+      let v_in = s +. offset +. (comp_sigma *. Array.unsafe_get comp_buf i) in
+      let v =
+        if clocked then begin
+          (* Regenerative latch with hysteresis. *)
+          let d = if Float.abs v_in <= hyst then !comp_prev else if v_in > 0.0 then 1.0 else -1.0 in
+          comp_prev := d;
+          d
+        end
+        else begin
+          (* Unclocked latch: a one-pole low-pass, attenuated and clipped. *)
+          lp_state := !lp_state +. (lp_alpha *. (v_in -. !lp_state));
+          let b = lp_gain *. !lp_state in
+          if b > clip then clip else if b < -.clip then -.clip else b
+        end
+      in
+      (* Circular decision history; tap k is the decision k samples old,
+         i.e. index (head + k) under the mask. *)
+      let h = (!head + hist_mask) land hist_mask in
+      head := h;
+      Array.unsafe_set hist h v;
+      let v_delayed =
+        (fa *. Array.unsafe_get hist ((h + d_int) land hist_mask))
+        +. (d_frac *. Array.unsafe_get hist ((h + d_int + 1) land hist_mask))
+      in
+      let fb = if fb_on then gdac *. (v_delayed +. mismatch) else 0.0 in
+      r1x1 := u -. (k1 *. fb);
+      r2x1 := w1 -. (k2 *. fb);
+      let v_sampled =
+        if clocked then v
+        else begin
+          let slope = v -. !v_prev in
+          v_prev := v;
+          v +. (0.2 *. Array.unsafe_get jitter_buf i *. slope)
+        end
+      in
+      Array.unsafe_set output i v_sampled
+    done;
+    block := stop
+  done;
+  if cfg.cal_buffer_enable then begin
+    let bgain = t.buffer_gain in
+    if clocked then begin
+      (* A clocked decision is exactly +-1, so the buffer's
+         [1.2 tanh (bgain v / 1.2)] takes one of two values. *)
+      let buf_hi = 1.2 *. tanh (bgain *. 1.0 /. 1.2) in
+      let buf_lo = 1.2 *. tanh (bgain *. -1.0 /. 1.2) in
+      for i = 0 to n - 1 do
+        Array.unsafe_set output i (if Array.unsafe_get output i > 0.0 then buf_hi else buf_lo)
+      done
+    end
+    else
+      for i = 0 to n - 1 do
+        Array.unsafe_set output i (1.2 *. tanh (bgain *. Array.unsafe_get output i /. 1.2))
+      done
+  end)
 
 let run t input =
   let output = Array.make (Array.length input) 0.0 in

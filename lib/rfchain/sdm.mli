@@ -63,7 +63,9 @@ val run : t -> float array -> float array
     is clocked, an analog waveform when it is in buffer mode.  Thin
     allocating wrapper over {!run_into}. *)
 
-val run_into : t -> float array -> float array -> unit
+val run_into :
+  ?memo:Sigkit.Workspace.tag * (Sigkit.Workspace.tag -> Sigkit.Workspace.tag -> bool) ->
+  t -> float array -> float array -> unit
 (** [run_into t input output] writes the modulator output for [input]
     into the first [Array.length input] cells of [output] (which must be
     at least that long; every cell in that range is overwritten, so a
@@ -71,7 +73,16 @@ val run_into : t -> float array -> float array -> unit
     Uses {!Sigkit.Workspace} slots 8-9 for the comparator and input
     noise and, in buffer mode, slot 10 for the jitter noise (all via
     {!Sigkit.Workspace.gaussian}, so a die's repeat runs reuse the
-    draw); bit-identical to {!run}. *)
+    draw); bit-identical to {!run}.
+
+    The loop's input drive (the Gmin stage's output plus the input
+    noise) is computed in a pass before the loop, in place into
+    [output].  [memo = (tag, same)] says what [input] is: [tag] must
+    fix this die and every sample of [input], and [same] must hold
+    exactly for tags that fix the same.  With it and the Gmin stage
+    on, the drive goes to slot 13 instead, tagged with [tag] and the
+    word's [gmin_bias], and a repeat finds it there: no drive pass and
+    no input-noise lookup. *)
 
 val tank_frequency : t -> float
 (** True resonance frequency of the (first) tank under this die and

@@ -74,8 +74,10 @@ let setup t ~code =
     t.setups.(code) <- Some s;
     s
 
-(* Workspace slot for the batched noise draw (see DESIGN §15). *)
-let noise_slot = 13
+(* Workspace slot for the batched noise draw (see DESIGN §15): the
+   receiver's modulator output, which is dead until the SDM overwrites
+   it after this stage. *)
+let noise_slot = 7
 
 let run_inplace t ~code buf =
   check_code code;
@@ -86,6 +88,7 @@ let run_inplace t ~code buf =
      Noise_source.sample calls it replaces. *)
   let stream = Circuit.Process.noise_stream t.chip ~name:s.noise_name in
   let nbuf = Sigkit.Workspace.arr (Sigkit.Workspace.get ()) ~slot:noise_slot ~len:n in
+  if nbuf == buf then invalid_arg "Vglna.run_inplace: buf is the noise scratch (workspace slot 7)";
   Sigkit.Rng.gaussian_fill stream nbuf ~n;
   let sigma = s.noise_sigma in
   let a1, a2, a3, rail = Circuit.Nonlinear.coefficients s.stage in

@@ -39,4 +39,6 @@ val run : t -> code:int -> float array -> float array
 val run_inplace : t -> code:int -> float array -> unit
 (** Arena variant: amplify the record in place (the stage is pointwise,
     so input and output share the buffer).  Uses {!Sigkit.Workspace}
-    slot 13 for the batched noise draw; bit-identical to {!run}. *)
+    slot 7 for the batched noise draw (the receiver's modulator output,
+    dead until the modulator runs); bit-identical to {!run}.  Raises
+    [Invalid_argument] when [buf] is that very slot-7 array. *)

@@ -86,6 +86,21 @@ let test_vglna_code_range () =
   Alcotest.check_raises "bad code" (Invalid_argument "Vglna: gain code out of range") (fun () ->
       ignore (Rfchain.Vglna.gain_db lna ~code:16))
 
+(* The VGLNA draws its noise into workspace slot 7 (the modulator
+   output, dead while the front half runs).  Amplifying that very array
+   would overwrite the record with its own noise: refused, untouched. *)
+let test_vglna_noise_slot_guard () =
+  let lna = Rfchain.Vglna.create (chip ()) ~fs:12e9 in
+  let scratch = Sigkit.Workspace.arr (Sigkit.Workspace.get ()) ~slot:7 ~len:64 in
+  Array.iteri (fun i _ -> scratch.(i) <- float_of_int i) scratch;
+  let before = Array.copy scratch in
+  Alcotest.check_raises "slot-7 scratch refused"
+    (Invalid_argument "Vglna.run_inplace: buf is the noise scratch (workspace slot 7)")
+    (fun () -> Rfchain.Vglna.run_inplace lna ~code:8 scratch);
+  Alcotest.(check (array (float 0.0))) "refused buffer untouched" before scratch;
+  Alcotest.(check bool) "a copy of it is amplified" true
+    (Rfchain.Vglna.run lna ~code:8 before <> before)
+
 (* ------------------------------------------------------------------ Sdm *)
 
 let tuned_config rx =
@@ -343,8 +358,9 @@ let prop_sdm_oracle_random_words =
 (* The buffer-mode jitter is drawn once per (die, length) into a tagged
    slot.  Repeats on one die must stay bit-identical to the first run
    (and to the oracle) whatever ran in between: the VGLNA's noise batch
-   in slot 13, the same length on another die (same slot, another
-   stream) and another length on this die. *)
+   in slot 7 (checked to have really been written there), the same
+   length on another die (same slot, another stream) and another
+   length on this die. *)
 let test_sdm_jitter_memo () =
   let fs = Rfchain.Standards.fs std in
   let unclocked c =
@@ -374,7 +390,13 @@ let test_sdm_jitter_memo () =
       if not (bits_equal first (run sdm input)) then
         Alcotest.failf "unclocked rerun after %s differs from the first run" what)
     [
-      ("a VGLNA run", fun () -> Rfchain.Vglna.run_inplace vglna ~code:9 (Array.copy input));
+      ( "a VGLNA run",
+        fun () ->
+          let noise = Sigkit.Workspace.arr (Sigkit.Workspace.get ()) ~slot:7 ~len:n in
+          Array.fill noise 0 n Float.nan;
+          Rfchain.Vglna.run_inplace vglna ~code:9 (Array.copy input);
+          if Array.exists Float.is_nan noise then
+            Alcotest.fail "the VGLNA run did not draw its noise into slot 7" );
       ("a run on another die", fun () -> oracle_run (unclocked (chip ~seed:7 ())) input);
       ("a run at another length", fun () -> oracle_run sdm (oracle_input ~fs 1537));
     ]
@@ -711,6 +733,111 @@ let test_front_memo_failed_fill () =
        (Rfchain.Receiver.run good ~analog ~input:(Sigkit.Waveform.render stimulus n) ())
        (Rfchain.Receiver.run_stimulus good ~analog ~stimulus ~n ()))
 
+(* -------------------------------------------------------- ΣΔ drive memo *)
+
+(* A probe tag: the test's own marker for "no drive held". *)
+type Sigkit.Workspace.tag += No_drive
+
+(* What slot 13 holds at [len], read without disturbing it: [Some]
+   copy of the array while it carries any tag but the probe's, [None]
+   otherwise (the slot is then left tagged with the probe, which no
+   drive lookup takes for its own). *)
+let held_drive ~len =
+  let held = ref true in
+  let a =
+    Sigkit.Workspace.tagged (Sigkit.Workspace.get ()) ~slot:13 ~len
+      ~same:(fun h _ -> match h with No_drive -> false | _ -> true)
+      No_drive
+      (fun _ -> held := false)
+  in
+  if !held then Some (Array.copy a) else None
+
+type drive_case = { drx : int; dcode : int; dbias : int; dgmin : bool; dtwo : bool }
+
+(* The ΣΔ drive of a single-tone front half with the Gmin stage on is
+   kept in slot 13, tagged with the front and [gmin_bias].  A seeded
+   walk moves one coordinate per step over two dice, an [rf_fault]
+   receiver, two gain codes, two bias codes, Gmin on/off and single-
+   vs two-tone fronts of one length (so a two-tone drive would land on
+   the same array).  Every result must equal the unmemoised
+   [run ~input] bit for bit; a run that may not keep its drive (two-
+   tone, Gmin off, fault hook) must leave slot 13 exactly as it was,
+   and one that may must leave a drive there. *)
+let test_drive_memo_oracle () =
+  let d1 = chip ~seed:11 () and d2 = chip ~seed:12 () in
+  let rf_fault x = Array.mapi (fun i v -> v +. (0.002 *. float_of_int (i land 7))) x in
+  let rxs =
+    [|
+      Rfchain.Receiver.create d1 std;
+      Rfchain.Receiver.create d2 std;
+      Rfchain.Receiver.create ~rf_fault d1 std;
+    |]
+  in
+  let codes = [| 4; 11 |] and biases = [| 20; 44 |] in
+  let n = 1537 and settle = 512 in
+  let fs = Rfchain.Standards.fs std in
+  let stimulus two = front_stimulus ~fs ~n (if two then 2 else 0) in
+  let analog c =
+    {
+      Rfchain.Config.nominal with
+      vglna_gain = codes.(c.dcode);
+      gmin_bias = biases.(c.dbias);
+      gmin_enable = c.dgmin;
+    }
+  in
+  let oracle = Hashtbl.create 64 in
+  let expected c =
+    match Hashtbl.find_opt oracle c with
+    | Some r -> r
+    | None ->
+      let input = Sigkit.Waveform.render (stimulus c.dtwo) n in
+      let r = Rfchain.Receiver.run rxs.(c.drx) ~analog:(analog c) ~settle ~input () in
+      Hashtbl.add oracle c r;
+      r
+  in
+  let rng = Random.State.make [| 23 |] in
+  let move c =
+    match Random.State.int rng 6 with
+    | 0 -> c
+    | 1 -> { c with drx = (c.drx + 1 + Random.State.int rng 2) mod 3 }
+    | 2 -> { c with dcode = 1 - c.dcode }
+    | 3 -> { c with dbias = 1 - c.dbias }
+    | 4 -> { c with dgmin = not c.dgmin }
+    | _ -> { c with dtwo = not c.dtwo }
+  in
+  let cur = ref { drx = 0; dcode = 0; dbias = 0; dgmin = true; dtwo = false } in
+  let cases =
+    List.init 200 (fun _ ->
+        let c = !cur in
+        cur := move c;
+        c)
+  in
+  List.iter (fun c -> ignore (expected c)) cases;
+  let len = settle + n in
+  ignore (Sigkit.Workspace.arr (Sigkit.Workspace.get ()) ~slot:13 ~len);
+  let repeats = ref 0 in
+  List.iteri
+    (fun k c ->
+      let before = held_drive ~len in
+      let res =
+        Rfchain.Receiver.run_stimulus rxs.(c.drx) ~analog:(analog c) ~settle
+          ~stimulus:(stimulus c.dtwo) ~n ()
+      in
+      let after = held_drive ~len in
+      let what =
+        Printf.sprintf "step %d (receiver %d, code %d, bias %d, gmin %b, two-tone %b)" k c.drx
+          codes.(c.dcode) biases.(c.dbias) c.dgmin c.dtwo
+      in
+      if not (same_result (expected c) res) then Alcotest.failf "%s differs from run ~input" what;
+      let unchanged = Option.equal bits_equal before after in
+      if c.drx <> 2 && c.dgmin && not c.dtwo then begin
+        if after = None then Alcotest.failf "%s kept no drive" what;
+        if before <> None && unchanged then incr repeats
+      end
+      else if not unchanged then Alcotest.failf "%s changed the drive slot" what)
+    cases;
+  if !repeats = 0 then Alcotest.fail "the walk never repeated a kept drive"
+
 (* ------------------------------------------------------ Workspace arena *)
 
 (* The allocating chain, composed from the public per-stage wrappers
@@ -791,7 +918,10 @@ let prop_arena_chain_identity =
 let test_arena_slots_distinct () =
   (* The chain's documented slot map (DESIGN §15): every stage that is
      live at the same time must hold a physically distinct scratch
-     array, including the slots whose lengths coincide. *)
+     array, including the slots whose lengths coincide.  Slot 7 serves
+     two stages that are never live together: the VGLNA's noise batch,
+     dead once the front half is amplified, and the modulator output
+     written after it.  Slots 0-1 are owned by no stage. *)
   let n = 1024 and settle = 256 in
   let total = settle + n in
   let cic = n / (Rfchain.Decimator.ratio Rfchain.Decimator.default_config / 2) in
@@ -799,13 +929,13 @@ let test_arena_slots_distinct () =
   let live =
     [
       ("extended (6)", Sigkit.Workspace.arr ws ~slot:6 ~len:total);
-      ("mod_full (7)", Sigkit.Workspace.arr ws ~slot:7 ~len:total);
+      ("mod_full, vglna noise (7)", Sigkit.Workspace.arr ws ~slot:7 ~len:total);
       ("sdm comp noise (8)", Sigkit.Workspace.arr ws ~slot:8 ~len:total);
       ("sdm input noise (9)", Sigkit.Workspace.arr ws ~slot:9 ~len:total);
       ("sdm jitter (10)", Sigkit.Workspace.arr ws ~slot:10 ~len:total);
       ("cic q (11)", Sigkit.Workspace.arr ws ~slot:11 ~len:cic);
       ("cic i (12)", Sigkit.Workspace.arr ws ~slot:12 ~len:cic);
-      ("vglna noise (13)", Sigkit.Workspace.arr ws ~slot:13 ~len:total);
+      ("tagged sdm drive (13)", Sigkit.Workspace.arr ws ~slot:13 ~len:total);
       ("two-tone front (14)", Sigkit.Workspace.arr ws ~slot:14 ~len:total);
     ]
   in
@@ -821,15 +951,31 @@ let test_arena_reuse_across_evals () =
   let rx = Rfchain.Receiver.create (chip ()) std in
   let analog = Rfchain.Config.nominal in
   let fs = Rfchain.Receiver.fs rx in
-  let input = Sigkit.Waveform.tone_dbm ~p_dbm:(-25.0) ~freq:3.02e9 ~fs 1024 in
+  let n = 1024 in
+  let input = Sigkit.Waveform.tone_dbm ~p_dbm:(-25.0) ~freq:3.02e9 ~fs n in
   let eval () = ignore (Rfchain.Receiver.run rx ~analog ~input ()) in
-  (* Two warm-up evals materialise every (slot, len) pair this chain
-     needs; after that the arena must stop growing. *)
-  eval ();
-  eval ();
+  (* The memoised path, with the drive kept (Gmin on) and computed in
+     place (Gmin off), each at another gain code so every front half
+     and drive is a miss. *)
+  let stimulus = Sigkit.Waveform.dbm_tone ~p_dbm:(-25.0) ~freq:3.02e9 ~fs () in
+  let code = ref 0 in
+  let eval_stimulus gmin_enable =
+    code := (!code + 1) mod 16;
+    let analog = { analog with vglna_gain = !code; gmin_enable } in
+    ignore (Rfchain.Receiver.run_stimulus rx ~analog ~stimulus ~n ())
+  in
+  let evals () =
+    eval ();
+    eval_stimulus true;
+    eval_stimulus false
+  in
+  (* Two warm-up rounds materialise every (slot, len) pair these paths
+     need; after that the arena must stop growing. *)
+  evals ();
+  evals ();
   let before = Sigkit.Workspace.allocations () in
   for _ = 1 to 4 do
-    eval ()
+    evals ()
   done;
   Alcotest.(check int) "no new scratch arrays across steady-state evals" before
     (Sigkit.Workspace.allocations ());
@@ -889,6 +1035,7 @@ let () =
           Alcotest.test_case "amplifies" `Quick test_vglna_amplifies;
           Alcotest.test_case "NF/IIP3 trends" `Quick test_vglna_nf_trend;
           Alcotest.test_case "code range" `Quick test_vglna_code_range;
+          Alcotest.test_case "noise slot guard" `Quick test_vglna_noise_slot_guard;
         ] );
       ( "sdm",
         [
@@ -929,6 +1076,7 @@ let () =
             test_front_memo_oracle;
           Alcotest.test_case "a failed front-half fill is never reused" `Quick
             test_front_memo_failed_fill;
+          Alcotest.test_case "memoised ΣΔ drive equals run ~input" `Quick test_drive_memo_oracle;
         ] );
       ( "arena",
         Alcotest.test_case "slot map is alias-free" `Quick test_arena_slots_distinct
