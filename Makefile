@@ -1,4 +1,4 @@
-.PHONY: all build test dead-surface faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke cli-smoke alloc-smoke perf-smoke bench-json bench-gate ci clean
+.PHONY: all build test dead-surface line-delta faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke cli-smoke alloc-smoke perf-smoke bench-json bench-gate ci clean
 
 all: build
 
@@ -13,6 +13,12 @@ test:
 # beyond its definition.  Prints each dead value and fails if any.
 dead-surface:
 	sh tools/dead_surface.sh
+
+# Net line delta against a base revision, split into lib/, test/ and
+# everything else (ISSUE.md and CHANGES.md excluded); not part of ci.
+#   make line-delta BASE=<ref>
+line-delta:
+	sh tools/line_delta.sh $(BASE)
 
 # End-to-end smoke of the stress campaign: must exit 0 with every
 # campaign check passing (grep fails the target on any [FAIL] line).

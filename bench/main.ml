@@ -162,12 +162,13 @@ let bench_cancel_poll () =
   done
 
 (* Front-end hits.  [Measure] captures through
-   [Receiver.run_stimulus], which keeps each domain's last front half
-   (stimulus + VGLNA) per (die, stimulus, length, gain code) and reuses
-   it.  A kernel that repeats one request every iteration therefore
-   times the back half only, a front-end *hit*: fig7:snr-mod-per-key,
-   fig11:sweep-point, fig12:two-tone-sfdr, faults:campaign-cell,
-   engine:cache-miss and engine:cache-miss-invalid.
+   [Receiver.capture_modulator] / [capture_baseband], which keep each
+   domain's last front half (stimulus + VGLNA) per (die, stimulus,
+   length, gain code) and reuse it.  A kernel that repeats one request
+   every iteration therefore times the back half only, a front-end
+   *hit*: fig7:snr-mod-per-key, fig11:sweep-point, fig12:two-tone-sfdr,
+   faults:campaign-cell, engine:cache-miss and
+   engine:cache-miss-invalid.
    fig8:transient-capture alternates two keys (hits where their gain
    codes agree); the engine:batch8 kernels hit within one batch only
    where flipped bits keep the gain code. *)

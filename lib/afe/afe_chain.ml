@@ -48,6 +48,10 @@ let quality_factor t (config : Afe_config.t) =
 let residual_offset_v t (config : Afe_config.t) =
   t.raw_offset_v -. ((float_of_int config.offset_trim -. 16.0) *. 0.7e-3)
 
+(* Samples between cancellation polls: the capture is a cancellation
+   point at samples 0, 4096, ..., the sigma-delta loop's cadence. *)
+let poll_block = 4096
+
 let run t (config : Afe_config.t) input =
   let gain = Sigkit.Decibel.power_ratio_of_db (pga_gain_db t config /. 2.0) in
   (* PGA nonlinearity: mild compressive stage, 1.6 V rail. *)
@@ -60,17 +64,28 @@ let run t (config : Afe_config.t) input =
   let b1 = 1.0 -. cos w0 in
   let b0 = b1 /. 2.0 and b2 = b1 /. 2.0 in
   let a0 = 1.0 +. alpha and a1 = -2.0 *. cos w0 and a2 = 1.0 -. alpha in
-  let x1 = ref 0.0 and x2 = ref 0.0 and y1 = ref 0.0 and y2 = ref 0.0 in
-  let noise = Circuit.Process.noise_stream t.chip ~name:"afe.run" in
+  let n = Array.length input in
+  (* The thermal noise, drawn into the output in one batch (the
+     sequence per-sample draws give); cell i is read before the
+     stage's output overwrites it. *)
+  let out = Array.make n 0.0 in
+  Sigkit.Rng.gaussian_fill (Circuit.Process.noise_stream t.chip ~name:"afe.run") out ~n;
   let offset = residual_offset_v t config in
-  (* Step hook: the AFE capture is a cancellation point on the same
-     4096-sample cadence as the sigma-delta loop. *)
-  let tick = ref 0 in
-  Array.map
-    (fun x ->
-      Telemetry.Cancel.tick_poll !tick;
-      incr tick;
-      let amplified = Circuit.Nonlinear.apply pga (x +. (t.noise_sigma *. Sigkit.Rng.gaussian noise)) in
+  let sigma = t.noise_sigma in
+  (* [Circuit.Nonlinear.apply pga], written out expression for
+     expression so the loop calls no function and its state stays
+     unboxed. *)
+  let p_a1, p_a2, p_a3, p_rail = Circuit.Nonlinear.coefficients pga in
+  let p_railed = Float.is_finite p_rail in
+  let x1 = ref 0.0 and x2 = ref 0.0 and y1 = ref 0.0 and y2 = ref 0.0 in
+  let block = ref 0 in
+  while !block < n do
+    Telemetry.Cancel.poll ();
+    let stop = if n - !block < poll_block then n else !block + poll_block in
+    for i = !block to stop - 1 do
+      let x = Array.unsafe_get input i +. (sigma *. Array.unsafe_get out i) in
+      let y = (p_a1 *. x) +. (p_a2 *. x *. x) +. (p_a3 *. x *. x *. x) in
+      let amplified = if p_railed then p_rail *. tanh (y /. p_rail) else y in
       let y =
         ((b0 *. amplified) +. (b1 *. !x1) +. (b2 *. !x2) -. (a1 *. !y1) -. (a2 *. !y2)) /. a0
       in
@@ -78,8 +93,11 @@ let run t (config : Afe_config.t) input =
       x1 := amplified;
       y2 := !y1;
       y1 := y;
-      y +. offset)
-    input
+      Array.unsafe_set out i (y +. offset)
+    done;
+    block := stop
+  done;
+  out
 
 type measurement = {
   gain_db : float;

@@ -66,7 +66,7 @@ val locality : t -> string * string * int
 (** (die identity, standard name, VGLNA gain code the metric measures
     at: [gain_code] for [Snr_rx_at_power], the word's own otherwise).
     Requests with equal locality share the receiver's memoised front
-    half (stimulus and VGLNA, see {!Rfchain.Receiver.run_stimulus}), so
+    half (stimulus and VGLNA, see {!Rfchain.Receiver.capture_modulator}), so
     the engine runs them back to back.  The code is the one the word
     asks for; a [fabric] hook may apply another. *)
 

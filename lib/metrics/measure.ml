@@ -16,29 +16,31 @@ let global_trial_count () = Telemetry.Counter.value trials_counter
 
 let osr = Rfchain.Standards.oversampling_ratio
 
-let run_tone t config ~p_dbm ~n =
+(* One counted trial of the single-tone test at [n] points: the tone's
+   frequency and its stimulus. *)
+let tone_trial t ~p_dbm ~n =
   t.trials <- t.trials + 1;
   Telemetry.Counter.incr trials_counter;
   let fs = Rfchain.Receiver.fs t.rx in
   let f_in = Rfchain.Receiver.test_tone_frequency t.rx ~n in
-  let stimulus = Sigkit.Waveform.dbm_tone ~p_dbm ~freq:f_in ~fs () in
-  (f_in, Rfchain.Receiver.run_stimulus t.rx ~analog:config ~stimulus ~n ())
+  (f_in, Sigkit.Waveform.dbm_tone ~p_dbm ~freq:f_in ~fs ())
 
-let mod_output t config =
-  let _, res = run_tone t config ~p_dbm:t.p_dbm ~n:Snr.default_fft_points in
-  res.Rfchain.Receiver.mod_output
+(* The modulator-tap capture of the single-tone test. *)
+let tone_mod t config ~p_dbm =
+  let n = Snr.default_fft_points in
+  let f_in, stimulus = tone_trial t ~p_dbm ~n in
+  (f_in, Rfchain.Receiver.capture_modulator t.rx ~analog:config ~stimulus ~n ())
+
+let mod_output t config = snd (tone_mod t config ~p_dbm:t.p_dbm)
 
 let snr_mod_db t config =
   Telemetry.Span.with_ ~name:"measure.snr_mod" (fun () ->
-      let f_in, res = run_tone t config ~p_dbm:t.p_dbm ~n:Snr.default_fft_points in
-      Snr.of_bandpass ~fs:res.Rfchain.Receiver.fs ~f_signal:f_in ~osr
-        res.Rfchain.Receiver.mod_output)
+      let f_in, record = tone_mod t config ~p_dbm:t.p_dbm in
+      Snr.of_bandpass ~fs:(Rfchain.Receiver.fs t.rx) ~f_signal:f_in ~osr record)
 
 let tone_power_at t config ~p_dbm =
-  let f_in, res = run_tone t config ~p_dbm ~n:Snr.default_fft_points in
-  let spec =
-    Sigkit.Spectrum.periodogram ~fs:res.Rfchain.Receiver.fs res.Rfchain.Receiver.mod_output
-  in
+  let f_in, record = tone_mod t config ~p_dbm in
+  let spec = Sigkit.Spectrum.periodogram ~fs:(Rfchain.Receiver.fs t.rx) record in
   Sigkit.Spectrum.tone_power spec ~freq:f_in
 
 let snr_mod_verified_db t config =
@@ -60,13 +62,14 @@ let baseband_snr t config ~p_dbm ~n_fft =
   Telemetry.Span.with_ ~name:"measure.snr_rx" (fun () ->
       let ratio = Rfchain.Decimator.ratio Rfchain.Decimator.default_config in
       let n = n_fft * ratio in
-      let f_in, res = run_tone t config ~p_dbm ~n in
-      let fs = res.Rfchain.Receiver.fs in
+      let f_in, stimulus = tone_trial t ~p_dbm ~n in
+      let iq = Rfchain.Receiver.capture_baseband t.rx ~analog:config ~stimulus ~n () in
+      let fs = Rfchain.Receiver.fs t.rx in
       let band = Rfchain.Standards.band_hz (Rfchain.Receiver.standard t.rx) in
-      Snr.of_baseband_iq ~n_fft ~fs:res.Rfchain.Receiver.fs_baseband
+      Snr.of_baseband_iq ~n_fft ~fs:(fs /. float_of_int ratio)
         ~f_signal:(f_in -. (fs /. 4.0))
         ~f_band:(band /. 2.0)
-        (res.Rfchain.Receiver.baseband_i, res.Rfchain.Receiver.baseband_q))
+        iq)
 
 let snr_rx_db ?(n_fft = 2048) t config = baseband_snr t config ~p_dbm:t.p_dbm ~n_fft
 
@@ -83,8 +86,8 @@ let sfdr_db t config =
       let standard = Rfchain.Receiver.standard t.rx in
       let f1, f2 = Sfdr.tones_for ~f0:standard.Rfchain.Standards.f0_hz ~fs ~n in
       let stimulus = Sigkit.Waveform.dbm_two_tone ~p_dbm:t.p_dbm ~f1 ~f2 ~fs in
-      let res = Rfchain.Receiver.run_stimulus t.rx ~analog:config ~stimulus ~n () in
-      Sfdr.of_bandpass ~fs ~f1 ~f2 ~osr res.Rfchain.Receiver.mod_output)
+      let record = Rfchain.Receiver.capture_modulator t.rx ~analog:config ~stimulus ~n () in
+      Sfdr.of_bandpass ~fs ~f1 ~f2 ~osr record)
 
 let full t config =
   {

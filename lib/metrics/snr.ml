@@ -5,8 +5,10 @@ let spectrum ?(n_fft = default_fft_points) ~fs record =
   let n = if Sigkit.Fft.is_pow2 n then n else Sigkit.Fft.next_pow2 n / 2 in
   if n < 64 then invalid_arg "Snr: record too short";
   (* Use the tail of the record: any residual start-up transient decays
-     away from the measurement window. *)
-  let tail = Array.sub record (Array.length record - n) n in
+     away from the measurement window.  The periodogram only reads its
+     input, so a record of exactly [n] samples is passed as it is. *)
+  let len = Array.length record in
+  let tail = if len = n then record else Array.sub record (len - n) n in
   Sigkit.Spectrum.periodogram ~window:Sigkit.Window.Hann ~fs tail
 
 let snr_from_spectrum spec ~f_signal ~f_lo ~f_hi =

@@ -49,7 +49,7 @@ let extended_slot = 6
 let two_tone_slot = 14
 let mod_slot = 7
 
-(* Both entry points: refuse a degenerate record before any work, then
+(* Every entry point: refuse a degenerate record before any work, then
    count and span one run, with the analog word as the knobs see it. *)
 let instrumented t ~who ~analog ~settle ~n f =
   if n < 1 then invalid_arg (who ^ ": record length must be positive");
@@ -63,27 +63,21 @@ let instrumented t ~who ~analog ~settle ~n f =
    steady-state phase coherent. *)
 let rotation ~n ~settle = (n - (settle mod n)) mod n
 
-(* The half of the chain after the VGLNA, shared by both entry points:
-   SDM, then slice + mixer + decimator in one pass, on the
-   settle-extended VGLNA output [amplified], decimated with the
-   default digital setting.  [memo] describes [amplified] to the SDM
-   (see [Sdm.run_into]). *)
-let back_half ?memo t ~analog ~settle ~slice ~n amplified =
-  let digital = Decimator.default_config in
-  let total = settle + n in
-  let ws = Sigkit.Workspace.get () in
+(* The modulator over the settle-extended VGLNA output [amplified],
+   into [mod_slot]: with [signs], only each sample's sign as the digital
+   section's 1-bit boundary reads it (see [Sdm.run_signs_into]).
+   [memo] describes [amplified] to the SDM (see [Sdm.run_into]). *)
+let modulate ?memo ~signs t ~analog amplified =
   let sdm = Sdm.create t.chip ~fs:(fs t) analog in
-  let mod_full = Sigkit.Workspace.arr ws ~slot:mod_slot ~len:total in
-  Sdm.run_into ?memo sdm amplified mod_full;
-  let mod_output = Array.sub mod_full settle n in
-  let baseband_i, baseband_q = Decimator.downconvert_iq ~slice digital mod_full ~pos:settle ~n in
-  {
-    mod_output;
-    baseband_i;
-    baseband_q;
-    fs = fs t;
-    fs_baseband = fs t /. float_of_int (Decimator.ratio digital);
-  }
+  let len = Array.length amplified in
+  let mod_full = Sigkit.Workspace.arr (Sigkit.Workspace.get ()) ~slot:mod_slot ~len in
+  (if signs then Sdm.run_signs_into else Sdm.run_into) ?memo sdm amplified mod_full;
+  mod_full
+
+(* Slice + mixer + decimator in one pass over the record's window,
+   with the default digital setting. *)
+let baseband ~slice ~settle ~n mod_full =
+  Decimator.downconvert_iq ~slice Decimator.default_config mod_full ~pos:settle ~n
 
 let run t ~analog ?(settle = 1024) ?(slice = true) ~input () =
   let n = Array.length input in
@@ -108,7 +102,15 @@ let run t ~analog ?(settle = 1024) ?(slice = true) ~input () =
     | Some f -> f extended
   in
   Vglna.run_inplace t.vglna ~code:analog.Config.vglna_gain extended;
-  back_half t ~analog ~settle ~slice ~n extended
+  let mod_full = modulate ~signs:false t ~analog extended in
+  let baseband_i, baseband_q = baseband ~slice ~settle ~n mod_full in
+  {
+    mod_output = Array.sub mod_full settle n;
+    baseband_i;
+    baseband_q;
+    fs = fs t;
+    fs_baseband = fs t /. float_of_int (Decimator.ratio Decimator.default_config);
+  }
 
 (* What a tagged front-end slot holds: the VGLNA output for one die
    (its behavioural identity and the rate its noise is specified at),
@@ -137,8 +139,9 @@ let same_front held wanted =
     && String.equal a.die b.die
   | _ -> false
 
-let run_stimulus t ~analog ?(settle = 1024) ~stimulus ~n () =
-  instrumented t ~who:"Receiver.run_stimulus" ~analog ~settle ~n @@ fun analog ->
+(* The front half of a capture (stimulus, settle rotation, VGLNA) in
+   its tagged slot, and the memo that describes it to the SDM. *)
+let front_half t ~analog ~settle ~stimulus ~n =
   let total = settle + n in
   let rot = rotation ~n ~settle in
   let code = analog.Config.vglna_gain in
@@ -150,32 +153,42 @@ let run_stimulus t ~analog ?(settle = 1024) ~stimulus ~n () =
     | Sigkit.Waveform.Tone _ -> extended_slot
     | Sigkit.Waveform.Two_tone _ -> two_tone_slot
   in
-  let amplified, memo =
-    match t.rf_fault with
-    | Some f ->
-      (* An opaque hook sits between stimulus and VGLNA: no memo. *)
-      let extended = Sigkit.Workspace.arr ws ~slot ~len:total in
-      Sigkit.Waveform.render_into stimulus ~n ~rot extended;
-      let extended = f extended in
-      Vglna.run_inplace t.vglna ~code extended;
-      (extended, None)
-    | None ->
-      let front =
-        Front { die = Circuit.Process.identity t.chip; rate = fs t; stimulus; n; settle; code }
-      in
-      let amplified =
-        Sigkit.Workspace.tagged ws ~slot ~len:total ~same:same_front front (fun extended ->
-            Sigkit.Waveform.render_into stimulus ~n ~rot extended;
-            Vglna.run_inplace t.vglna ~code extended)
-      in
-      (* The SDM keeps one drive, so only single tones get it: a
-         two-tone would evict it each time calibration alternates the
-         two at one length. *)
-      match stimulus with
-      | Sigkit.Waveform.Tone _ -> (amplified, Some (front, same_front))
-      | Sigkit.Waveform.Two_tone _ -> (amplified, None)
-  in
-  back_half ?memo t ~analog ~settle ~slice:true ~n amplified
+  match t.rf_fault with
+  | Some f ->
+    (* An opaque hook sits between stimulus and VGLNA: no memo. *)
+    let extended = Sigkit.Workspace.arr ws ~slot ~len:total in
+    Sigkit.Waveform.render_into stimulus ~n ~rot extended;
+    let extended = f extended in
+    Vglna.run_inplace t.vglna ~code extended;
+    (extended, None)
+  | None ->
+    let front =
+      Front { die = Circuit.Process.identity t.chip; rate = fs t; stimulus; n; settle; code }
+    in
+    let amplified =
+      Sigkit.Workspace.tagged ws ~slot ~len:total ~same:same_front front (fun extended ->
+          Sigkit.Waveform.render_into stimulus ~n ~rot extended;
+          Vglna.run_inplace t.vglna ~code extended)
+    in
+    (* The SDM keeps one drive, so only single tones get it: a
+       two-tone would evict it each time calibration alternates the
+       two at one length. *)
+    match stimulus with
+    | Sigkit.Waveform.Tone _ -> (amplified, Some (front, same_front))
+    | Sigkit.Waveform.Two_tone _ -> (amplified, None)
+
+let capture_modulator t ~analog ?(settle = 1024) ~stimulus ~n () =
+  instrumented t ~who:"Receiver.capture_modulator" ~analog ~settle ~n @@ fun analog ->
+  let amplified, memo = front_half t ~analog ~settle ~stimulus ~n in
+  Array.sub (modulate ?memo ~signs:false t ~analog amplified) settle n
+
+(* The decimator reads only the modulator output's sign, so the
+   calibration buffer's pass is skipped, and no modulator record is
+   copied out. *)
+let capture_baseband t ~analog ?(settle = 1024) ~stimulus ~n () =
+  instrumented t ~who:"Receiver.capture_baseband" ~analog ~settle ~n @@ fun analog ->
+  let amplified, memo = front_half t ~analog ~settle ~stimulus ~n in
+  baseband ~slice:true ~settle ~n (modulate ?memo ~signs:true t ~analog amplified)
 
 (* Offset the coherent test tone by a quarter of the band: far enough
    from the carrier bin for clean binning, while the aliased third

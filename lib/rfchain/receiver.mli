@@ -65,28 +65,48 @@ val run :
     [Invalid_argument] on an empty [input] or a negative [settle],
     before any work. *)
 
-val run_stimulus :
+val capture_modulator :
   t ->
   analog:Config.t ->
   ?settle:int ->
   stimulus:Sigkit.Waveform.stimulus ->
   n:int ->
   unit ->
-  result
-(** [run_stimulus t ~analog ?settle ~stimulus ~n ()] is
+  float array
+(** The modulator tap of a stimulus capture:
+    [capture_modulator t ~analog ?settle ~stimulus ~n ()] is the
+    [mod_output] of
     [run t ~analog ?settle ~input:(Sigkit.Waveform.render stimulus n) ()],
-    bit for bit (sliced digital input), with the
-    same [receiver.runs] / [receiver.samples] counts and
-    [receiver.run] span.  The front half of the chain (stimulus,
-    settle rotation, VGLNA) is rendered straight into a workspace slot
-    (6 for a [Tone], 14 for a [Two_tone]) tagged with the die's
-    identity, the sampling rate, the stimulus bits, [n], [settle] and
-    the applied gain code; a later call on the same domain with an
-    equal tag reuses it and runs only the back half.  For a [Tone] the
-    modulator also keeps its input drive under that tag
-    ({!Sdm.run_into}'s [memo]).  A receiver with an [rf_fault] hook
-    renders and amplifies afresh on every call and keeps no drive.
-    Raises [Invalid_argument] when [n < 1] or [settle < 0]. *)
+    bit for bit, with the same [receiver.runs] / [receiver.samples]
+    counts and [receiver.run] span.  It runs the front half and the
+    modulator (calibration buffer included) and no digital section.
+
+    The front half of the chain (stimulus, settle rotation, VGLNA) is
+    rendered straight into a workspace slot (6 for a [Tone], 14 for a
+    [Two_tone]) tagged with the die's identity, the sampling rate, the
+    stimulus bits, [n], [settle] and the applied gain code; a later
+    capture of either tap on the same domain with an equal tag reuses
+    it and runs only the back half.  For a [Tone] the modulator also
+    keeps its input drive under that tag ({!Sdm.run_into}'s [memo]).
+    A receiver with an [rf_fault] hook renders and amplifies afresh on
+    every call and keeps no drive.  Raises [Invalid_argument] when
+    [n < 1] or [settle < 0]. *)
+
+val capture_baseband :
+  t ->
+  analog:Config.t ->
+  ?settle:int ->
+  stimulus:Sigkit.Waveform.stimulus ->
+  n:int ->
+  unit ->
+  float array * float array
+(** The receiver-output tap of a stimulus capture: the
+    [(baseband_i, baseband_q)] of the same [run], bit for bit, at
+    [fs t / Decimator.ratio Decimator.default_config], with the same
+    front-half memo, counts, span and errors as {!capture_modulator}.
+    The digital section reads only the sign of each modulator sample,
+    so the modulator runs as {!Sdm.run_signs_into} (no calibration
+    buffer pass) and no modulator record is copied out. *)
 
 val test_tone_frequency : t -> n:int -> float
 (** The single-tone test frequency used throughout the evaluation: a

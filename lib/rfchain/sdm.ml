@@ -207,9 +207,21 @@ let same_drive same_input held wanted =
   | Drive a, Drive b -> a.gmin_bias = b.gmin_bias && same_input a.input b.input
   | _ -> false
 
-(* Samples between cancellation polls: the cadence of
-   [Telemetry.Cancel.tick_poll], one poll at samples 0, 4096, ... *)
+(* Samples between cancellation polls: one poll at samples 0, 4096, ... *)
 let poll_block = 4096
+
+(* The calibration buffer's transfer. *)
+let[@inline] buffered bgain v = 1.2 *. tanh (bgain *. v /. 1.2)
+
+(* What the buffer pass stores for a reader of signs only, i.e. of
+   [x >= 0.0]: [v] itself.  The buffer is odd and monotone with
+   [bgain >= 0.88], so it keeps the sign of every [v], and NaN and
+   +-0.0 slice alike either way; the one exception is a negative [v]
+   that the buffer rounds to -0.0 (which slices as +1), and that takes
+   [|v|] below about 1e-300.  Those samples get the real buffer. *)
+let[@inline] sign_guard bgain v = if v < 0.0 && v > -1e-300 then buffered bgain v else v
+
+let buffer_sign t v = sign_guard t.buffer_gain v
 
 (* One loop for every configuration word, carrying only the
    recurrence: the mode bits are loop invariants, the input drive and
@@ -223,7 +235,7 @@ let poll_block = 4096
    shift is a masked circular index.  Array accesses are unsafe: the drive,
    [output] and the noise buffers all have length >= n (the empty
    jitter buffer of the clocked modes is never read). *)
-let run_into ?memo t input output =
+let loop ?memo ~signs t input output =
   let n = Array.length input in
   if Array.length output < n then invalid_arg "Sdm.run_into: output shorter than input";
   Telemetry.Counter.incr runs;
@@ -370,19 +382,27 @@ let run_into ?memo t input output =
   if cfg.cal_buffer_enable then begin
     let bgain = t.buffer_gain in
     if clocked then begin
-      (* A clocked decision is exactly +-1, so the buffer's
-         [1.2 tanh (bgain v / 1.2)] takes one of two values. *)
-      let buf_hi = 1.2 *. tanh (bgain *. 1.0 /. 1.2) in
-      let buf_lo = 1.2 *. tanh (bgain *. -1.0 /. 1.2) in
-      for i = 0 to n - 1 do
-        Array.unsafe_set output i (if Array.unsafe_get output i > 0.0 then buf_hi else buf_lo)
-      done
+      (* A clocked decision is exactly +-1, so the buffer takes one of
+         two values, both of the decision's sign. *)
+      if not signs then begin
+        let buf_hi = buffered bgain 1.0 and buf_lo = buffered bgain (-1.0) in
+        for i = 0 to n - 1 do
+          Array.unsafe_set output i (if Array.unsafe_get output i > 0.0 then buf_hi else buf_lo)
+        done
+      end
     end
+    else if signs then
+      for i = 0 to n - 1 do
+        Array.unsafe_set output i (sign_guard bgain (Array.unsafe_get output i))
+      done
     else
       for i = 0 to n - 1 do
-        Array.unsafe_set output i (1.2 *. tanh (bgain *. Array.unsafe_get output i /. 1.2))
+        Array.unsafe_set output i (buffered bgain (Array.unsafe_get output i))
       done
   end)
+
+let run_into ?memo t input output = loop ?memo ~signs:false t input output
+let run_signs_into ?memo t input output = loop ?memo ~signs:true t input output
 
 let run t input =
   let output = Array.make (Array.length input) 0.0 in

@@ -82,7 +82,28 @@ val run_into :
     exactly for tags that fix the same.  With it and the Gmin stage
     on, the drive goes to slot 13 instead, tagged with [tag] and the
     word's [gmin_bias], and a repeat finds it there: no drive pass and
-    no input-noise lookup. *)
+    no input-noise lookup.
+
+    With [cal_buffer_enable] set, the calibration buffer
+    [1.2 tanh (bgain v / 1.2)] is a pointwise pass over the loop's
+    output [v] after the loop. *)
+
+val run_signs_into :
+  ?memo:Sigkit.Workspace.tag * (Sigkit.Workspace.tag -> Sigkit.Workspace.tag -> bool) ->
+  t -> float array -> float array -> unit
+(** {!run_into} for a reader of signs only: every output cell [x]
+    gives the same [x >= 0.0] as {!run_into}'s (the digital section's
+    1-bit boundary), with the same slots, memo, counters and span.
+    It skips the calibration buffer pass, which keeps every sign: with
+    the buffer in the path, each loop output is stored as
+    {!buffer_sign} of it, i.e. as it is except on the negative samples
+    above -1e-300, the only ones the buffer could round to -0.0, which
+    get the real buffer. *)
+
+val buffer_sign : t -> float -> float
+(** [buffer_sign t v] is what {!run_signs_into} stores for the loop
+    output [v] when the calibration buffer is in the path: [v], or
+    [1.2 tanh (bgain v / 1.2)] when [-1e-300 < v < 0]. *)
 
 val tank_frequency : t -> float
 (** True resonance frequency of the (first) tank under this die and

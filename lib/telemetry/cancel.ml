@@ -106,11 +106,3 @@ let poll () =
       Counter.incr cancels_counter;
       raise (Cancelled t.reason)
     end
-
-(* The simulator loops poll on a power-of-two cadence: cheap enough to
-   sit inside the sigma-delta loop (one masked compare per
-   sample, one DLS read per 4096), frequent enough that an 8192-sample
-   capture hits at least two cancellation points. *)
-let poll_mask = 4095
-
-let tick_poll i = if i land poll_mask = 0 then poll ()

@@ -57,7 +57,3 @@ val clear_interrupt : unit -> unit
 val poll : unit -> unit
 (** Cancellation point: raise [Cancelled] if the global interrupt is
     pending or the domain's installed token has tripped. *)
-
-val tick_poll : int -> unit
-(** [tick_poll i] polls when [i land 4095 = 0] — the per-sample form
-    the simulator inner loops use. *)

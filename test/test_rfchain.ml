@@ -302,7 +302,10 @@ let sdm_matches_oracle sdm input =
   in
   let first = run () in
   let again = run () in
+  let signs = Array.make n Float.nan in
+  Rfchain.Sdm.run_signs_into sdm input signs;
   bits_equal expected first && bits_equal expected again
+  && Array.for_all2 (fun e s -> e >= 0.0 = (s >= 0.0)) expected signs
 
 let oracle_input ~fs n =
   Array.map (fun v -> v *. 20.0) (Sigkit.Waveform.tone_dbm ~p_dbm:(-25.0) ~freq:3.02e9 ~fs n)
@@ -577,23 +580,36 @@ let test_receiver_degenerate_records () =
   refused "Receiver.run" positive (fun () -> Rfchain.Receiver.run rx ~analog ~input:[||] ());
   refused "Receiver.run" settle (fun () ->
       Rfchain.Receiver.run rx ~analog ~settle:(-5) ~input:(Sigkit.Waveform.render stimulus 64) ());
-  refused "Receiver.run_stimulus" positive (fun () ->
-      Rfchain.Receiver.run_stimulus rx ~analog ~stimulus ~n:0 ());
-  refused "Receiver.run_stimulus" settle (fun () ->
-      Rfchain.Receiver.run_stimulus rx ~analog ~settle:(-5) ~stimulus ~n:64 ());
+  refused "Receiver.capture_modulator" positive (fun () ->
+      Rfchain.Receiver.capture_modulator rx ~analog ~stimulus ~n:0 ());
+  refused "Receiver.capture_modulator" settle (fun () ->
+      Rfchain.Receiver.capture_modulator rx ~analog ~settle:(-5) ~stimulus ~n:64 ());
+  refused "Receiver.capture_baseband" positive (fun () ->
+      Rfchain.Receiver.capture_baseband rx ~analog ~stimulus ~n:0 ());
+  refused "Receiver.capture_baseband" settle (fun () ->
+      Rfchain.Receiver.capture_baseband rx ~analog ~settle:(-5) ~stimulus ~n:64 ());
   Alcotest.(check int) "no run counted" runs0 (counter "receiver.runs");
   Alcotest.(check int) "no modulator step taken" steps0 (counter "sdm.steps")
 
 (* ------------------------------------------------------ Front-end memo *)
 
-let same_result (a : Rfchain.Receiver.result) (b : Rfchain.Receiver.result) =
-  let same x y =
-    Array.length x = Array.length y
-    && Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) x y
-  in
-  same a.Rfchain.Receiver.mod_output b.Rfchain.Receiver.mod_output
-  && same a.Rfchain.Receiver.baseband_i b.Rfchain.Receiver.baseband_i
-  && same a.Rfchain.Receiver.baseband_q b.Rfchain.Receiver.baseband_q
+(* Both taps of one stimulus capture, the modulator's first or second:
+   (modulator record, (baseband I, baseband Q)). *)
+let capture_both ~modulator_first rx ~analog ?settle ~stimulus ~n () =
+  let m () = Rfchain.Receiver.capture_modulator rx ~analog ?settle ~stimulus ~n () in
+  let b () = Rfchain.Receiver.capture_baseband rx ~analog ?settle ~stimulus ~n () in
+  if modulator_first then
+    let m = m () in
+    (m, b ())
+  else
+    let b = b () in
+    (m (), b)
+
+(* Whether both taps equal the matching fields of a [run ~input]. *)
+let same_result (a : Rfchain.Receiver.result) (m, (i, q)) =
+  bits_equal a.Rfchain.Receiver.mod_output m
+  && bits_equal a.Rfchain.Receiver.baseband_i i
+  && bits_equal a.Rfchain.Receiver.baseband_q q
 
 (* Receivers whose front halves must never be confused: two dies, an
    aged copy of the first (same seed, different identity), a fabric
@@ -693,18 +709,18 @@ let test_front_memo_oracle () =
       | Measure { rx; stim; shape; code } ->
         let n, settle = front_shapes.(shape) in
         let res =
-          Rfchain.Receiver.run_stimulus (snd rxs.(rx)) ~analog:(analog code) ~settle
-            ~stimulus:(front_stimulus ~fs ~n stim) ~n ()
+          capture_both ~modulator_first:(k land 1 = 0) (snd rxs.(rx)) ~analog:(analog code)
+            ~settle ~stimulus:(front_stimulus ~fs ~n stim) ~n ()
         in
-        incr runs;
-        samples := !samples + n;
+        runs := !runs + 2;
+        samples := !samples + (2 * n);
         if not (same_result (Hashtbl.find oracle (rx, stim, shape, code)) res) then
           Alcotest.failf
             "step %d (%s, stimulus %d, n=%d, settle=%d, code %d) differs from run ~input" k
             (fst rxs.(rx)) stim n settle code)
     steps;
-  Alcotest.(check int) "one receiver.runs per call" (runs0 + !runs) (counter "receiver.runs");
-  Alcotest.(check int) "receiver.samples counts n per call" (samples0 + !samples)
+  Alcotest.(check int) "one receiver.runs per capture" (runs0 + !runs) (counter "receiver.runs");
+  Alcotest.(check int) "receiver.samples counts n per capture" (samples0 + !samples)
     (counter "receiver.samples")
 
 (* A fill that raises must leave the slot untagged: a fabric that
@@ -725,13 +741,15 @@ let test_front_memo_failed_fill () =
   raises "reference path" (fun () ->
       Rfchain.Receiver.run bad ~analog ~input:(Sigkit.Waveform.render stimulus n) ());
   raises "first memoised call" (fun () ->
-      Rfchain.Receiver.run_stimulus bad ~analog ~stimulus ~n ());
+      Rfchain.Receiver.capture_modulator bad ~analog ~stimulus ~n ());
   raises "repeated memoised call" (fun () ->
-      Rfchain.Receiver.run_stimulus bad ~analog ~stimulus ~n ());
+      Rfchain.Receiver.capture_baseband bad ~analog ~stimulus ~n ());
+  raises "repeated memoised call, other tap" (fun () ->
+      Rfchain.Receiver.capture_modulator bad ~analog ~stimulus ~n ());
   Alcotest.(check bool) "a healthy call afterwards is exact" true
     (same_result
        (Rfchain.Receiver.run good ~analog ~input:(Sigkit.Waveform.render stimulus n) ())
-       (Rfchain.Receiver.run_stimulus good ~analog ~stimulus ~n ()))
+       (capture_both ~modulator_first:false good ~analog ~stimulus ~n ()))
 
 (* -------------------------------------------------------- ΣΔ drive memo *)
 
@@ -820,7 +838,7 @@ let test_drive_memo_oracle () =
     (fun k c ->
       let before = held_drive ~len in
       let res =
-        Rfchain.Receiver.run_stimulus rxs.(c.drx) ~analog:(analog c) ~settle
+        capture_both ~modulator_first:(k land 1 = 0) rxs.(c.drx) ~analog:(analog c) ~settle
           ~stimulus:(stimulus c.dtwo) ~n ()
       in
       let after = held_drive ~len in
@@ -837,6 +855,127 @@ let test_drive_memo_oracle () =
       else if not unchanged then Alcotest.failf "%s changed the drive slot" what)
     cases;
   if !repeats = 0 then Alcotest.fail "the walk never repeated a kept drive"
+
+(* ------------------------------------------------------------ Captures *)
+
+(* One capture of a random interleaving: which word, die, stimulus and
+   tap. *)
+type capture_step = { cword : int; cdie : int; cstim : int; cmod : bool }
+
+let capture_case_gen =
+  QCheck.Gen.(
+    let word =
+      let* bits = ui64 in
+      let* clocked = bool in
+      let* buffer = bool in
+      return
+        {
+          (Rfchain.Config.of_bits bits) with
+          Rfchain.Config.comp_clock_enable = clocked;
+          cal_buffer_enable = buffer;
+        }
+    in
+    let step =
+      let* cword = int_range 0 2 in
+      let* cdie = int_range 0 1 in
+      let* cstim = int_range 0 2 in
+      let* cmod = bool in
+      return { cword; cdie; cstim; cmod }
+    in
+    pair (array_repeat 3 word) (list_repeat 10 step))
+
+(* Each capture, in a random interleaving of words (clocked and
+   unclocked comparators, the calibration buffer on and off), two dice,
+   single- and two-tone stimuli and both taps on one domain, must equal
+   the matching field of [run ~input] on the rendered stimulus. *)
+let prop_captures_equal_run =
+  QCheck.Test.make ~name:"stimulus captures equal run ~input on random words" ~count:25
+    (QCheck.make capture_case_gen ~print:(fun (words, steps) ->
+         String.concat "; "
+           (List.map
+              (fun c ->
+                Printf.sprintf "word %Lx die %d stim %d %s"
+                  (Rfchain.Config.to_bits words.(c.cword))
+                  c.cdie c.cstim
+                  (if c.cmod then "mod" else "baseband"))
+              steps)))
+    (fun (words, steps) ->
+      let rxs =
+        [| Rfchain.Receiver.create (chip ~seed:11 ()) std;
+           Rfchain.Receiver.create (chip ~seed:12 ()) std |]
+      in
+      let fs = Rfchain.Standards.fs std and n = 2048 and settle = 512 in
+      let oracle = Hashtbl.create 16 in
+      let expected c =
+        let key = (c.cword, c.cdie, c.cstim) in
+        match Hashtbl.find_opt oracle key with
+        | Some r -> r
+        | None ->
+          let input = Sigkit.Waveform.render (front_stimulus ~fs ~n c.cstim) n in
+          let r = Rfchain.Receiver.run rxs.(c.cdie) ~analog:words.(c.cword) ~settle ~input () in
+          Hashtbl.add oracle key r;
+          r
+      in
+      (* Every expected result first: [run] clears the front slots'
+         tags, so interleaving it would only ever test misses. *)
+      List.iter (fun c -> ignore (expected c)) steps;
+      List.for_all
+        (fun c ->
+          let rx = rxs.(c.cdie) and analog = words.(c.cword) in
+          let stimulus = front_stimulus ~fs ~n c.cstim in
+          let r = expected c in
+          if c.cmod then
+            bits_equal r.Rfchain.Receiver.mod_output
+              (Rfchain.Receiver.capture_modulator rx ~analog ~settle ~stimulus ~n ())
+          else
+            let i, q = Rfchain.Receiver.capture_baseband rx ~analog ~settle ~stimulus ~n () in
+            bits_equal r.Rfchain.Receiver.baseband_i i && bits_equal r.Rfchain.Receiver.baseband_q q)
+        steps)
+
+(* The baseband capture skips the calibration buffer because the
+   decimator reads only [x >= 0.0].  For every [out_buffer] code and
+   the edge values of that sign argument, the guarded value must slice
+   as the buffered one; inside the guard band (-1e-300, 0), where the
+   buffer could round to -0.0, it must be the buffered value itself,
+   and outside it the loop output itself. *)
+let test_buffer_sign_guard () =
+  let fs = Rfchain.Standards.fs std in
+  let values = [ 0.0; -0.0; 4.9e-324; -4.9e-324; 1e-310; -1e-310; 1.0; -1.0; Float.nan ] in
+  let bits = Int64.bits_of_float in
+  for code = 0 to 3 do
+    let cfg = { Rfchain.Config.nominal with cal_buffer_enable = true; out_buffer = code } in
+    let sdm = Rfchain.Sdm.create (chip ()) ~fs cfg in
+    let bgain = sdm.Rfchain.Sdm.buffer_gain in
+    List.iter
+      (fun v ->
+        let buffered = 1.2 *. tanh (bgain *. v /. 1.2) in
+        let guarded = Rfchain.Sdm.buffer_sign sdm v in
+        if guarded >= 0.0 <> (buffered >= 0.0) then
+          Alcotest.failf "out_buffer %d, v = %h: guarded %h slices unlike buffered %h" code v
+            guarded buffered;
+        let want = if v < 0.0 && v > -1e-300 then buffered else v in
+        if not (Int64.equal (bits guarded) (bits want)) then
+          Alcotest.failf "out_buffer %d, v = %h: guarded %h, want %h" code v guarded want)
+      values
+  done
+
+(* A long baseband capture copies no full-rate record: after a warm-up
+   capture has made every workspace slot, one 131 072-sample capture
+   allocates far less than one record in the major heap. *)
+let test_baseband_capture_allocation () =
+  let rx = Rfchain.Receiver.create (chip ()) std in
+  let n = 131_072 in
+  let freq = Rfchain.Receiver.test_tone_frequency rx ~n in
+  let stimulus = Sigkit.Waveform.dbm_tone ~p_dbm:(-25.0) ~freq ~fs:(Rfchain.Receiver.fs rx) () in
+  let capture () =
+    ignore (Rfchain.Receiver.capture_baseband rx ~analog:Rfchain.Config.nominal ~stimulus ~n ())
+  in
+  capture ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  capture ();
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  if words >= float_of_int n /. 4.0 then
+    Alcotest.failf "a warm %d-sample baseband capture allocated %.0f major words" n words
 
 (* ------------------------------------------------------ Workspace arena *)
 
@@ -962,7 +1101,7 @@ let test_arena_reuse_across_evals () =
   let eval_stimulus gmin_enable =
     code := (!code + 1) mod 16;
     let analog = { analog with vglna_gain = !code; gmin_enable } in
-    ignore (Rfchain.Receiver.run_stimulus rx ~analog ~stimulus ~n ())
+    ignore (capture_both ~modulator_first:gmin_enable rx ~analog ~stimulus ~n ())
   in
   let evals () =
     eval ();
@@ -1077,7 +1216,12 @@ let () =
           Alcotest.test_case "a failed front-half fill is never reused" `Quick
             test_front_memo_failed_fill;
           Alcotest.test_case "memoised ΣΔ drive equals run ~input" `Quick test_drive_memo_oracle;
-        ] );
+          Alcotest.test_case "the buffer's sign guard slices as the buffer" `Quick
+            test_buffer_sign_guard;
+          Alcotest.test_case "a long baseband capture copies no record" `Quick
+            test_baseband_capture_allocation;
+        ]
+        @ qcheck [ prop_captures_equal_run ] );
       ( "arena",
         Alcotest.test_case "slot map is alias-free" `Quick test_arena_slots_distinct
         :: Alcotest.test_case "scratch reuse across evals" `Quick test_arena_reuse_across_evals

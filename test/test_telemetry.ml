@@ -396,13 +396,7 @@ let test_cancel_interrupt () =
       (match Telemetry.Cancel.poll () with
       | () -> Alcotest.fail "a pending interrupt must raise"
       | exception Telemetry.Cancel.Cancelled reason ->
-        Alcotest.(check string) "interrupt reason" "SIGINT" reason);
-      (* tick_poll only pays the poll every 4096 samples *)
-      Telemetry.Cancel.tick_poll 1;
-      Telemetry.Cancel.tick_poll 4095;
-      match Telemetry.Cancel.tick_poll 4096 with
-      | () -> Alcotest.fail "tick_poll must poll on the cadence boundary"
-      | exception Telemetry.Cancel.Cancelled _ -> ());
+        Alcotest.(check string) "interrupt reason" "SIGINT" reason));
   Alcotest.(check bool) "interrupt cleared" false (Telemetry.Cancel.interrupted ());
   Telemetry.Cancel.poll ()
 
@@ -808,7 +802,7 @@ let () =
           Alcotest.test_case "deadline tokens" `Quick test_cancel_deadline_token;
           Alcotest.test_case "nesting restores the outer token" `Quick
             test_cancel_nesting_restores;
-          Alcotest.test_case "process-global interrupt and tick cadence" `Quick
+          Alcotest.test_case "process-global interrupt" `Quick
             test_cancel_interrupt;
         ] );
       ( "openmetrics",
