@@ -15,12 +15,10 @@ dead-surface:
 	sh tools/dead_surface.sh
 
 # Net line delta against a base revision, split into lib/, test/ and
-# everything else, leaving out the paths in SKIP (default CHANGES.md);
-# not part of ci.
-#   make line-delta BASE=<ref> [SKIP="<path> ..."]
-SKIP ?= CHANGES.md
+# everything else (ISSUE.md and CHANGES.md excluded); not part of ci.
+#   make line-delta BASE=<ref>
 line-delta:
-	LINE_DELTA_SKIP="$(SKIP)" sh tools/line_delta.sh $(BASE)
+	sh tools/line_delta.sh $(BASE)
 
 # End-to-end smoke of the stress campaign: must exit 0 with every
 # campaign check passing (grep fails the target on any [FAIL] line).

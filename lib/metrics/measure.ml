@@ -66,7 +66,7 @@ let baseband_snr t config ~p_dbm ~n_fft =
       let iq = Rfchain.Receiver.capture_baseband t.rx ~analog:config ~stimulus ~n () in
       let fs = Rfchain.Receiver.fs t.rx in
       let band = Rfchain.Standards.band_hz (Rfchain.Receiver.standard t.rx) in
-      Snr.of_baseband_iq ~n_fft ~fs:(fs /. float_of_int ratio)
+      Snr.of_baseband_iq ~n_fft ~fs:(Rfchain.Receiver.fs_baseband t.rx)
         ~f_signal:(f_in -. (fs /. 4.0))
         ~f_band:(band /. 2.0)
         iq)

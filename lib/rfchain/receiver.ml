@@ -20,6 +20,7 @@ let create ?fabric ?rf_fault chip standard =
 let chip t = t.chip
 let standard t = t.standard
 let fs t = Standards.fs t.standard
+let fs_baseband t = fs t /. float_of_int (Decimator.ratio Decimator.default_config)
 let fabric t = t.fabric
 let rf_fault t = t.rf_fault
 
@@ -109,7 +110,7 @@ let run t ~analog ?(settle = 1024) ?(slice = true) ~input () =
     baseband_i;
     baseband_q;
     fs = fs t;
-    fs_baseband = fs t /. float_of_int (Decimator.ratio Decimator.default_config);
+    fs_baseband = fs_baseband t;
   }
 
 (* What a tagged front-end slot holds: the VGLNA output for one die

@@ -40,6 +40,10 @@ val chip : t -> Circuit.Process.chip
 val standard : t -> Standards.t
 val fs : t -> float
 
+val fs_baseband : t -> float
+(** The decimated output rate: [fs t] over the ratio of
+    {!Decimator.default_config}. *)
+
 val fabric : t -> (Config.t -> Config.t) option
 val rf_fault : t -> (float array -> float array) option
 (** The injection hooks as passed to {!create} — exposed so the
@@ -102,8 +106,8 @@ val capture_baseband :
   float array * float array
 (** The receiver-output tap of a stimulus capture: the
     [(baseband_i, baseband_q)] of the same [run], bit for bit, at
-    [fs t / Decimator.ratio Decimator.default_config], with the same
-    front-half memo, counts, span and errors as {!capture_modulator}.
+    {!fs_baseband}, with the same front-half memo, counts, span and
+    errors as {!capture_modulator}.
     The digital section reads only the sign of each modulator sample,
     so the modulator runs as {!Sdm.run_signs_into} (no calibration
     buffer pass) and no modulator record is copied out. *)

@@ -95,15 +95,17 @@ val run_signs_into :
     gives the same [x >= 0.0] as {!run_into}'s (the digital section's
     1-bit boundary), with the same slots, memo, counters and span.
     It skips the calibration buffer pass, which keeps every sign: with
-    the buffer in the path, each loop output is stored as
-    {!buffer_sign} of it, i.e. as it is except on the negative samples
-    above -1e-300, the only ones the buffer could round to -0.0, which
-    get the real buffer. *)
+    the buffer in the path, each loop output is stored as it is except
+    on the negative samples above -1e-300, the only ones the buffer
+    could round to -0.0, which get the real buffer. *)
 
 val buffer_sign : t -> float -> float
-(** [buffer_sign t v] is what {!run_signs_into} stores for the loop
+(** For tests only; nothing in the library calls it.
+    [buffer_sign t v] is what {!run_signs_into} stores for the loop
     output [v] when the calibration buffer is in the path: [v], or
-    [1.2 tanh (bgain v / 1.2)] when [-1e-300 < v < 0]. *)
+    [1.2 tanh (bgain v / 1.2)] when [-1e-300 < v < 0].  No reachable
+    loop output lies in that band, so this is the only way to test the
+    guard. *)
 
 val tank_frequency : t -> float
 (** True resonance frequency of the (first) tank under this die and

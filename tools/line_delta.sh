@@ -2,11 +2,11 @@
 # Net line delta of the working tree against a base revision: lines
 # added and removed under lib/, under test/ and everywhere else, from
 # `git diff --numstat BASE` plus every untracked, unignored file
-# (counted as added).  The space-separated paths in LINE_DELTA_SKIP
-# (default: CHANGES.md) are left out; binary files count no lines.
+# (counted as added).  ISSUE.md and CHANGES.md are left out; binary
+# files count no lines.
 #
 #   sh tools/line_delta.sh BASE      (from the repository root)
-#   make line-delta BASE=<ref> [SKIP="<path> ..."]
+#   make line-delta BASE=<ref>
 
 if [ $# -ne 1 ] || [ -z "$1" ]; then
   echo "usage: sh tools/line_delta.sh BASE" >&2
@@ -21,9 +21,8 @@ fi
   git ls-files --others --exclude-standard | while IFS= read -r f; do
     if [ -f "$f" ]; then printf '%s\t0\t%s\n' "$(wc -l < "$f" | tr -d ' ')" "$f"; fi
   done
-} | awk -F'\t' -v skip="${LINE_DELTA_SKIP-CHANGES.md}" '
-  BEGIN { n = split(skip, s, " "); for (i = 1; i <= n; i++) skipped[s[i]] = 1 }
-  ($3 in skipped) || $1 == "-" { next }
+} | awk -F'\t' '
+  $3 == "ISSUE.md" || $3 == "CHANGES.md" || $1 == "-" { next }
   {
     g = ($3 ~ /^lib\//) ? 1 : ($3 ~ /^test\//) ? 2 : 3
     add[g] += $1; del[g] += $2
