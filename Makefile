@@ -132,6 +132,20 @@ resume-smoke: build
 	  --checkpoint /tmp/resume-corrupt.ckpt.jsonl --resume > /dev/null 2> /tmp/resume-corrupt.err; \
 	test $$? -eq 2
 	grep -q 'corrupt at line 2' /tmp/resume-corrupt.err
+	# A run cut by --deadline (typed exit 3) leaves a journal that a
+	# resumed run without a deadline completes byte-identically, at
+	# --jobs 1 and 2.
+	rm -f /tmp/resume-deadline-jobs1.ckpt.jsonl /tmp/resume-deadline-jobs2.ckpt.jsonl
+	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --json --jobs 1 --deadline 0.5 \
+	  --checkpoint /tmp/resume-deadline-jobs1.ckpt.jsonl > /dev/null 2>&1; test $$? -eq 3
+	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --json --jobs 1 \
+	  --checkpoint /tmp/resume-deadline-jobs1.ckpt.jsonl --resume > /tmp/resume-deadline-jobs1.out
+	cmp /tmp/resume-fresh.out /tmp/resume-deadline-jobs1.out
+	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --json --jobs 2 --deadline 0.5 \
+	  --checkpoint /tmp/resume-deadline-jobs2.ckpt.jsonl > /dev/null 2>&1; test $$? -eq 3
+	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --json --jobs 2 \
+	  --checkpoint /tmp/resume-deadline-jobs2.ckpt.jsonl --resume > /tmp/resume-deadline-jobs2.out
+	cmp /tmp/resume-fresh.out /tmp/resume-deadline-jobs2.out
 
 # Live monitoring, end to end: run a monitored campaign, scrape
 # /metrics and /healthz mid-flight, and require a valid OpenMetrics
@@ -170,6 +184,15 @@ cli-smoke: build
 	timeout 10 ./_build/default/bin/repro.exe nosuchcmd > /dev/null 2>&1; test $$? -eq 2
 	timeout 10 ./_build/default/bin/repro.exe fig7 --no-such-flag > /dev/null 2>&1; test $$? -eq 2
 	timeout 10 ./_build/default/bin/repro.exe --help > /dev/null 2>&1; test $$? -eq 0
+	# One deadline for every command: the campaign turns it into its
+	# typed error, any other command stops at its next poll; both exit 3.
+	timeout 60 ./_build/default/bin/repro.exe faults --dies 1 --seed 42 --standard bluetooth \
+	  --deadline 0.1 > /dev/null 2> /tmp/cli-deadline-faults.err; test $$? -eq 3
+	grep -Eq 'deadline of 0\.1s exceeded after [0-9]+ of [0-9]+ cells; partial results journalled' \
+	  /tmp/cli-deadline-faults.err
+	timeout 60 ./_build/default/bin/repro.exe fig7 --fast --deadline 0.05 > /dev/null \
+	  2> /tmp/cli-deadline-fig7.err; test $$? -eq 3
+	grep -q 'interrupted: deadline' /tmp/cli-deadline-fig7.err
 
 # Steady-state allocation contract (DESIGN §15): the arena-converted
 # kernels carry absolute minor-words budgets (lib/benchkit alloc

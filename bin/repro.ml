@@ -131,11 +131,6 @@ let monitor_term =
   in
   Term.(const setup $ log_level_arg $ log_jsonl_arg $ metrics_port_arg $ manifest_arg)
 
-(* The CLI's --deadline, stashed so commands with their own supervised
-   run loop (faults) can thread it as a typed campaign deadline rather
-   than relying only on the engine-wide token. *)
-let cli_deadline_s : float option ref = ref None
-
 (* Engine plumbing shared by every subcommand: `--jobs N` selects the
    multicore backend (N >= 2 hands batched evaluations to a fixed pool
    of N-1 worker domains plus the caller; results are byte-identical to
@@ -203,7 +198,6 @@ let engine_term =
             (Faults.Error.to_string (Faults.Error.Checkpoint_corrupt { path; line; reason }));
           exit 2)
     in
-    cli_deadline_s := deadline;
     Engine.Service.configure ~jobs ~cache:(not no_cache) ?checkpoint ?deadline_s:deadline ()
   in
   Term.(const setup $ jobs_arg $ no_cache_arg $ checkpoint_arg $ resume_arg $ deadline_arg)
@@ -287,10 +281,7 @@ let faults () seed standard dies json interrupt_after =
      exit 0, a deadline returns a typed error (exit 3), and an
      interrupt yields a partial report marked incomplete (exit 130,
      like the signal). *)
-  match
-    Faults.Campaign.run_by_name ~dies ~seed ?deadline_s:!cli_deadline_s ?interrupt_after
-      standard
-  with
+  match Faults.Campaign.run_by_name ~dies ~seed ?interrupt_after standard with
   | Error (Faults.Error.Deadline_exceeded _ as e) ->
     Printf.eprintf "%s\n" (Faults.Error.to_string e);
     exit_with 3

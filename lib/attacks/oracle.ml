@@ -59,11 +59,6 @@ let guard r metric config =
   | Error (Engine.Service.Budget_exhausted { spent; limit }) ->
     Telemetry.Counter.incr denied_counter;
     Error (Budget_exhausted { spent; limit })
-  | Error (Engine.Service.Timed_out _) ->
-    (* No per-probe deadline is set here, so a timeout can only mean
-       the whole run's deadline passed — that is a cancellation of the
-       campaign, not an oracle verdict. *)
-    raise (Telemetry.Cancel.Cancelled Telemetry.Cancel.deadline_reason)
   | Ok (measurement, cost) ->
     Telemetry.Counter.add queries_counter cost;
     Ok measurement

@@ -15,16 +15,11 @@ let evaluate_config standard ~seed config =
 (* One streamed engine grid for a whole (die, config) matrix — the
    lot-study transfer matrix and the security table's transfer column.
    The full grid goes to the scheduler at once (no per-batch barrier);
-   [stream_drain] reassembles by index, so the flag list is in point
-   order and bit-identical to the old batched evaluation. *)
+   [eval_batch] drains the stream and reassembles by index, so the flag
+   list is in point order. *)
 let evaluate_many standard points =
-  let stream =
-    Engine.Service.eval_stream
-      (List.map (fun (seed, config) -> request standard ~seed config) points)
-  in
-  match Engine.Service.stream_drain stream with
-  | Ok ms -> List.map (fun m -> (Metrics.Spec.check standard m).Metrics.Spec.functional) ms
-  | Error _ -> assert false (* no per-stream deadline is attached here *)
+  Engine.Service.eval_batch (List.map (fun (seed, config) -> request standard ~seed config) points)
+  |> List.map (fun m -> (Metrics.Spec.check standard m).Metrics.Spec.functional)
 
 (* The paper's cloning claim: a clone is "good-for-nothing if the
    adversary does not know how the design can be programmed".  The

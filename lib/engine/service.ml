@@ -7,7 +7,7 @@ type t = {
   backend : backend;
   jobs : int;
   checkpoint : Checkpoint.t option;
-  deadline : Telemetry.Cancel.t option;
+  deadline : (Telemetry.Cancel.t * float) option;  (* the token and its seconds *)
   (* Main-domain re-entrancy latch: true while a streaming job owns
      the pool.  Work running *inside* the stream (a calibration nested
      in a parallelised study, say) that calls back into this engine
@@ -28,12 +28,13 @@ let create ?(jobs = 1) ?(cache = true) ?(cache_capacity = default_cache_capacity
     backend;
     jobs;
     checkpoint;
-    deadline = Option.map (fun s -> Telemetry.Cancel.with_deadline s) deadline_s;
+    deadline = Option.map (fun s -> (Telemetry.Cancel.with_deadline s, s)) deadline_s;
     streaming = false;
   }
 
 let jobs t = t.jobs
 let checkpoint t = t.checkpoint
+let deadline t = t.deadline
 
 let shutdown t = match t.backend with Seq -> () | Domains pool -> Pool.shutdown pool
 
@@ -98,10 +99,7 @@ let monitor_gauges () =
     let deadline_g =
       match t.deadline with
       | None -> []
-      | Some tok -> (
-        match Telemetry.Cancel.remaining_s tok with
-        | Some r -> [ ("engine_deadline_remaining_seconds", r) ]
-        | None -> [])
+      | Some (tok, _) -> [ ("engine_deadline_remaining_seconds", Telemetry.Cancel.remaining_s tok) ]
     in
     let cp_g =
       match t.checkpoint with
@@ -115,7 +113,6 @@ let () = Telemetry.Monitor.register "engine" monitor_gauges
 let eval_counter = Telemetry.Counter.make "engine.evals"
 let stream_counter = Telemetry.Counter.make "engine.streams"
 let denied_counter = Telemetry.Counter.make "engine.denied"
-let deadline_counter = Telemetry.Counter.make "engine.deadline.hit"
 
 (* Same registered counter as Metrics.Measure's odometer (Counter.make
    is idempotent by name): cache hits replay their trial cost here so
@@ -163,13 +160,13 @@ let compute (req : Request.t) : Cache.value =
   in
   { Cache.measurement; trial_cost = Metrics.Measure.trial_count bench }
 
-(* Run the simulator under an explicit cancellation token (a per-call
-   or engine-wide deadline); with no token, whatever ambient token the
-   caller installed still applies through the DLS. *)
-let compute_tok ~token req =
-  match token with
+(* Run the simulator under the engine's deadline, on whichever domain
+   computes; with none, whatever ambient token the caller installed
+   still applies through the DLS. *)
+let compute_in t req =
+  match t.deadline with
   | None -> compute req
-  | Some tok -> Telemetry.Cancel.with_token tok (fun () -> compute req)
+  | Some (tok, _) -> Telemetry.Cancel.with_token tok (fun () -> compute req)
 
 module Account = struct
   type t = {
@@ -189,7 +186,6 @@ type denial =
       spent : int;
       limit : int;
     }
-  | Timed_out of { deadline_s : float }
 
 (* ------------------------------------------------- per-request steps
    The two halves of every evaluation, shared by [eval] and the
@@ -245,7 +241,7 @@ let publish t cache ?account key value =
   | None -> ());
   charge account value
 
-let eval_value ~token ?account t req =
+let eval_value ?account t req =
   let cache = local_cache t in
   let key = Request.cache_key req in
   let hit = match key with Some k -> resolve t cache k | None -> None in
@@ -254,23 +250,13 @@ let eval_value ~token ?account t req =
     charge account value;
     value
   | None ->
-    let value = compute_tok ~token req in
+    let value = compute_in t req in
     publish t cache ?account key value;
     value
 
 let eval ?engine ?account req =
   let t = engine_of engine in
-  (eval_value ~token:t.deadline ?account t req).Cache.measurement
-
-(* A cancellation that fired because [tok]'s deadline passed becomes a
-   typed [Timed_out] denial; any other cancellation (a SIGINT, an outer
-   token) keeps propagating as the exception it is. *)
-let timed_out_guard tok deadline_s = function
-  | Telemetry.Cancel.Cancelled _ when Telemetry.Cancel.is_set tok ->
-    Telemetry.Counter.incr deadline_counter;
-    Telemetry.Counter.incr denied_counter;
-    Some (Timed_out { deadline_s })
-  | _ -> None
+  (eval_value ?account t req).Cache.measurement
 
 (* ---------------------------------------------------------- streaming
    DESIGN §14: the one multi-request path.  The whole request grid is
@@ -291,26 +277,17 @@ type stream = {
   values : Cache.value option array;  (* by request index; full once drained *)
   next : unit -> int option;  (* deliver one more index, publishing it *)
   on_stop : unit -> unit;  (* release pool / re-entrancy latch; idempotent *)
-  (* Per-stream deadline token and its budget; [None] without
-     [?deadline_s], where an engine-wide deadline still cancels
-     computes but surfaces as the raw cancellation exception. *)
-  deadline : (Telemetry.Cancel.t * float) option;
   mutable stopped : bool;
   mutable aborted : bool;  (* stopped early: drain would be partial *)
-  mutable dead : denial option;  (* sticky after a deadline denial *)
 }
 
-let eval_stream ?engine ?account ?deadline_s reqs =
+let eval_stream ?engine ?account reqs =
   let t = engine_of engine in
   Telemetry.Counter.incr stream_counter;
-  let deadline = Option.map (fun d -> (Telemetry.Cancel.with_deadline d, d)) deadline_s in
-  let token = match deadline with Some (tok, _) -> Some tok | None -> t.deadline in
   let arr = Array.of_list reqs in
   let n = Array.length arr in
   let values = Array.make n None in
-  let mk ?(on_stop = ignore) next =
-    { values; next; on_stop; deadline; stopped = false; aborted = false; dead = None }
-  in
+  let mk ?(on_stop = ignore) next = { values; next; on_stop; stopped = false; aborted = false } in
   let cursor = ref 0 in
   if not (on_main ()) then
     (* Off the main domain there is no cache and no pool: evaluate
@@ -320,7 +297,7 @@ let eval_stream ?engine ?account ?deadline_s reqs =
         else begin
           let i = !cursor in
           incr cursor;
-          values.(i) <- Some (eval_value ~token ?account t arr.(i));
+          values.(i) <- Some (eval_value ?account t arr.(i));
           Some i
         end)
   else begin
@@ -369,7 +346,7 @@ let eval_stream ?engine ?account ?deadline_s reqs =
       let ticket =
         try
           Pool.submit_stream pool
-            (fun j -> computed.(j) <- Some (compute_tok ~token arr.(misses.(j))))
+            (fun j -> computed.(j) <- Some (compute_in t arr.(misses.(j))))
             m
         with e ->
           t.streaming <- false;
@@ -393,7 +370,7 @@ let eval_stream ?engine ?account ?deadline_s reqs =
              else begin
                let j = !cursor in
                incr cursor;
-               deliver j (compute_tok ~token arr.(misses.(j)))
+               deliver j (compute_in t arr.(misses.(j)))
              end))
   end
 
@@ -404,44 +381,29 @@ let stream_stop ~aborted s =
     s.on_stop ()
   end
 
-let stream_abort s = if s.dead = None then stream_stop ~aborted:true s
+let stream_abort s = stream_stop ~aborted:true s
 
+(* A cancellation escaping the pull (the engine's deadline, a SIGINT)
+   releases the scheduler before it propagates. *)
 let stream_next s =
-  match s.dead with
-  | Some d -> Error d
-  | None when s.stopped -> Ok None
-  | None -> (
+  if s.stopped then None
+  else
     match s.next () with
-    | Some i -> Ok (Some (i, (Option.get s.values.(i)).Cache.measurement))
+    | Some i -> Some (i, (Option.get s.values.(i)).Cache.measurement)
     | None ->
       stream_stop ~aborted:false s;
-      Ok None
-    | exception e -> (
-      stream_stop ~aborted:true s;
-      match s.deadline with
-      | Some (tok, deadline_s) -> (
-        match timed_out_guard tok deadline_s e with
-        | Some d ->
-          s.dead <- Some d;
-          Error d
-        | None -> raise e)
-      | None -> raise e))
+      None
+    | exception e ->
+      stream_abort s;
+      raise e
 
 let stream_drain s =
   if s.aborted then invalid_arg "Service.stream_drain: stream was aborted";
-  let rec go () =
-    match stream_next s with
-    | Ok (Some _) -> go ()
-    | Ok None ->
-      Ok (Array.to_list (Array.map (fun v -> (Option.get v).Cache.measurement) s.values))
-    | Error d -> Error d
-  in
-  go ()
+  let rec go () = match stream_next s with Some _ -> go () | None -> () in
+  go ();
+  Array.to_list (Array.map (fun v -> (Option.get v).Cache.measurement) s.values)
 
-let eval_batch ?engine ?account reqs =
-  match stream_drain (eval_stream ?engine ?account reqs) with
-  | Ok ms -> ms
-  | Error _ -> assert false (* denials need a per-stream deadline *)
+let eval_batch ?engine ?account reqs = stream_drain (eval_stream ?engine ?account reqs)
 
 (* Generic job-level streaming for fan-outs that are not [Request]
    evaluations (a lot's die calibrations, an attack's trial set): run
@@ -469,7 +431,6 @@ let eval_guarded ?engine ~account req =
     Error (Budget_exhausted { spent = Account.spent account; limit })
   end
   else begin
-    let t = engine_of engine in
-    let value = eval_value ~token:t.deadline ~account t req in
+    let value = eval_value ~account (engine_of engine) req in
     Ok (value.Cache.measurement, value.Cache.trial_cost)
   end

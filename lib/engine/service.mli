@@ -26,10 +26,13 @@
     Supervision: an engine can carry a {!Checkpoint.t} journal — a
     persistent second cache level that makes completed evaluations
     durable so an interrupted campaign resumes bit-identically — and
-    a deadline, enforced cooperatively by cancellation polls inside
-    the simulator inner loop.  A per-stream deadline that fires
-    surfaces as the typed denial {!Timed_out} (counted in
-    [engine.deadline.hit]), never as a hang. *)
+    a deadline, the run's only one.  Every evaluation computes with
+    the deadline's token installed, on whichever domain runs it, so a
+    passed deadline stops the simulator at its next cancellation poll
+    and reaches the caller as
+    [Telemetry.Cancel.Cancelled Telemetry.Cancel.deadline_reason],
+    never as a hang.  Work delivered before it is already journalled
+    and cached; the request that was cut is neither. *)
 
 type t
 
@@ -46,12 +49,17 @@ val create :
     [cache] (default true) fronts evaluation with an LRU of
     [cache_capacity] (default 4096) results.  [checkpoint] journals
     every completed evaluation and replays journalled ones
-    (caller-owned: the engine never closes it).  [deadline_s] arms an
-    engine-wide deadline, measured from this call, that cancels any
+    (caller-owned: the engine never closes it).  [deadline_s] arms the
+    engine's deadline, measured from this call, that cancels any
     in-flight evaluation once it passes. *)
 
 val jobs : t -> int
 val checkpoint : t -> Checkpoint.t option
+
+val deadline : t -> (Telemetry.Cancel.t * float) option
+(** The deadline's token and the seconds it was armed with, so a
+    supervisor can install the token around its own main-domain stages
+    and report the deadline it hit. *)
 
 val shutdown : t -> unit
 (** Join the worker pool (tests); also registered at process exit.
@@ -89,14 +97,12 @@ module Account : sig
 end
 
 (** Why an evaluation was refused rather than run: the account's hard
-    budget was already spent, or the deadline passed before the
-    simulator finished. *)
+    budget was already spent. *)
 type denial =
   | Budget_exhausted of {
       spent : int;
       limit : int;
     }
-  | Timed_out of { deadline_s : float }
 
 val eval : ?engine:t -> ?account:Account.t -> Request.t -> Metrics.Spec.measurement
 (** Evaluate one request: resolve, else compute and publish, inline on
@@ -129,30 +135,24 @@ val eval_batch :
     calling lane.  Off the main domain a stream has no cache and no
     pool and evaluates each request like {!eval}, one per pull.  A
     stream must be consumed on the domain that opened it, and either
-    drained to [Ok None] / an [Error] or explicitly {!stream_abort}ed
-    — abandoning it leaves the pool occupied. *)
+    drained to [None] or explicitly {!stream_abort}ed — abandoning it
+    leaves the pool occupied.  An exception out of a pull (the
+    engine's deadline, a SIGINT) aborts the stream before it
+    propagates. *)
 
 type stream
 
-val eval_stream :
-  ?engine:t -> ?account:Account.t -> ?deadline_s:float -> Request.t list -> stream
-(** Submit the grid and return immediately.  [deadline_s] bounds the
-    whole stream (seconds from now): once it fires, {!stream_next}
-    aborts the remaining work and returns (stickily)
-    [Error (Timed_out _)], counting [engine.deadline.hit]; completions
-    delivered before the deadline are already journalled and cached,
-    and resolved hits never time out.  Without it, an engine-wide
-    deadline surfaces from {!stream_next} as the raw cancellation
-    exception. *)
+val eval_stream : ?engine:t -> ?account:Account.t -> Request.t list -> stream
+(** Submit the grid and return immediately. *)
 
-val stream_next : stream -> ((int * Metrics.Spec.measurement) option, denial) result
-(** Next completed evaluation, or [Ok None] once all have been
-    delivered (or after {!stream_abort}).  Blocks only when every
-    remaining item is in flight on a worker lane; with no workers the
-    calling domain computes one item per pull, in locality order
-    (index order among requests of equal {!Request.locality}). *)
+val stream_next : stream -> (int * Metrics.Spec.measurement) option
+(** Next completed evaluation, or [None] once all have been delivered
+    (or after {!stream_abort}).  Blocks only when every remaining item
+    is in flight on a worker lane; with no workers the calling domain
+    computes one item per pull, in locality order (index order among
+    requests of equal {!Request.locality}). *)
 
-val stream_drain : stream -> (Metrics.Spec.measurement list, denial) result
+val stream_drain : stream -> Metrics.Spec.measurement list
 (** Consume to the end and return all measurements in request order —
     including ones already delivered through {!stream_next}.  Raises
     [Invalid_argument] on an aborted stream. *)

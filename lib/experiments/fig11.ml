@@ -14,17 +14,13 @@ let run ?(n_fft = 1024) (ctx : Context.t) =
        engine grid: all segments' points are in flight at once, and
        index assembly keeps the returned SNRs in point order. *)
     let measure_batch points =
-      let stream =
-        Engine.Service.eval_stream
-          (List.map
-             (fun (p_dbm, gain_code) ->
-               Engine.Request.make ~die ~standard ~config
-                 (Engine.Request.Snr_rx_at_power { n_fft; p_dbm; gain_code }))
-             points)
-      in
-      match Engine.Service.stream_drain stream with
-      | Ok ms -> List.map (fun m -> m.Metrics.Spec.snr_rx_db) ms
-      | Error _ -> assert false (* no per-stream deadline is attached here *)
+      Engine.Service.eval_batch
+        (List.map
+           (fun (p_dbm, gain_code) ->
+             Engine.Request.make ~die ~standard ~config
+               (Engine.Request.Snr_rx_at_power { n_fft; p_dbm; gain_code }))
+           points)
+      |> List.map (fun m -> m.Metrics.Spec.snr_rx_db)
     in
     Metrics.Dynamic_range.sweep_batch ~measure_batch
   in

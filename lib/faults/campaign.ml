@@ -88,78 +88,63 @@ let cells_counter = Telemetry.Counter.make "faults.cells"
 let flip_probes_counter = Telemetry.Counter.make "faults.flip_probes"
 let demos_counter = Telemetry.Counter.make "faults.demos"
 
-(* Campaign-internal control flow for the two supervised stops.  Both
-   are raised only between chunks (or from a cancellation poll), caught
-   once at the top of [run], and never escape the library. *)
-exception Deadline
-exception Halt of string
-
-(* Evaluate a request list by handing the scheduler the whole grid at
-   once (DESIGN §14) and consuming completions out of order as lanes
-   finish them — there is no per-chunk submit barrier any more.  Every
-   delivered completion is already journalled (on the main domain,
-   before cache publication) and counts into [completed]; the campaign
-   deadline and the injected interrupt are both checked before every
-   pull, so [completed] is exact — to the cell — when either fires.
-   [interrupt_after] halts at precisely that many completed cells, the
+(* Evaluate a request list as one stream (DESIGN §14): the scheduler
+   gets the whole grid at once and completions are consumed out of
+   order as lanes finish them.  Every delivered completion is already
+   journalled (on the main domain, before cache publication) and
+   counts into [completed]; the injected interrupt and the cancellation
+   poll both run before every pull, so [completed] is exact — to the
+   cell — when the deadline or an interrupt stops the stream.
+   [interrupt_after] stops at precisely that many completed cells, the
    deterministic stand-in for a SIGINT; assembly by index restores
-   request order bit-identically to the old chunked evaluation. *)
-let eval_streamed ?engine ~tok ~completed ~total ~interrupt_after reqs =
-  let halt_check () =
-    match interrupt_after with
-    | Some k when !completed >= k -> raise (Halt "interrupt (injected)")
-    | _ -> ()
+   request order. *)
+let eval_streamed ?engine ~completed ~total ~interrupt_after reqs =
+  let check () =
+    (match interrupt_after with
+    | Some k when !completed >= k -> raise (Telemetry.Cancel.Cancelled "interrupt (injected)")
+    | _ -> ());
+    Telemetry.Cancel.poll ()
   in
-  halt_check ();
-  Telemetry.Cancel.poll ();
+  check ();
   let n = List.length reqs in
-  let deadline_s =
-    match Option.map Telemetry.Cancel.remaining_s tok with
-    | None -> None
-    | Some None -> Some infinity
-    | Some (Some r) -> if r <= 0.0 then raise Deadline else Some r
-  in
-  let stream = Engine.Service.eval_stream ?engine ?deadline_s reqs in
-  (* Whatever stops the consumption loop — the injected halt, a
-     deadline, a SIGINT cancellation — releases the scheduler before
-     propagating, so the partial-report paths above us never leave the
-     pool occupied. *)
+  let stream = Engine.Service.eval_stream ?engine reqs in
+  (* Whatever stops the consumption loop — the injected interrupt, the
+     deadline, a SIGINT — releases the scheduler before propagating, so
+     the partial-report path above us never leaves the pool occupied. *)
   Fun.protect ~finally:(fun () -> Engine.Service.stream_abort stream) @@ fun () ->
   let rec pull delivered =
     if delivered < n then begin
-      halt_check ();
-      Telemetry.Cancel.poll ();
+      check ();
       match Engine.Service.stream_next stream with
-      | Ok (Some _) ->
+      | Some _ ->
         incr completed;
-        (* Live monitoring: progress now lands per completed cell, not
-           per 16-cell chunk. *)
+        (* Live monitoring: progress lands per completed cell. *)
         Telemetry.Monitor.set_progress ~completed:!completed ~total:(max !total !completed);
         pull (delivered + 1)
-      | Ok None -> ()
-      | Error (Engine.Service.Timed_out _) -> raise Deadline
-      | Error (Engine.Service.Budget_exhausted _) ->
-        assert false (* no account is attached to campaign grids *)
+      | None -> ()
     end
   in
   pull 0;
-  match Engine.Service.stream_drain stream with
-  | Ok ms -> ms
-  | Error _ -> assert false (* fully delivered above *)
+  Engine.Service.stream_drain stream
 
-let run ?(dies = 3) ?(seed = 42) ?engine ?deadline_s ?interrupt_after standard =
+let run ?(dies = 3) ?(seed = 42) ?engine ?interrupt_after standard =
   if dies < 1 then Error (Error.Empty_sweep { what = "dies" })
   else begin
     Telemetry.Span.with_ ~name:"faults.campaign"
       ~attrs:[ ("dies", string_of_int dies); ("standard", standard.Rfchain.Standards.name) ]
     @@ fun () ->
     let min_snr = standard.Rfchain.Standards.min_snr_db in
-    let tok = Option.map (fun s -> Telemetry.Cancel.with_deadline s) deadline_s in
-    (* Install the campaign deadline as the ambient token for the
-       main-domain stages (lot calibration, demos) so their simulator
-       polls observe it; streamed stages carry it explicitly into the
-       worker domains via [eval_stream ~deadline_s]. *)
-    let with_tok f = match tok with None -> f () | Some tk -> Telemetry.Cancel.with_token tk f in
+    let deadline =
+      Engine.Service.deadline
+        (match engine with Some e -> e | None -> Engine.Service.default ())
+    in
+    (* Install the engine's deadline as the ambient token for the
+       main-domain stages (lot calibration, demos, the poll before each
+       pull) so their polls observe it; the engine installs it around
+       every evaluation it computes, on any domain. *)
+    let with_deadline f =
+      match deadline with None -> f () | Some (tok, _) -> Telemetry.Cancel.with_token tok f
+    in
     (* Partial-state accumulators: whatever is filled in when an
        interrupt lands becomes the partial report. *)
     let completed = ref 0 in
@@ -185,18 +170,18 @@ let run ?(dies = 3) ?(seed = 42) ?engine ?deadline_s ?interrupt_after standard =
         completed_cells = !completed;
       }
     in
-    let eval_streamed reqs = eval_streamed ?engine ~tok ~completed ~total ~interrupt_after reqs in
+    let eval_streamed reqs = eval_streamed ?engine ~completed ~total ~interrupt_after reqs in
     Telemetry.Log.info
       ~fields:
         [
           ("standard", standard.Rfchain.Standards.name);
           ("dies", string_of_int dies);
           ("seed", string_of_int seed);
-          ("deadline_s", match deadline_s with Some d -> Printf.sprintf "%g" d | None -> "-");
+          ("deadline_s", match deadline with Some (_, d) -> Printf.sprintf "%g" d | None -> "-");
         ]
       "campaign: starting";
     match
-      with_tok @@ fun () ->
+      with_deadline @@ fun () ->
       (* Calibrate each die of the lot while healthy: the campaign asks
          what happens to a *provisioned* part when a fault arrives. *)
       let lot =
@@ -221,9 +206,9 @@ let run ?(dies = 3) ?(seed = 42) ?engine ?deadline_s ?interrupt_after standard =
           .Metrics.Spec.snr_mod_db;
       (* Fault x severity x die grid, golden key applied to the faulted
          part.  The grid is embarrassingly parallel: build every cell's
-         engine request up front, evaluate in fixed-size chunks (each
-         chunk fans out across the domains backend under --jobs and is
-         journalled cell by cell), then zip the SNRs back in grid
+         engine request up front, stream the whole grid (it fans out
+         across the domains backend under --jobs and is journalled cell
+         by cell as completions arrive), then zip the SNRs back in grid
          order. *)
       let cell_points =
         List.concat_map
@@ -266,9 +251,9 @@ let run ?(dies = 3) ?(seed = 42) ?engine ?deadline_s ?interrupt_after standard =
             })
           cell_points cell_snrs;
       (* Single-bit corruption cliff: flip each key bit on the healthy
-         primary die.  Fast SNR probes go out chunked; only apparent
-         survivors pay for the full spec check (a second, much smaller
-         pass). *)
+         primary die.  Fast SNR probes go out as one stream; only
+         apparent survivors pay for the full spec check (a second, much
+         smaller stream). *)
       let corrupted_of bit =
         Rfchain.Config.of_bits
           (Int64.logxor (Rfchain.Config.to_bits key0) (Int64.shift_left 1L bit))
@@ -338,60 +323,28 @@ let run ?(dies = 3) ?(seed = 42) ?engine ?deadline_s ?interrupt_after standard =
       Ok (finish ())
     with
     | result -> result
-    | exception Deadline ->
-      Telemetry.Log.warn
-        ~fields:[ ("completed", string_of_int !completed); ("total", string_of_int !total) ]
-        "campaign: deadline exceeded";
-      Error
-        (Error.Deadline_exceeded
-           {
-             deadline_s = Option.value deadline_s ~default:0.0;
-             completed = !completed;
-             total = !total;
-           })
-    | exception Telemetry.Cancel.Cancelled reason
-      when deadline_s <> None && reason = Telemetry.Cancel.deadline_reason ->
-      Telemetry.Log.warn
-        ~fields:[ ("completed", string_of_int !completed); ("total", string_of_int !total) ]
-        "campaign: deadline exceeded";
-      Error
-        (Error.Deadline_exceeded
-           {
-             deadline_s = Option.value deadline_s ~default:0.0;
-             completed = !completed;
-             total = !total;
-           })
-    | exception Halt reason ->
-      Telemetry.Log.warn
-        ~fields:
-          [
-            ("reason", reason);
-            ("completed", string_of_int !completed);
-            ("total", string_of_int !total);
-          ]
-        "campaign: interrupted";
-      interrupted_r := Some reason;
-      Ok (finish ())
-    | exception Telemetry.Cancel.Cancelled reason ->
-      (* A SIGINT (or an outer token): everything journalled so far is
-         durable; report what completed, marked incomplete. *)
-      Telemetry.Log.warn
-        ~fields:
-          [
-            ("reason", reason);
-            ("completed", string_of_int !completed);
-            ("total", string_of_int !total);
-          ]
-        "campaign: interrupted";
-      interrupted_r := Some reason;
-      Ok (finish ())
+    | exception Telemetry.Cancel.Cancelled reason -> (
+      let fields =
+        [ ("completed", string_of_int !completed); ("total", string_of_int !total) ]
+      in
+      match deadline with
+      | Some (_, deadline_s) when reason = Telemetry.Cancel.deadline_reason ->
+        Telemetry.Log.warn ~fields "campaign: deadline exceeded";
+        Error
+          (Error.Deadline_exceeded { deadline_s; completed = !completed; total = !total })
+      | _ ->
+        (* A SIGINT or the injected interrupt: everything journalled so
+           far is durable; report what completed, marked incomplete. *)
+        Telemetry.Log.warn ~fields:(("reason", reason) :: fields) "campaign: interrupted";
+        interrupted_r := Some reason;
+        Ok (finish ()))
   end
 
-let run_by_name ?dies ?seed ?engine ?deadline_s ?interrupt_after name =
+let run_by_name ?dies ?seed ?engine ?interrupt_after name =
   match Rfchain.Standards.find_opt name with
   | None ->
     Error (Error.Unknown_standard { requested = name; known = Rfchain.Standards.names })
-  | Some standard -> run ?dies ?seed ?engine ?deadline_s ?interrupt_after standard
+  | Some standard -> run ?dies ?seed ?engine ?interrupt_after standard
 
 let complete t = t.interrupted = None
 

@@ -61,27 +61,29 @@ val run :
   ?dies:int ->
   ?seed:int ->
   ?engine:Engine.Service.t ->
-  ?deadline_s:float ->
   ?interrupt_after:int ->
   Rfchain.Standards.t ->
   (t, Error.t) result
-(** Run the campaign ([dies] defaults to 3, [seed] to 42).
+(** Run the campaign ([dies] defaults to 3, [seed] to 42) on [engine]
+    (default {!Engine.Service.default}).
 
-    Supervision: [deadline_s] bounds the whole campaign — evaluations
-    past the deadline are cancelled at their next poll and the run
-    returns [Error (Deadline_exceeded _)] with an exact completed-cell
-    count.  A SIGINT (the process-global interrupt) instead returns a
-    partial report with [interrupted = Some _]; everything evaluated
-    before the cut is already journalled if [engine] carries a
-    checkpoint, so a resumed run replays it bit-identically.
-    [interrupt_after n] is the deterministic test hook: it injects the
-    interrupt after exactly [n] completed cells. *)
+    Supervision: the engine's deadline ({!Engine.Service.create}
+    [~deadline_s]) is the campaign's.  Once it passes, the evaluation
+    in flight is cancelled at its next poll and the run returns
+    [Error (Deadline_exceeded _)] with the engine's seconds and an
+    exact completed-cell count.  Any other cancellation — a SIGINT
+    (the process-global interrupt) or [interrupt_after] — returns a
+    partial report with [interrupted = Some reason].  Everything
+    evaluated before either cut is already journalled if [engine]
+    carries a checkpoint, so a resumed run replays it bit-identically.
+    [interrupt_after n] is the deterministic test hook: it stops the
+    run after exactly [n] completed cells, as if SIGINT had arrived
+    there. *)
 
 val run_by_name :
   ?dies:int ->
   ?seed:int ->
   ?engine:Engine.Service.t ->
-  ?deadline_s:float ->
   ?interrupt_after:int ->
   string ->
   (t, Error.t) result

@@ -1,12 +1,11 @@
-(* Cooperative cancellation.
+(* Deadline tokens and cancellation points.
 
-   A token is a shared flag (plus an optional wall-clock deadline) that
-   long-running kernels poll at bounded intervals — the sigma-delta
-   inner loop checks every 4096 samples, the AFE chain every 4096
-   samples, the experiment drivers between ensemble members.  Polling
-   raises [Cancelled], which the supervision layer above (the
-   evaluation engine, the fault campaign) converts into typed results;
-   nothing below the service layer ever catches it.
+   A token is a wall-clock deadline that long-running kernels poll at
+   bounded intervals — the sigma-delta inner loop checks every 4096
+   samples, the AFE chain every 4096 samples, the experiment drivers
+   between ensemble members.  Polling raises [Cancelled], which the
+   fault campaign converts into typed results and the CLI into an exit
+   status; nothing else ever catches it.
 
    Tokens reach the kernels through domain-local storage so a token
    installed around a pool worker's evaluation is visible to every
@@ -16,56 +15,39 @@
    checked by every poll regardless of the installed token. *)
 
 type t = {
-  flag : bool Atomic.t;
-  deadline_ns : int64 option;  (* absolute, gettimeofday scale *)
-  reason : string;
+  flag : bool Atomic.t;  (* latched once the deadline is observed *)
+  deadline_ns : int64;  (* absolute, gettimeofday scale *)
 }
 
 exception Cancelled of string
 
-(* Reason conventions: deadline tokens say [deadline_reason], so the
-   layers that must tell a timeout from an interrupt (the fault
-   campaign) can do so without carrying the token itself. *)
 let deadline_reason = "deadline"
 
 let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
 
-let create ?(reason = "cancelled") () =
-  { flag = Atomic.make false; deadline_ns = None; reason }
-
-let with_deadline ?(reason = deadline_reason) seconds =
+let with_deadline seconds =
   let ns = Int64.add (now_ns ()) (Int64.of_float (Float.max 0.0 seconds *. 1e9)) in
   (* A non-positive deadline trips at creation; the lazy clock check
      below is strict, so within one clock tick it would miss. *)
-  { flag = Atomic.make (seconds <= 0.0); deadline_ns = Some ns; reason }
-
-let set t = Atomic.set t.flag true
-let reason t = t.reason
+  { flag = Atomic.make (seconds <= 0.0); deadline_ns = ns }
 
 let is_set t =
   Atomic.get t.flag
   ||
-  match t.deadline_ns with
-  | Some d when Int64.compare (now_ns ()) d > 0 ->
+  if Int64.compare (now_ns ()) t.deadline_ns > 0 then begin
     (* Latch, so the token stays tripped even if the clock steps back. *)
     Atomic.set t.flag true;
     true
-  | _ -> false
+  end
+  else false
 
 let remaining_s t =
-  if Atomic.get t.flag then Some 0.0
-  else
-    match t.deadline_ns with
-    | None -> None
-    | Some d -> Some (Float.max 0.0 (Int64.to_float (Int64.sub d (now_ns ())) /. 1e9))
-
-let check t = if is_set t then raise (Cancelled t.reason)
+  if Atomic.get t.flag then 0.0
+  else Float.max 0.0 (Int64.to_float (Int64.sub t.deadline_ns (now_ns ())) /. 1e9)
 
 (* ------------------------------------------------- domain-local scope *)
 
 let key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
-let current () = !(Domain.DLS.get key)
 
 let with_token tok f =
   let slot = Domain.DLS.get key in
@@ -99,10 +81,10 @@ let poll () =
     Counter.incr cancels_counter;
     raise (Cancelled (Atomic.get interrupt_reason))
   end;
-  match current () with
+  match !(Domain.DLS.get key) with
   | None -> ()
   | Some t ->
     if is_set t then begin
       Counter.incr cancels_counter;
-      raise (Cancelled t.reason)
+      raise (Cancelled deadline_reason)
     end

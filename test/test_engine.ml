@@ -455,9 +455,8 @@ let test_stream_locality_order () =
   let stream = Engine.Service.eval_stream ~engine (List.map fst grid) in
   let rec pull acc =
     match Engine.Service.stream_next stream with
-    | Ok (Some (i, _)) -> pull (i :: acc)
-    | Ok None -> List.rev acc
-    | Error _ -> Alcotest.fail "no deadline, no denial"
+    | Some (i, _) -> pull (i :: acc)
+    | None -> List.rev acc
   in
   Alcotest.(check (list int)) "misses delivered in stable locality order" expected (pull []);
   Engine.Service.shutdown engine
@@ -476,15 +475,13 @@ let test_stream_hits_first () =
   let steps0 = counter "sdm.steps" in
   let stream = Engine.Service.eval_stream ~engine [ ra; rb ] in
   (match Engine.Service.stream_next stream with
-  | Ok (Some (i, m)) ->
+  | Some (i, m) ->
     Alcotest.(check int) "the cache hit is delivered first" 1 i;
     Alcotest.(check bool) "hit is bit-identical" true (same_measurement cached m);
     Alcotest.(check int) "hit delivery ran zero simulator steps" steps0 (counter "sdm.steps")
-  | _ -> Alcotest.fail "expected the hit as the first delivery");
-  (match Engine.Service.stream_drain stream with
-  | Ok ms ->
-    Alcotest.(check int) "drain returns the full grid in request order" 2 (List.length ms)
-  | Error _ -> Alcotest.fail "drain must succeed");
+  | None -> Alcotest.fail "expected the hit as the first delivery");
+  Alcotest.(check int) "drain returns the full grid in request order" 2
+    (List.length (Engine.Service.stream_drain stream));
   Engine.Service.shutdown engine
 
 let test_stream_abort_reusable () =
@@ -492,11 +489,11 @@ let test_stream_abort_reusable () =
   let reqs = List.map (fun bit -> request (config_of_bit bit)) [ 45; 46; 47; 48; 49 ] in
   let stream = Engine.Service.eval_stream ~engine reqs in
   (match Engine.Service.stream_next stream with
-  | Ok (Some _) -> ()
-  | _ -> Alcotest.fail "expected one delivery before the abort");
+  | Some _ -> ()
+  | None -> Alcotest.fail "expected one delivery before the abort");
   Engine.Service.stream_abort stream;
   Alcotest.(check bool) "an aborted stream is at its end" true
-    (Engine.Service.stream_next stream = Ok None);
+    (Engine.Service.stream_next stream = None);
   (match Engine.Service.stream_drain stream with
   | _ -> Alcotest.fail "draining an aborted stream must be refused"
   | exception Invalid_argument _ -> ());
@@ -528,32 +525,46 @@ let test_map_jobs_nested () =
 
 (* ----------------------------------------------------------- deadline *)
 
-(* A per-stream deadline on one request (sequential engine) and on four
-   requests (pool engine): an expired deadline is a typed denial that
-   echoes the deadline and counts [engine.deadline.hit]; a generous
-   one is bit-identical to the plain result. *)
-let check_stream_deadline ~jobs reqs =
-  let engine = Engine.Service.create ~jobs ~cache:false () in
-  let hit0 = counter "engine.deadline.hit" in
-  (match Engine.Service.stream_drain (Engine.Service.eval_stream ~engine ~deadline_s:0.0 reqs) with
-  | Error (Engine.Service.Timed_out { deadline_s }) ->
-    Alcotest.(check (float 0.0)) "denial echoes the deadline" 0.0 deadline_s
-  | Error (Engine.Service.Budget_exhausted _) -> Alcotest.fail "wrong denial"
-  | Ok _ -> Alcotest.fail "an expired deadline must not evaluate");
-  Alcotest.(check int) "engine.deadline.hit incremented" (hit0 + 1)
-    (counter "engine.deadline.hit");
-  let plain = Engine.Service.eval_batch ~engine reqs in
-  (match Engine.Service.stream_drain (Engine.Service.eval_stream ~engine ~deadline_s:60.0 reqs) with
-  | Ok ms ->
-    Alcotest.(check bool) "generous deadline is bit-identical to the plain result" true
-      (List.for_all2 same_measurement plain ms)
-  | Error _ -> Alcotest.fail "a generous deadline must succeed");
-  Engine.Service.shutdown engine
+(* The engine's deadline on one request (sequential engine) and on four
+   requests (pool engine): an expired deadline cancels the batch with
+   the deadline reason and leaves no trace — nothing journalled, and
+   the first request still misses the cache, so it is cancelled again;
+   a generous one is bit-identical to no deadline. *)
+let check_engine_deadline ~jobs reqs =
+  let cancelled what f =
+    match f () with
+    | _ -> Alcotest.fail (what ^ " must be cancelled")
+    | exception Telemetry.Cancel.Cancelled reason ->
+      Alcotest.(check string) what Telemetry.Cancel.deadline_reason reason
+  in
+  let path = Filename.temp_file "deadline" ".jsonl" in
+  let cp =
+    match Engine.Checkpoint.load ~resume:false path with
+    | Ok cp -> cp
+    | Error c -> Alcotest.fail (Engine.Checkpoint.corruption_to_string c)
+  in
+  let expired = Engine.Service.create ~jobs ~checkpoint:cp ~deadline_s:0.0 () in
+  cancelled "expired deadline cancels the batch" (fun () ->
+      Engine.Service.eval_batch ~engine:expired reqs);
+  Alcotest.(check int) "nothing journalled" 0 (Engine.Checkpoint.entries cp);
+  cancelled "nothing cached: the request is cancelled again" (fun () ->
+      Engine.Service.eval ~engine:expired (List.hd reqs));
+  Engine.Service.shutdown expired;
+  Engine.Checkpoint.close cp;
+  Sys.remove path;
+  let plain = Engine.Service.create ~jobs ~cache:false () in
+  let generous = Engine.Service.create ~jobs ~cache:false ~deadline_s:60.0 () in
+  Alcotest.(check bool) "generous deadline is bit-identical to none" true
+    (List.for_all2 same_measurement
+       (Engine.Service.eval_batch ~engine:plain reqs)
+       (Engine.Service.eval_batch ~engine:generous reqs));
+  Engine.Service.shutdown plain;
+  Engine.Service.shutdown generous
 
-let test_stream_deadline_one () = check_stream_deadline ~jobs:1 [ request (config_of_bit 9) ]
+let test_stream_deadline_one () = check_engine_deadline ~jobs:1 [ request (config_of_bit 9) ]
 
 let test_stream_deadline_pool () =
-  check_stream_deadline ~jobs:2 (List.map (fun bit -> request (config_of_bit bit)) [ 11; 13; 17; 19 ])
+  check_engine_deadline ~jobs:2 (List.map (fun bit -> request (config_of_bit bit)) [ 11; 13; 17; 19 ])
 
 (* -------------------------------------------------------------- retry *)
 

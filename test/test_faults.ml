@@ -180,6 +180,24 @@ let test_empty_sweep_is_an_error () =
   | Error _ -> Alcotest.fail "wrong error for an empty sweep"
   | Ok _ -> Alcotest.fail "a zero-die campaign must be refused"
 
+(* The engine's deadline is the campaign's: on an engine whose deadline
+   has already passed, the lot calibration's first poll stops the run
+   and it returns the typed error with the engine's seconds, at one
+   lane and on the pool. *)
+let test_expired_engine_deadline () =
+  List.iter
+    (fun jobs ->
+      let engine = Engine.Service.create ~jobs ~deadline_s:0.0 () in
+      Fun.protect ~finally:(fun () -> Engine.Service.shutdown engine) @@ fun () ->
+      match Faults.Campaign.run ~dies:1 ~seed:42 ~engine std with
+      | Error (Faults.Error.Deadline_exceeded { deadline_s; completed; total }) ->
+        Alcotest.(check (float 0.0)) "engine's seconds" 0.0 deadline_s;
+        Alcotest.(check int) "no cell completed" 0 completed;
+        Alcotest.(check int) "no cell planned" 0 total
+      | Error e -> Alcotest.fail ("wrong error: " ^ Faults.Error.to_string e)
+      | Ok _ -> Alcotest.fail "an expired deadline must stop the campaign")
+    [ 1; 2 ]
+
 (* --------------------------------------------------- Errors and standards *)
 
 let test_find_opt () =
@@ -356,6 +374,8 @@ let () =
           Alcotest.test_case "monitor progress converges under jobs 4" `Slow
             test_campaign_monitor_progress_jobs4;
           Alcotest.test_case "zero dies is a typed error" `Quick test_empty_sweep_is_an_error;
+          Alcotest.test_case "expired engine deadline is a typed error" `Quick
+            test_expired_engine_deadline;
         ] );
       ( "errors",
         [

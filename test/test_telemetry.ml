@@ -343,51 +343,51 @@ let test_counter_determinism () =
 
 (* ----------------------------------------------------- cancellation *)
 
-let test_cancel_manual_token () =
-  let tok = Telemetry.Cancel.create ~reason:"stop requested" () in
-  Telemetry.Cancel.with_token tok (fun () ->
-      Telemetry.Cancel.poll ();
-      (* an untripped token is silent *)
-      Telemetry.Cancel.set tok;
-      match Telemetry.Cancel.poll () with
-      | () -> Alcotest.fail "a tripped token must raise at the next poll"
-      | exception Telemetry.Cancel.Cancelled reason ->
-        Alcotest.(check string) "reason carried" "stop requested" reason);
+(* Raise-or-not of one poll, as the reason it raised with. *)
+let poll_outcome () =
+  match Telemetry.Cancel.poll () with
+  | () -> None
+  | exception Telemetry.Cancel.Cancelled reason -> Some reason
+
+let tripped = Some Telemetry.Cancel.deadline_reason
+
+let test_cancel_scoped_token () =
+  let expired = Telemetry.Cancel.with_deadline 0.0 in
+  Alcotest.(check (option string)) "no token, no cancellation" None (poll_outcome ());
+  Telemetry.Cancel.with_token expired (fun () ->
+      Alcotest.(check (option string)) "a tripped token raises at the next poll" tripped
+        (poll_outcome ()));
   (* leaving the scope uninstalls the token *)
-  Telemetry.Cancel.poll ();
-  Alcotest.(check bool) "no token outside the scope" true (Telemetry.Cancel.current () = None)
+  Alcotest.(check (option string)) "no token outside the scope" None (poll_outcome ())
 
 let test_cancel_deadline_token () =
   let expired = Telemetry.Cancel.with_deadline 0.0 in
   Alcotest.(check bool) "zero deadline trips immediately" true
     (Telemetry.Cancel.is_set expired);
-  (match Telemetry.Cancel.check expired with
-  | () -> Alcotest.fail "check on a tripped deadline must raise"
-  | exception Telemetry.Cancel.Cancelled reason ->
-    Alcotest.(check string) "deadline reason" Telemetry.Cancel.deadline_reason reason);
+  Alcotest.(check (float 0.0)) "nothing remains of a tripped deadline" 0.0
+    (Telemetry.Cancel.remaining_s expired);
   let far = Telemetry.Cancel.with_deadline 3600.0 in
   Alcotest.(check bool) "future deadline untripped" false (Telemetry.Cancel.is_set far);
-  match Telemetry.Cancel.remaining_s far with
-  | Some r -> Alcotest.(check bool) "remaining time positive" true (r > 0.0)
-  | None -> Alcotest.fail "deadline token must report remaining time"
+  Alcotest.(check bool) "remaining time positive" true (Telemetry.Cancel.remaining_s far > 0.0);
+  Telemetry.Cancel.with_token far (fun () ->
+      Alcotest.(check (option string)) "an untripped token is silent" None (poll_outcome ()))
 
 let test_cancel_nesting_restores () =
-  let outer = Telemetry.Cancel.create ~reason:"outer" () in
-  let inner = Telemetry.Cancel.create ~reason:"inner" () in
-  Telemetry.Cancel.with_token outer (fun () ->
-      Telemetry.Cancel.with_token inner (fun () ->
-          match Telemetry.Cancel.current () with
-          | Some t -> Alcotest.(check string) "innermost wins" "inner" (Telemetry.Cancel.reason t)
-          | None -> Alcotest.fail "no token installed");
+  let expired = Telemetry.Cancel.with_deadline 0.0 in
+  let far = Telemetry.Cancel.with_deadline 3600.0 in
+  Telemetry.Cancel.with_token expired (fun () ->
+      Telemetry.Cancel.with_token far (fun () ->
+          Alcotest.(check (option string)) "innermost wins" None (poll_outcome ()));
       (* even when the inner scope exits via an exception *)
-      (match
-         Telemetry.Cancel.with_token inner (fun () -> raise Exit)
-       with
+      (match Telemetry.Cancel.with_token far (fun () -> raise Exit) with
       | () -> Alcotest.fail "expected Exit"
       | exception Exit -> ());
-      match Telemetry.Cancel.current () with
-      | Some t -> Alcotest.(check string) "outer restored" "outer" (Telemetry.Cancel.reason t)
-      | None -> Alcotest.fail "outer token lost")
+      Alcotest.(check (option string)) "outer restored" tripped (poll_outcome ()));
+  Telemetry.Cancel.with_token far (fun () ->
+      Telemetry.Cancel.with_token expired (fun () ->
+          Alcotest.(check (option string)) "a tripped inner token raises" tripped
+            (poll_outcome ()));
+      Alcotest.(check (option string)) "untripped outer restored" None (poll_outcome ()))
 
 let test_cancel_interrupt () =
   Fun.protect ~finally:Telemetry.Cancel.clear_interrupt (fun () ->
@@ -797,8 +797,8 @@ let () =
         [ Alcotest.test_case "same-seed counter snapshots" `Quick test_counter_determinism ] );
       ( "cancel",
         [
-          Alcotest.test_case "manual token trips at the next poll" `Quick
-            test_cancel_manual_token;
+          Alcotest.test_case "scoped token trips at the next poll" `Quick
+            test_cancel_scoped_token;
           Alcotest.test_case "deadline tokens" `Quick test_cancel_deadline_token;
           Alcotest.test_case "nesting restores the outer token" `Quick
             test_cancel_nesting_restores;
