@@ -1,4 +1,4 @@
-.PHONY: all build test dead-surface line-delta faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke cli-smoke alloc-smoke perf-smoke bench-json bench-gate ci clean
+.PHONY: all build test dead-surface line-delta faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke cli-smoke alloc-smoke perf-smoke bench-json bench-gate ci clean
 
 all: build
 
@@ -132,47 +132,25 @@ resume-smoke: build
 	  --checkpoint /tmp/resume-corrupt.ckpt.jsonl --resume > /dev/null 2> /tmp/resume-corrupt.err; \
 	test $$? -eq 2
 	grep -q 'corrupt at line 2' /tmp/resume-corrupt.err
-	# A run cut by --deadline (typed exit 3) leaves a journal that a
-	# resumed run without a deadline completes byte-identically, at
-	# --jobs 1 and 2.
+	# A run cut by --deadline (typed exit 3) leaves a non-empty journal
+	# that a resumed run without a deadline completes byte-identically,
+	# at --jobs 1 and 2.  On a 2-core host the 0.2 s cut lands inside
+	# lot calibration, about a third of the way through a 0.7 s run, so
+	# a faster host still exits 3.  Cells cut mid-campaign are covered
+	# by the SIGINT legs above and sched-smoke's --interrupt-after legs.
 	rm -f /tmp/resume-deadline-jobs1.ckpt.jsonl /tmp/resume-deadline-jobs2.ckpt.jsonl
-	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --json --jobs 1 --deadline 0.5 \
+	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --json --jobs 1 --deadline 0.2 \
 	  --checkpoint /tmp/resume-deadline-jobs1.ckpt.jsonl > /dev/null 2>&1; test $$? -eq 3
+	grep -q '"type":"cell"' /tmp/resume-deadline-jobs1.ckpt.jsonl
 	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --json --jobs 1 \
 	  --checkpoint /tmp/resume-deadline-jobs1.ckpt.jsonl --resume > /tmp/resume-deadline-jobs1.out
 	cmp /tmp/resume-fresh.out /tmp/resume-deadline-jobs1.out
-	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --json --jobs 2 --deadline 0.5 \
+	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --json --jobs 2 --deadline 0.2 \
 	  --checkpoint /tmp/resume-deadline-jobs2.ckpt.jsonl > /dev/null 2>&1; test $$? -eq 3
+	grep -q '"type":"cell"' /tmp/resume-deadline-jobs2.ckpt.jsonl
 	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --json --jobs 2 \
 	  --checkpoint /tmp/resume-deadline-jobs2.ckpt.jsonl --resume > /tmp/resume-deadline-jobs2.out
 	cmp /tmp/resume-fresh.out /tmp/resume-deadline-jobs2.out
-
-# Live monitoring, end to end: run a monitored campaign, scrape
-# /metrics and /healthz mid-flight, and require a valid OpenMetrics
-# document (terminated by "# EOF") showing nonzero engine activity
-# and the engine's pool gauges, a healthz liveness object, and a run
-# manifest with the engine hash.
-monitor-smoke: build
-	rm -f /tmp/monitor-manifest.json /tmp/monitor-scrape.txt /tmp/monitor-healthz.json
-	./_build/default/bin/repro.exe faults --seed 42 --standard bluetooth --jobs 2 \
-	  --metrics-port 9187 --manifest /tmp/monitor-manifest.json \
-	  > /tmp/monitor-smoke.out 2>/tmp/monitor-smoke.err & \
-	pid=$$!; \
-	for i in $$(seq 1 50); do \
-	  curl -sf http://127.0.0.1:9187/metrics > /tmp/monitor-scrape.txt 2>/dev/null \
-	    && grep -q '^repro_engine_evals_total [1-9]' /tmp/monitor-scrape.txt && break; \
-	  sleep 0.2; \
-	done; \
-	curl -sf http://127.0.0.1:9187/healthz > /tmp/monitor-healthz.json; \
-	wait $$pid
-	grep -q '^# EOF' /tmp/monitor-scrape.txt
-	grep -q '^repro_engine_evals_total [1-9]' /tmp/monitor-scrape.txt
-	grep -q '^repro_campaign_cells_planned' /tmp/monitor-scrape.txt
-	grep -q '^repro_pool_lanes ' /tmp/monitor-scrape.txt
-	grep -q '^repro_pool_queue_depth ' /tmp/monitor-scrape.txt
-	grep -q '"status":"ok"' /tmp/monitor-healthz.json
-	grep -q '"engine_hash":"[0-9a-f]' /tmp/monitor-manifest.json
-	grep -q 'heartbeat' /tmp/monitor-smoke.err
 
 # CLI error paths must fail fast with the documented status.  Run
 # under timeout so a reintroduced keep-alive (module-load domain,
@@ -193,6 +171,14 @@ cli-smoke: build
 	timeout 60 ./_build/default/bin/repro.exe fig7 --fast --deadline 0.05 > /dev/null \
 	  2> /tmp/cli-deadline-fig7.err; test $$? -eq 3
 	grep -q 'interrupted: deadline' /tmp/cli-deadline-fig7.err
+	# --manifest writes the run-provenance record at exit: the engine
+	# hash, the seed parsed back out of argv and the exit status.
+	rm -f /tmp/cli-manifest.json
+	timeout 60 ./_build/default/bin/repro.exe faults --dies 1 --seed 42 --standard bluetooth \
+	  --manifest /tmp/cli-manifest.json > /dev/null 2>&1
+	grep -Eq '"engine_hash":"[0-9a-f]{32}"' /tmp/cli-manifest.json
+	grep -q '"seed":42' /tmp/cli-manifest.json
+	grep -q '"exit_status":0' /tmp/cli-manifest.json
 
 # Steady-state allocation contract (DESIGN §15): the arena-converted
 # kernels carry absolute minor-words budgets (lib/benchkit alloc
@@ -235,7 +221,7 @@ bench-gate:
 	dune exec bench/main.exe -- --fast \
 	  --out /tmp/bench-gate.json --compare BENCH_4.json
 
-ci: build test dead-surface cli-smoke faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke monitor-smoke alloc-smoke perf-smoke bench-gate
+ci: build test dead-surface cli-smoke faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke alloc-smoke perf-smoke bench-gate
 
 clean:
 	dune clean

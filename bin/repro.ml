@@ -64,13 +64,11 @@ let exit_with code =
   exit_status_r := Some code;
   exit code
 
-(* Live-monitoring plumbing: `--log-level` and `--log-jsonl` drive the
-   structured logger, `--metrics-port N` starts the loopback scrape
-   server (GET /metrics, GET /healthz) and enables heartbeats, and
-   `--manifest FILE` writes a run-provenance record at exit
-   (`--metrics-port` implies one at repro-manifest.json).  None of it
-   touches stdout, so monitored figure output stays byte-identical. *)
-let monitor_term =
+(* Run provenance and logs: `--log-level` and `--log-jsonl` drive the
+   structured logger, and `--manifest FILE` writes a run-provenance
+   record at exit.  None of it touches stdout, so figure output stays
+   byte-identical. *)
+let provenance_term =
   let log_level_arg =
     let doc = "Log threshold for stderr/JSONL structured logging (debug|info|warn|error)." in
     Arg.(value & opt (some string) None & info [ "log-level" ] ~docv:"LEVEL" ~doc)
@@ -79,57 +77,30 @@ let monitor_term =
     let doc = "Also write structured log events as JSON lines to $(docv)." in
     Arg.(value & opt (some string) None & info [ "log-jsonl" ] ~docv:"FILE" ~doc)
   in
-  let metrics_port_arg =
-    let doc =
-      "Serve live metrics on 127.0.0.1:$(docv) while the run is in flight: $(b,GET /metrics) \
-       (OpenMetrics text) and $(b,GET /healthz) (JSON).  Enables heartbeat log lines."
-    in
-    Arg.(value & opt (some int) None & info [ "metrics-port" ] ~docv:"PORT" ~doc)
-  in
   let manifest_arg =
     let doc = "Write a run-provenance manifest (argv, seed, engine hash, timestamps) to $(docv)." in
     Arg.(value & opt (some string) None & info [ "manifest" ] ~docv:"FILE" ~doc)
   in
-  let setup log_level log_jsonl metrics_port manifest =
-    let explicit_level =
-      match log_level with
-      | None -> false
-      | Some s -> (
+  let setup log_level log_jsonl manifest =
+    Option.iter
+      (fun s ->
         match Telemetry.Log.level_of_string s with
-        | Some l ->
-          Telemetry.Log.set_level l;
-          true
+        | Some l -> Telemetry.Log.set_level l
         | None ->
           Printf.eprintf "unknown log level %s (use debug|info|warn|error)\n" s;
           exit 2)
-    in
+      log_level;
     Option.iter Telemetry.Log.to_file log_jsonl;
-    (match metrics_port with
-    | None -> ()
-    | Some port ->
-      (* Heartbeats are info-level: a monitored run should show them
-         unless the user explicitly asked for quieter logs. *)
-      if not explicit_level then Telemetry.Log.set_level Telemetry.Log.Info;
-      (match Telemetry.Monitor.start_server ~port with
-      | Ok _ -> ()
-      | Error reason ->
-        Printf.eprintf "%s\n" reason;
-        exit 2));
-    let manifest_path =
-      match manifest with
-      | Some _ -> manifest
-      | None -> if metrics_port <> None then Some "repro-manifest.json" else None
-    in
-    match manifest_path with
-    | None -> ()
-    | Some path ->
-      let m = Telemetry.Manifest.create () in
-      at_exit (fun () ->
-          Telemetry.Manifest.finish ?exit_status:!exit_status_r m;
-          try Telemetry.Manifest.write path m
-          with Sys_error reason -> Printf.eprintf "cannot write manifest %s: %s\n" path reason)
+    Option.iter
+      (fun path ->
+        let m = Telemetry.Manifest.create () in
+        at_exit (fun () ->
+            Telemetry.Manifest.finish ?exit_status:!exit_status_r m;
+            try Telemetry.Manifest.write path m
+            with Sys_error reason -> Printf.eprintf "cannot write manifest %s: %s\n" path reason))
+      manifest
   in
-  Term.(const setup $ log_level_arg $ log_jsonl_arg $ metrics_port_arg $ manifest_arg)
+  Term.(const setup $ log_level_arg $ log_jsonl_arg $ manifest_arg)
 
 (* Engine plumbing shared by every subcommand: `--jobs N` selects the
    multicore backend (N >= 2 hands batched evaluations to a fixed pool
@@ -204,7 +175,7 @@ let engine_term =
 
 (* One combined setup hook so subcommand signatures stay `run ()`. *)
 let setup_term =
-  Term.(const (fun () () () -> ()) $ telemetry_term $ monitor_term $ engine_term)
+  Term.(const (fun () () () -> ()) $ telemetry_term $ provenance_term $ engine_term)
 
 let fast_arg =
   let doc = "Fast mode: shorter captures and a single-pass calibration." in

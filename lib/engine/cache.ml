@@ -20,7 +20,6 @@ type t = {
   table : (string, entry) Hashtbl.t;
   mutable head : entry option;  (* most recently used *)
   mutable tail : entry option;  (* least recently used *)
-  mutable peak : int;  (* high-water occupancy, for capacity planning *)
 }
 
 let hit_counter = Telemetry.Counter.make "engine.cache.hit"
@@ -34,12 +33,10 @@ let create ~capacity =
     table = Hashtbl.create (2 * capacity);
     head = None;
     tail = None;
-    peak = 0;
   }
 
 let capacity t = t.capacity
 let length t = Hashtbl.length t.table
-let peak t = t.peak
 
 let unlink t e =
   (match e.prev with Some p -> p.next <- e.next | None -> t.head <- e.next);
@@ -87,6 +84,4 @@ let add t key value =
     let e = { key; value; prev = None; next = None } in
     Hashtbl.add t.table key e;
     push_front t e;
-    if Hashtbl.length t.table > t.capacity then evict_lru t;
-    let len = Hashtbl.length t.table in
-    if len > t.peak then t.peak <- len
+    if Hashtbl.length t.table > t.capacity then evict_lru t

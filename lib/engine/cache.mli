@@ -23,12 +23,6 @@ val create : capacity:int -> t
 val capacity : t -> int
 val length : t -> int
 
-val peak : t -> int
-(** High-water occupancy since creation.  [peak < capacity] after a
-    full campaign means the bound never bit; [peak = capacity] means
-    eviction happened (check [engine.cache.evict]).  Exported as the
-    [engine_cache_entries_peak] monitor gauge. *)
-
 val find : t -> string -> value option
 (** Lookup; refreshes recency and bumps the hit/miss counter. *)
 

@@ -63,10 +63,9 @@ type t = {
   mutable domains : unit Domain.t list;
   workers : int;  (* worker domains spawned; lane slot [workers] is the caller *)
   (* Per lane: the item under evaluation (-1 idle), written only by the
-     owning domain and read racily (monitoring-grade) by [stats] and
-     the occupancy histogram; and the generation of the lane's last
-     first-claim, owner-private, which stamps one [pool.queue.wait_ns]
-     observation per lane per job. *)
+     owning domain and read racily by the occupancy histogram; and the
+     generation of the lane's last first-claim, owner-private, which
+     stamps one [pool.queue.wait_ns] observation per lane per job. *)
   cur : int array;
   claim_gen : int array;
   (* The completion channel, reused by every job.  [completions] holds
@@ -95,7 +94,7 @@ and ticket = {
   mutable closed : bool;  (* job state torn down (drained or discarded) *)
 }
 
-(* Racy (monitoring-grade) count of lanes running an item. *)
+(* Racy count of lanes running an item. *)
 let busy_lanes t =
   let busy = ref 0 in
   for slot = 0 to t.workers do
@@ -232,14 +231,6 @@ let create ?(eager = false) workers =
      hang waiting for them. *)
   at_exit (fun () -> shutdown t);
   t
-
-type stats = { lanes : int; busy_lanes : int; queued : int }
-
-let stats t =
-  Mutex.lock t.m;
-  let queued = match t.job with Some tk -> max 0 (tk.n - Atomic.get tk.cursor) | None -> 0 in
-  Mutex.unlock t.m;
-  { lanes = t.workers + 1; busy_lanes = busy_lanes t; queued }
 
 (* Batch-size-aware layout: (chunk size, lanes the job has use for).
    By default a job has use for ⌈n / max_chunk⌉ lanes — waking a

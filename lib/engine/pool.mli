@@ -42,18 +42,9 @@ val create : ?eager:bool -> int -> t
     benchmarks use it to force worker-lane participation.  Results
     are bit-identical either way — only wall-clock changes. *)
 
-type stats = {
-  lanes : int;  (** workers + the participating main lane *)
-  busy_lanes : int;  (** lanes running a claimed index right now *)
-  queued : int;  (** items of the current job not yet claimed *)
-}
-
-val stats : t -> stats
-(** Instantaneous scheduler snapshot (takes the job mutex briefly;
-    the claim cursor is an atomic read); safe from any domain, used by
-    the live monitor.  Scheduling history accumulates in the
-    [pool.queue.wait_ns] (post-to-first-claim latency per lane per
-    job) and [pool.lane.busy] (occupancy observed at each chunk claim)
+(** Scheduling history accumulates in the [pool.queue.wait_ns]
+    (post-to-first-claim latency per lane per job) and
+    [pool.lane.busy] (occupancy observed at each chunk claim)
     histograms, plus the [pool.wakeup.spurious] counter. *)
 
 (** {1 Jobs (DESIGN §14)}

@@ -67,49 +67,6 @@ let default () =
 
 let engine_of = function Some t -> t | None -> default ()
 
-(* Live-monitor provider: expose the default engine's cache occupancy,
-   pool lane state, checkpoint size and deadline remaining as gauges on
-   every scrape/heartbeat.  Reads are monitoring-grade: Pool.stats takes
-   the pool mutex, the rest are racy-but-atomic field reads. *)
-let monitor_gauges () =
-  match !default_engine with
-  | None -> []
-  | Some t ->
-    let cache_g =
-      match t.cache with
-      | None -> []
-      | Some c ->
-        [
-          ("engine_cache_entries", float_of_int (Cache.length c));
-          ("engine_cache_entries_peak", float_of_int (Cache.peak c));
-          ("engine_cache_capacity", float_of_int (Cache.capacity c));
-        ]
-    in
-    let pool_g =
-      match t.backend with
-      | Seq -> [ ("pool_lanes", 1.0); ("pool_lanes_busy", 0.0) ]
-      | Domains p ->
-        let s = Pool.stats p in
-        [
-          ("pool_lanes", float_of_int s.Pool.lanes);
-          ("pool_lanes_busy", float_of_int s.Pool.busy_lanes);
-          ("pool_queue_depth", float_of_int s.Pool.queued);
-        ]
-    in
-    let deadline_g =
-      match t.deadline with
-      | None -> []
-      | Some (tok, _) -> [ ("engine_deadline_remaining_seconds", Telemetry.Cancel.remaining_s tok) ]
-    in
-    let cp_g =
-      match t.checkpoint with
-      | None -> []
-      | Some cp -> [ ("engine_checkpoint_entries", float_of_int (Checkpoint.entries cp)) ]
-    in
-    (("engine_jobs", float_of_int t.jobs) :: cache_g) @ pool_g @ deadline_g @ cp_g
-
-let () = Telemetry.Monitor.register "engine" monitor_gauges
-
 let eval_counter = Telemetry.Counter.make "engine.evals"
 let stream_counter = Telemetry.Counter.make "engine.streams"
 let denied_counter = Telemetry.Counter.make "engine.denied"

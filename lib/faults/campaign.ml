@@ -98,7 +98,7 @@ let demos_counter = Telemetry.Counter.make "faults.demos"
    [interrupt_after] stops at precisely that many completed cells, the
    deterministic stand-in for a SIGINT; assembly by index restores
    request order. *)
-let eval_streamed ?engine ~completed ~total ~interrupt_after reqs =
+let eval_streamed ?engine ~completed ~interrupt_after reqs =
   let check () =
     (match interrupt_after with
     | Some k when !completed >= k -> raise (Telemetry.Cancel.Cancelled "interrupt (injected)")
@@ -118,8 +118,6 @@ let eval_streamed ?engine ~completed ~total ~interrupt_after reqs =
       match Engine.Service.stream_next stream with
       | Some _ ->
         incr completed;
-        (* Live monitoring: progress lands per completed cell. *)
-        Telemetry.Monitor.set_progress ~completed:!completed ~total:(max !total !completed);
         pull (delivered + 1)
       | None -> ()
     end
@@ -170,7 +168,7 @@ let run ?(dies = 3) ?(seed = 42) ?engine ?interrupt_after standard =
         completed_cells = !completed;
       }
     in
-    let eval_streamed reqs = eval_streamed ?engine ~completed ~total ~interrupt_after reqs in
+    let eval_streamed reqs = eval_streamed ?engine ~completed ~interrupt_after reqs in
     Telemetry.Log.info
       ~fields:
         [
@@ -225,7 +223,6 @@ let run ?(dies = 3) ?(seed = 42) ?engine ?interrupt_after standard =
           lot
       in
       total := List.length cell_points + Rfchain.Config.key_bits;
-      Telemetry.Monitor.set_progress ~completed:!completed ~total:!total;
       let cell_snrs =
         eval_streamed
           (List.map
@@ -274,7 +271,6 @@ let run ?(dies = 3) ?(seed = 42) ?engine ?interrupt_after standard =
       let probes = List.combine bits probe_snrs in
       let survivor_bits = List.filter (fun (_, snr) -> snr >= min_snr) probes in
       total := !total + List.length survivor_bits;
-      Telemetry.Monitor.set_progress ~completed:!completed ~total:!total;
       let survivor_checks =
         eval_streamed
           (List.map

@@ -41,10 +41,6 @@ let is_set t =
   end
   else false
 
-let remaining_s t =
-  if Atomic.get t.flag then 0.0
-  else Float.max 0.0 (Int64.to_float (Int64.sub t.deadline_ns (now_ns ())) /. 1e9)
-
 (* ------------------------------------------------- domain-local scope *)
 
 let key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
@@ -64,7 +60,6 @@ let interrupt ?(reason = "interrupt") () =
   Atomic.set interrupt_reason reason;
   Atomic.set interrupt_flag true
 
-let interrupted () = Atomic.get interrupt_flag
 let clear_interrupt () = Atomic.set interrupt_flag false
 
 (* ------------------------------------------------------------- polling *)
@@ -74,9 +69,6 @@ let cancels_counter = Counter.make "cancel.cancelled"
 
 let poll () =
   Counter.incr polls_counter;
-  (* Heartbeats ride the poll cadence: the monitor rate-limits
-     internally and costs one atomic load when disabled. *)
-  Monitor.tick ();
   if Atomic.get interrupt_flag then begin
     Counter.incr cancels_counter;
     raise (Cancelled (Atomic.get interrupt_reason))

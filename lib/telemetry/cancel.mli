@@ -10,8 +10,9 @@
     turn it into typed results — everything below treats it as a
     non-local exit that must not be swallowed.
 
-    Polling with no token installed and no interrupt pending is two
-    atomic loads — cheap enough for simulator inner loops. *)
+    Polling with no token installed and no interrupt pending is one
+    atomic increment (the [cancel.polls] counter), one atomic load and
+    a domain-local read — cheap enough for simulator inner loops. *)
 
 type t
 (** A wall-clock deadline. *)
@@ -31,9 +32,6 @@ val with_deadline : float -> t
 
 val is_set : t -> bool
 
-val remaining_s : t -> float
-(** Seconds until the deadline trips ([0.] once tripped). *)
-
 val with_token : t -> (unit -> 'a) -> 'a
 (** Install the token in domain-local storage for the scope of [f]:
     every {!poll} on this domain inside [f] observes it.  Nests;
@@ -43,8 +41,9 @@ val interrupt : ?reason:string -> unit -> unit
 (** Trip the process-global interrupt flag (async-signal-safe — this is
     what a SIGINT handler calls).  Every domain's next poll raises. *)
 
-val interrupted : unit -> bool
 val clear_interrupt : unit -> unit
+(** For tests only: lower the interrupt flag again, so one test process
+    can trip it more than once.  A run is never un-interrupted. *)
 
 val poll : unit -> unit
 (** Cancellation point: raise [Cancelled] if the global interrupt is

@@ -10,7 +10,3 @@ val enabled : unit -> bool
 (** Whether span collection is active (default: off). *)
 
 val set_enabled : bool -> unit
-
-val with_enabled : bool -> (unit -> 'a) -> 'a
-(** Run [f] with the switch forced to the given state, restoring the
-    previous state afterwards (also on exceptions). *)

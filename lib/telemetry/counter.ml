@@ -23,7 +23,6 @@ let incr t = Atomic.incr t.value
 let add t n = ignore (Atomic.fetch_and_add t.value n)
 
 let value t = Atomic.get t.value
-let name t = t.name
 let find name = Hashtbl.find_opt table name
 
 let snapshot () =

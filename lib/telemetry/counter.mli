@@ -20,8 +20,6 @@ val add : t -> int -> unit
 
 val value : t -> int
 
-val name : t -> string
-
 val find : string -> t option
 (** Look up a counter registered elsewhere, without creating it. *)
 

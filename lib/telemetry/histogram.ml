@@ -53,14 +53,6 @@ let observe t v =
   end;
   Mutex.unlock t.lock
 
-let count t = t.count
-let sum t = t.sum
-let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
-let min_value t = t.min_v
-let max_value t = t.max_v
-let name t = t.name
-let find name = Hashtbl.find_opt table name
-
 let quantile t q =
   if t.count = 0 then nan
   else begin

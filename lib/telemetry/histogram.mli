@@ -22,20 +22,8 @@ val observe : t -> float -> unit
 (** Record one observation.  Non-finite values are counted but do not
     enter the buckets, so a NaN cannot poison the quantiles. *)
 
-val count : t -> int
-val sum : t -> float
-val mean : t -> float
-val min_value : t -> float
-(** [nan] while empty. *)
-
-val max_value : t -> float
-(** [nan] while empty. *)
-
 val quantile : t -> float -> float
 (** [quantile t q] for q in [0, 1]; [nan] while empty. *)
-
-val name : t -> string
-val find : string -> t option
 
 type summary = {
   h_name : string;
@@ -47,8 +35,6 @@ type summary = {
   h_p90 : float;
   h_p99 : float;
 }
-
-val summarize : t -> summary
 
 val snapshot : unit -> summary list
 (** Every registered histogram, sorted by name. *)

@@ -1,7 +1,6 @@
-(** The one JSON codec behind every on-disk and on-wire format: the
-    checkpoint journal, run manifests, bench trajectory files, the
-    campaign report, the telemetry exports, the structured log and the
-    [/healthz] body.
+(** The one JSON codec behind every on-disk format: the checkpoint
+    journal, run manifests, bench trajectory files, the campaign
+    report, the telemetry exports and the structured log.
 
     Numbers are kept as their literal text.  Writers pick the exact
     rendering each pinned format uses ({!int}, {!float}, {!fixed}) and

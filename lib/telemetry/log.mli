@@ -21,12 +21,12 @@ val enabled : level -> bool
 (** [enabled l] is true when a log call at [l] would emit — the guard
     to use before building expensive fields. *)
 
-val level_name : level -> string
 val level_of_string : string -> level option
 (** Accepts ["debug"|"info"|"warn"|"warning"|"error"], any case. *)
 
 val set_stderr : bool -> unit
-(** Enable/disable the ASCII stderr sink (default enabled). *)
+(** For tests only: enable/disable the ASCII stderr sink (default
+    enabled), so a test can log to a JSONL file without noise. *)
 
 val to_file : string -> unit
 (** Open (truncating) a JSONL sink at the path; one
@@ -34,10 +34,10 @@ val to_file : string -> unit
     Replaces any previously opened sink. *)
 
 val close_file : unit -> unit
+(** For tests only: close the JSONL sink so its file can be read back.
+    A run's sink is flushed per line and closed at exit. *)
 
 val debug : ?fields:(string * string) list -> string -> unit
 val info : ?fields:(string * string) list -> string -> unit
 val warn : ?fields:(string * string) list -> string -> unit
 val error : ?fields:(string * string) list -> string -> unit
-
-val log : level -> ?fields:(string * string) list -> string -> unit

@@ -4,7 +4,7 @@
    seed it encodes, a content hash of the running executable (the
    "engine"), a digest of the effective configuration, the compiler
    version, and start/end timestamps with the exit status.  One is
-   written next to every report produced under live monitoring, and
+   written at exit when a run asks for it ([--manifest FILE]), and
    the engine hash is embedded in checkpoint journal headers so a
    resume can tell when it is replaying values produced by different
    code.

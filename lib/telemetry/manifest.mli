@@ -4,7 +4,7 @@
     seed parsed back out of it), an MD5 content hash of the running
     executable, a digest of the effective configuration, compiler
     version, hostname, and start/end timestamps with exit status.
-    Written next to reports under live monitoring and embedded (as the
+    Written at exit by [repro --manifest FILE] and embedded (as the
     engine hash) in checkpoint journal headers, so resumed runs can
     verify they replay values produced by the same code. *)
 

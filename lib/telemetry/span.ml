@@ -32,13 +32,11 @@ type frame = {
 }
 
 let capacity = 1_000_000
-let aggs : (string, agg) Hashtbl.t = Hashtbl.create 32
 
-(* Guards structural mutation of [aggs] against concurrent reads from
-   the monitor's scrape domain.  Only paid when spans are enabled, and
-   [aggregates]/[reset] are snapshot-time operations — the per-span
-   hot path touches the lock only on the first occurrence of a name. *)
-let aggs_mutex = Mutex.create ()
+(* Main-domain state, like the stack and event buffer below: [record]
+   writes it only there, and [aggregates]/[reset] run only from
+   [Export] and the executables' exits, so it needs no lock. *)
+let aggs : (string, agg) Hashtbl.t = Hashtbl.create 32
 
 let stack : frame list ref = ref []
 let events_rev : event list ref = ref []
@@ -59,15 +57,8 @@ let agg_of name =
         a_durations = Histogram.unregistered name;
       }
     in
-    Mutex.lock aggs_mutex;
-    (match Hashtbl.find_opt aggs name with
-    | Some existing ->
-      Mutex.unlock aggs_mutex;
-      existing
-    | None ->
-      Hashtbl.add aggs name a;
-      Mutex.unlock aggs_mutex;
-      a)
+    Hashtbl.add aggs name a;
+    a
 
 let finish frame =
   let dur = Clock.elapsed_ns ~since:frame.f_start in
@@ -125,8 +116,6 @@ let[@inline] with_ ?(attrs = []) ~name f =
   if not (Control.enabled ()) then f () else record ~attrs ~name f
 
 let aggregates () =
-  Mutex.lock aggs_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock aggs_mutex) @@ fun () ->
   Hashtbl.fold
     (fun _ a acc ->
       {
@@ -154,9 +143,7 @@ let epoch_ns () =
 let dropped () = !n_dropped
 
 let reset () =
-  Mutex.lock aggs_mutex;
   Hashtbl.reset aggs;
-  Mutex.unlock aggs_mutex;
   stack := [];
   events_rev := [];
   n_events := 0;

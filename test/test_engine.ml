@@ -76,7 +76,7 @@ let test_lru_eviction () =
   Alcotest.(check int) "recent entry still hits" (hit0 + 1) (counter "engine.cache.hit");
   Engine.Service.shutdown engine
 
-let test_cache_peak () =
+let test_cache_occupancy () =
   let cache = Engine.Cache.create ~capacity:2 in
   let v =
     {
@@ -84,16 +84,15 @@ let test_cache_peak () =
       trial_cost = 1;
     }
   in
-  Alcotest.(check int) "fresh cache has peak 0" 0 (Engine.Cache.peak cache);
+  Alcotest.(check int) "fresh cache is empty" 0 (Engine.Cache.length cache);
   Engine.Cache.add cache "a" v;
   Engine.Cache.add cache "b" v;
   Engine.Cache.add cache "c" v;
-  (* Eviction keeps occupancy at capacity: the high-water mark proves
-     the bound actually bit, it never exceeds it. *)
-  Alcotest.(check int) "peak saturates at capacity" 2 (Engine.Cache.peak cache);
-  Alcotest.(check int) "live occupancy equals capacity" 2 (Engine.Cache.length cache);
+  (* Eviction keeps occupancy at capacity: the bound bites, it is
+     never exceeded. *)
+  Alcotest.(check int) "occupancy saturates at capacity" 2 (Engine.Cache.length cache);
   Engine.Cache.add cache "a" v;
-  Alcotest.(check int) "refreshing an entry leaves the peak alone" 2 (Engine.Cache.peak cache)
+  Alcotest.(check int) "re-adding an evicted key stays at capacity" 2 (Engine.Cache.length cache)
 
 (* -------------------------------------------------------------- batch *)
 
@@ -825,7 +824,7 @@ let () =
         [
           Alcotest.test_case "hit is free and identical" `Quick test_cache_hit;
           Alcotest.test_case "LRU evicts at capacity" `Quick test_lru_eviction;
-          Alcotest.test_case "peak gauge tracks the high-water mark" `Quick test_cache_peak;
+          Alcotest.test_case "occupancy saturates at capacity" `Quick test_cache_occupancy;
         ] );
       ( "batch",
         [

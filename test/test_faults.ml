@@ -152,28 +152,6 @@ let test_campaign_end_to_end () =
          (fun line -> String.length line > 2 && line.[0] = '{')
          (Faults.Report.json_lines t))
 
-let test_campaign_monitor_progress_jobs4 () =
-  (* The monitor's progress board must converge on completed = total
-     regardless of how the pool schedules the chunks, and the totals
-     are a deterministic function of the campaign, not of --jobs. *)
-  Telemetry.Monitor.reset ();
-  let engine = Engine.Service.create ~jobs:4 () in
-  Fun.protect ~finally:(fun () ->
-      Engine.Service.shutdown engine;
-      Telemetry.Monitor.reset ())
-  @@ fun () ->
-  match Faults.Campaign.run ~dies:1 ~seed:42 ~engine std with
-  | Error e -> Alcotest.fail (Faults.Error.to_string e)
-  | Ok t ->
-    let s = Telemetry.Monitor.snapshot () in
-    Alcotest.(check bool) "campaign complete" true (Faults.Campaign.complete t);
-    Alcotest.(check int) "board converges to total" s.Telemetry.Monitor.total
-      s.Telemetry.Monitor.completed;
-    (* cells grid + one probe per key bit + the survivor re-checks. *)
-    Alcotest.(check bool) "total covers cells and probes" true
-      (s.Telemetry.Monitor.total
-      >= List.length t.Faults.Campaign.cells + Rfchain.Config.key_bits)
-
 let test_empty_sweep_is_an_error () =
   match Faults.Campaign.run ~dies:0 ~seed:42 std with
   | Error (Faults.Error.Empty_sweep _) -> ()
@@ -371,8 +349,6 @@ let () =
       ( "campaign",
         [
           Alcotest.test_case "end to end, all checks pass" `Slow test_campaign_end_to_end;
-          Alcotest.test_case "monitor progress converges under jobs 4" `Slow
-            test_campaign_monitor_progress_jobs4;
           Alcotest.test_case "zero dies is a typed error" `Quick test_empty_sweep_is_an_error;
           Alcotest.test_case "expired engine deadline is a typed error" `Quick
             test_expired_engine_deadline;
