@@ -1,4 +1,4 @@
-.PHONY: all build test dead-surface line-delta faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke cli-smoke alloc-smoke perf-smoke bench-json bench-gate ci clean
+.PHONY: all build test dead-surface line-delta bench-pairs faults-smoke profile-smoke telemetry-smoke engine-smoke sched-smoke resume-smoke cli-smoke alloc-smoke perf-smoke bench-json bench-gate ci clean
 
 all: build
 
@@ -19,6 +19,14 @@ dead-surface:
 #   make line-delta BASE=<ref>
 line-delta:
 	sh tools/line_delta.sh $(BASE)
+
+# Alternating-order perfbench pairs of a base revision against the
+# working tree: each end-to-end metric's median, IQR and how many
+# pairs the working tree won; not part of ci.
+#   make bench-pairs BASE=<ref> WORKLOAD=<name> PAIRS=<n>
+PAIRS ?= 8
+bench-pairs:
+	sh tools/bench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # End-to-end smoke of the stress campaign: must exit 0 with every
 # campaign check passing (grep fails the target on any [FAIL] line).

@@ -16,10 +16,6 @@ let standard t = t.standard
 
 type error = Budget_exhausted of { spent : int; limit : int }
 
-let error_to_string = function
-  | Budget_exhausted { spent; limit } ->
-    Printf.sprintf "trial budget exhausted: %d measurements spent of %d allowed" spent limit
-
 type refab = {
   refab_standard : Rfchain.Standards.t;
   refab_die : Engine.Request.die;

@@ -23,8 +23,6 @@ type error = Budget_exhausted of { spent : int; limit : int }
 (** The refab bench's trial-budget watchdog tripped: no further
     measurements are allowed. *)
 
-val error_to_string : error -> string
-
 type refab
 (** The attacker's re-fabricated part with exposed programming bits. *)
 

@@ -17,9 +17,5 @@ let key_width = Rfchain.Config.key_bits
 let equal a b = a.standard = b.standard && a.chip_seed = b.chip_seed && Rfchain.Config.equal a.config b.config
 let hamming_distance a b = Rfchain.Config.hamming_distance a.config b.config
 
-let pp fmt t =
-  Format.fprintf fmt "@[<v>key for %s (die %d): 0x%016Lx@,%a@]" t.standard t.chip_seed
-    (Rfchain.Config.to_bits t.config) Rfchain.Config.pp t.config
-
 let unlocks _t measurement standard =
   (Metrics.Spec.check standard measurement).Metrics.Spec.functional

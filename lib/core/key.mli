@@ -21,7 +21,6 @@ val key_width : int
 
 val equal : t -> t -> bool
 val hamming_distance : t -> t -> int
-val pp : Format.formatter -> t -> unit
 
 val unlocks : t -> Metrics.Spec.measurement -> Rfchain.Standards.t -> bool
 (** Whether measurements taken under this key meet the standard's

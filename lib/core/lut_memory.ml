@@ -16,8 +16,6 @@ let select t ~standard =
     | Some config -> Ok config
     | None -> Error Not_provisioned
 
-let standards t = List.map fst t.entries
-
 let raw_readout t =
   (* Tamper-proof: the attempt itself zeroises the store. *)
   t.tampered <- true;

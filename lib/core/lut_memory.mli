@@ -20,9 +20,6 @@ val select : t -> standard:string -> (Rfchain.Config.t, readout_error) result
 (** Normal-operation load of one mode's programming bits.  Fails after
     a tamper event. *)
 
-val standards : t -> string list
-(** Provisioned mode names (not secret: the datasheet lists them). *)
-
 val raw_readout : t -> (int64 list, readout_error) result
 (** An attacker's attempt to dump the memory.  Always triggers the
     tamper response: returns an error and renders {!select}

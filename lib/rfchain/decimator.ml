@@ -11,7 +11,7 @@ let cic_order = 3
 
 (* Workspace slots for the CIC intermediates (see DESIGN §15): the I
    channel (and the single channel of [decimate]) in 12, the Q channel
-   of [downconvert_iq] in 11. *)
+   of [iq] in 11. *)
 let cic_i_slot = 12
 let cic_q_slot = 11
 
@@ -138,61 +138,143 @@ let run_iq c (i_ch, q_ch) = (decimate c i_ch, decimate c q_ch)
    applies it. *)
 let[@inline] bit ~slice x = if slice then (if x >= 0.0 then 1.0 else -1.0) else x
 
-(* [Mixer.downconvert_into] then [run_iq], in one pass over the window
-   and without the two full-rate channels.  The mixer's sequences have
-   period 4 and every CIC ratio is a multiple of 4, so each inner step
-   takes one period: sample 4m feeds I, 4m+1 feeds Q negated, 4m+2
-   feeds I negated, 4m+3 feeds Q.  On the idle channel the staged
-   chain adds the mixer's +0.0 to the first integrator, which leaves
-   it unchanged (an integrator that starts at +0.0 never holds -0.0),
-   so that add is skipped; the other two stages still step.  Every
-   other float op is the staged one, in the same order, so the output
-   is bit-identical. *)
-let downconvert_iq ?(slice = false) c src ~pos ~n =
-  if pos < 0 || n < 0 || pos + n > Array.length src then
-    invalid_arg "Decimator.downconvert_iq: bad window";
+(* [Mixer.downconvert_into] then [run_iq]'s integrators, fed a window
+   in pieces and without the two full-rate channels.  The mixer's
+   sequences have period 4 and every CIC ratio is a multiple of 4, so
+   each inner step takes one period: sample 4m feeds I, 4m+1 feeds Q
+   negated, 4m+2 feeds I negated, 4m+3 feeds Q.  A piece that ends
+   inside a period leaves its samples in [carry] for the next.  On the
+   idle channel the staged chain adds the mixer's +0.0 to the first
+   integrator, which leaves it unchanged (an integrator that starts at
+   +0.0 never holds -0.0), so that add is skipped; the other two
+   stages still step.  Every other float op is the staged one, in the
+   same order, so the output is bit-identical. *)
+type iq = {
+  c : config;
+  slice : bool;
+  r : int;
+  n : int;                (* window length *)
+  used : int;             (* the leading samples the integrators read *)
+  yi : float array;
+  yq : float array;
+  acc : float array;      (* integrator states i0 i1 i2 q0 q1 q2 *)
+  carry : float array;    (* the samples of a partial period *)
+  mutable carried : int;
+  mutable periods : int;  (* whole periods integrated *)
+  mutable out : int;      (* groups completed *)
+  mutable fed : int;
+}
+
+let iq ?(slice = false) c ~n =
+  if n < 0 then invalid_arg "Decimator.iq: negative window";
   let r = cic_ratio c in
   let n_out = n / r in
-  if n_out = 0 then (decimate2 c [||], decimate2 c [||])
-  else begin
-    let ws = Sigkit.Workspace.get () in
-    let yi = Sigkit.Workspace.arr ws ~slot:cic_i_slot ~len:n_out in
-    let yq = Sigkit.Workspace.arr ws ~slot:cic_q_slot ~len:n_out in
-    let i0 = ref 0.0 and i1 = ref 0.0 and i2 = ref 0.0 in
-    let q0 = ref 0.0 and q1 = ref 0.0 and q2 = ref 0.0 in
-    let periods = r / 4 in
-    for j = 0 to n_out - 1 do
-      for m = j * periods to ((j + 1) * periods) - 1 do
-        let p = pos + (4 * m) in
-        let x0 = bit ~slice (Array.unsafe_get src p) in
-        let x1 = bit ~slice (Array.unsafe_get src (p + 1)) in
-        let x2 = bit ~slice (Array.unsafe_get src (p + 2)) in
-        let x3 = bit ~slice (Array.unsafe_get src (p + 3)) in
-        i0 := !i0 +. x0;
-        i1 := !i1 +. !i0;
-        i2 := !i2 +. !i1;
-        q1 := !q1 +. !q0;
-        q2 := !q2 +. !q1;
-        i1 := !i1 +. !i0;
-        i2 := !i2 +. !i1;
-        q0 := !q0 +. (-.x1);
-        q1 := !q1 +. !q0;
-        q2 := !q2 +. !q1;
-        i0 := !i0 +. (-.x2);
-        i1 := !i1 +. !i0;
-        i2 := !i2 +. !i1;
-        q1 := !q1 +. !q0;
-        q2 := !q2 +. !q1;
-        i1 := !i1 +. !i0;
-        i2 := !i2 +. !i1;
-        q0 := !q0 +. x3;
-        q1 := !q1 +. !q0;
-        q2 := !q2 +. !q1
-      done;
-      Array.unsafe_set yi j !i2;
-      Array.unsafe_set yq j !q2
+  let ws = Sigkit.Workspace.get () in
+  let slot_or_empty slot = if n_out = 0 then [||] else Sigkit.Workspace.arr ws ~slot ~len:n_out in
+  {
+    c;
+    slice;
+    r;
+    n;
+    used = n_out * r;
+    yi = slot_or_empty cic_i_slot;
+    yq = slot_or_empty cic_q_slot;
+    acc = Array.make 6 0.0;
+    carry = Array.make 4 0.0;
+    carried = 0;
+    periods = 0;
+    out = 0;
+    fed = 0;
+  }
+
+(* [count] whole periods from [src] at [pos], storing each r-sample
+   group's last value as it completes. *)
+let integrate s src ~pos ~count =
+  let slice = s.slice and yi = s.yi and yq = s.yq and acc = s.acc in
+  let i0 = ref acc.(0) and i1 = ref acc.(1) and i2 = ref acc.(2) in
+  let q0 = ref acc.(3) and q1 = ref acc.(4) and q2 = ref acc.(5) in
+  let periods = s.r / 4 in
+  let base = pos - (4 * s.periods) in
+  let m0 = ref s.periods in
+  let stop = s.periods + count in
+  while !m0 < stop do
+    let group_end = (s.out + 1) * periods in
+    let m1 = if stop < group_end then stop else group_end in
+    for m = !m0 to m1 - 1 do
+      let p = base + (4 * m) in
+      let x0 = bit ~slice (Array.unsafe_get src p) in
+      let x1 = bit ~slice (Array.unsafe_get src (p + 1)) in
+      let x2 = bit ~slice (Array.unsafe_get src (p + 2)) in
+      let x3 = bit ~slice (Array.unsafe_get src (p + 3)) in
+      i0 := !i0 +. x0;
+      i1 := !i1 +. !i0;
+      i2 := !i2 +. !i1;
+      q1 := !q1 +. !q0;
+      q2 := !q2 +. !q1;
+      i1 := !i1 +. !i0;
+      i2 := !i2 +. !i1;
+      q0 := !q0 +. (-.x1);
+      q1 := !q1 +. !q0;
+      q2 := !q2 +. !q1;
+      i0 := !i0 +. (-.x2);
+      i1 := !i1 +. !i0;
+      i2 := !i2 +. !i1;
+      q1 := !q1 +. !q0;
+      q2 := !q2 +. !q1;
+      i1 := !i1 +. !i0;
+      i2 := !i2 +. !i1;
+      q0 := !q0 +. x3;
+      q1 := !q1 +. !q0;
+      q2 := !q2 +. !q1
     done;
-    comb ~r yi;
-    comb ~r yq;
-    (decimate2 c yi, decimate2 c yq)
+    if m1 = group_end then begin
+      Array.unsafe_set yi s.out !i2;
+      Array.unsafe_set yq s.out !q2;
+      s.out <- s.out + 1
+    end;
+    m0 := m1
+  done;
+  s.periods <- stop;
+  acc.(0) <- !i0;
+  acc.(1) <- !i1;
+  acc.(2) <- !i2;
+  acc.(3) <- !q0;
+  acc.(4) <- !q1;
+  acc.(5) <- !q2
+
+let feed s src ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length src || len > s.n - s.fed then
+    invalid_arg "Decimator.feed: bad window";
+  let left = ref (max 0 (min len (s.used - s.fed))) and pos = ref pos in
+  s.fed <- s.fed + len;
+  if !left > 0 && s.carried > 0 then begin
+    let k = min !left (4 - s.carried) in
+    Array.blit src !pos s.carry s.carried k;
+    s.carried <- s.carried + k;
+    pos := !pos + k;
+    left := !left - k;
+    if s.carried = 4 then begin
+      integrate s s.carry ~pos:0 ~count:1;
+      s.carried <- 0
+    end
+  end;
+  let whole = !left / 4 in
+  if whole > 0 then integrate s src ~pos:!pos ~count:whole;
+  let rest = !left - (4 * whole) in
+  if rest > 0 then begin
+    Array.blit src (!pos + (4 * whole)) s.carry 0 rest;
+    s.carried <- rest
   end
+
+let finish s =
+  if s.fed <> s.n then invalid_arg "Decimator.finish: window not fully fed";
+  comb ~r:s.r s.yi;
+  comb ~r:s.r s.yq;
+  (decimate2 s.c s.yi, decimate2 s.c s.yq)
+
+let downconvert_iq ?slice c src ~pos ~n =
+  if pos < 0 || n < 0 || pos + n > Array.length src then
+    invalid_arg "Decimator.downconvert_iq: bad window";
+  let s = iq ?slice c ~n in
+  feed s src ~pos ~len:n;
+  finish s

@@ -29,16 +29,37 @@ val decimate : config -> float array -> float array
 val run_iq : config -> float array * float array -> float array * float array
 (** Decimate both quadrature channels with identical filters.  With
     {!Mixer.downconvert_into} before it, this is the staged reference
-    for {!downconvert_iq}. *)
+    for {!finish}. *)
+
+type iq
+(** Slice + mixer + CIC integrators over a window fed in pieces: the
+    streaming form of {!downconvert_iq}. *)
+
+val iq : ?slice:bool -> config -> n:int -> iq
+(** [iq ?slice c ~n] starts an [n]-sample window.  [slice] (default
+    false) applies the digital section's 1-bit boundary first.  The
+    CIC intermediates live in {!Sigkit.Workspace} slots 12 (I) and 11
+    (Q) until {!finish}, so no piece may come from either slot and no
+    other decimation may run on this domain in between. *)
+
+val feed : iq -> float array -> pos:int -> len:int -> unit
+(** [feed s src ~pos ~len] hands over the window's next [len] samples,
+    [src.(pos)] to [src.(pos + len - 1)]; [src] is read only during
+    the call.  A piece may end anywhere, inside a 4-sample mixer period
+    or an r-sample CIC group.  Raises [Invalid_argument] when the piece
+    does not fit in [src] or runs past the window. *)
+
+val finish : iq -> float array * float array
+(** The decimated I/Q pair of the whole window: bit-identical to
+    {!Mixer.downconvert_into} [?slice] into two channels followed by
+    {!run_iq} [c], however the window was cut into pieces.  Only the
+    returned pair is allocated.  Raises [Invalid_argument] unless all
+    [n] samples were fed. *)
 
 val downconvert_iq :
   ?slice:bool -> config -> float array -> pos:int -> n:int -> float array * float array
-(** [downconvert_iq ?slice c src ~pos ~n] mixes the [n]-sample window of
-    [src] starting at [pos] down by fs/4 and decimates both quadrature
-    channels: bit-identical to {!Mixer.downconvert_into} [?slice] into
-    two channels followed by {!run_iq} [c], in one pass and without the
-    full-rate channels.  [slice] (default false) applies the digital
-    section's 1-bit boundary first.  The CIC intermediates live in
-    {!Sigkit.Workspace} slots 12 (I) and 11 (Q), so [src] must not be
-    either of them; only the returned pair is allocated.  Raises
+(** [downconvert_iq ?slice c src ~pos ~n] is {!finish} after one
+    {!feed} of the [n]-sample window of [src] starting at [pos]: the
+    window mixed down by fs/4 and both quadrature channels decimated,
+    in one pass and without the full-rate channels.  Raises
     [Invalid_argument] when the window does not fit in [src]. *)

@@ -24,6 +24,6 @@ val downconvert_into :
     section's 1-bit boundary to each sample first — fusing the
     [Receiver.slice_to_bit] copy into the mix.  Neither output may alias
     [src].  Bit-identical to slicing then {!downconvert}.  The receiver
-    no longer runs this stage on its own: {!Decimator.downconvert_iq}
-    fuses it with the CIC integrators, and this staged path is the
-    reference it is tested against. *)
+    no longer runs this stage on its own: {!Decimator.feed} fuses it
+    with the CIC integrators, and this staged path is the reference it
+    is tested against. *)

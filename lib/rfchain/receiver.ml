@@ -44,11 +44,9 @@ let samples = Telemetry.Counter.make "receiver.samples"
    map and aliasing argument).  Every slot but the tagged ones (front
    halves, ΣΔ noise and drive) is dead again by the time a run
    returns: the only arrays that escape are the freshly allocated
-   result fields.  The VGLNA borrows [mod_slot] for its noise batch,
-   which is dead before the modulator writes there. *)
+   result fields. *)
 let extended_slot = 6
 let two_tone_slot = 14
-let mod_slot = 7
 
 (* Every entry point: refuse a degenerate record before any work, then
    count and span one run, with the analog word as the knobs see it. *)
@@ -65,20 +63,28 @@ let instrumented t ~who ~analog ~settle ~n f =
 let rotation ~n ~settle = (n - (settle mod n)) mod n
 
 (* The modulator over the settle-extended VGLNA output [amplified],
-   into [mod_slot]: with [signs], only each sample's sign as the digital
-   section's 1-bit boundary reads it (see [Sdm.run_signs_into]).
-   [memo] describes [amplified] to the SDM (see [Sdm.run_into]). *)
-let modulate ?memo ~signs t ~analog amplified =
+   block by block, handing [take] the part of each block that lies in
+   the record's window [settle, settle + n): [take block off k len]
+   gets block cells [off, off + len), window samples [k, k + len).
+   With [signs], only each sample's sign as the digital section's
+   1-bit boundary reads it (see [Sdm.stream]); [memo] describes
+   [amplified] to the SDM. *)
+let modulate ?memo ~signs t ~analog ~settle ~n amplified take =
   let sdm = Sdm.create t.chip ~fs:(fs t) analog in
-  let len = Array.length amplified in
-  let mod_full = Sigkit.Workspace.arr (Sigkit.Workspace.get ()) ~slot:mod_slot ~len in
-  (if signs then Sdm.run_signs_into else Sdm.run_into) ?memo sdm amplified mod_full;
-  mod_full
+  Sdm.stream ?memo ~signs sdm amplified (fun block pos len ->
+      let lo = max pos settle and hi = min (pos + len) (settle + n) in
+      if lo < hi then take block (lo - pos) (lo - settle) (hi - lo))
 
-(* Slice + mixer + decimator in one pass over the record's window,
-   with the default digital setting. *)
-let baseband ~slice ~settle ~n mod_full =
-  Decimator.downconvert_iq ~slice Decimator.default_config mod_full ~pos:settle ~n
+(* A fresh record that [take] fills with the window. *)
+let record_sink n =
+  let record = Array.create_float n in
+  (record, fun block off k len -> Array.blit block off record k len)
+
+(* Slice + mixer + decimator over the window, with the default digital
+   setting. *)
+let baseband_sink ~slice n =
+  let iq = Decimator.iq ~slice Decimator.default_config ~n in
+  (iq, fun block off _ len -> Decimator.feed iq block ~pos:off ~len)
 
 let run t ~analog ?(settle = 1024) ?(slice = true) ~input () =
   let n = Array.length input in
@@ -103,15 +109,13 @@ let run t ~analog ?(settle = 1024) ?(slice = true) ~input () =
     | Some f -> f extended
   in
   Vglna.run_inplace t.vglna ~code:analog.Config.vglna_gain extended;
-  let mod_full = modulate ~signs:false t ~analog extended in
-  let baseband_i, baseband_q = baseband ~slice ~settle ~n mod_full in
-  {
-    mod_output = Array.sub mod_full settle n;
-    baseband_i;
-    baseband_q;
-    fs = fs t;
-    fs_baseband = fs_baseband t;
-  }
+  let mod_output, copy = record_sink n in
+  let iq, decimate = baseband_sink ~slice n in
+  modulate ~signs:false t ~analog ~settle ~n extended (fun block off k len ->
+      copy block off k len;
+      decimate block off k len);
+  let baseband_i, baseband_q = Decimator.finish iq in
+  { mod_output; baseband_i; baseband_q; fs = fs t; fs_baseband = fs_baseband t }
 
 (* What a tagged front-end slot holds: the VGLNA output for one die
    (its behavioural identity and the rate its noise is specified at),
@@ -181,7 +185,9 @@ let front_half t ~analog ~settle ~stimulus ~n =
 let capture_modulator t ~analog ?(settle = 1024) ~stimulus ~n () =
   instrumented t ~who:"Receiver.capture_modulator" ~analog ~settle ~n @@ fun analog ->
   let amplified, memo = front_half t ~analog ~settle ~stimulus ~n in
-  Array.sub (modulate ?memo ~signs:false t ~analog amplified) settle n
+  let record, copy = record_sink n in
+  modulate ?memo ~signs:false t ~analog ~settle ~n amplified copy;
+  record
 
 (* The decimator reads only the modulator output's sign, so the
    calibration buffer's pass is skipped, and no modulator record is
@@ -189,7 +195,9 @@ let capture_modulator t ~analog ?(settle = 1024) ~stimulus ~n () =
 let capture_baseband t ~analog ?(settle = 1024) ~stimulus ~n () =
   instrumented t ~who:"Receiver.capture_baseband" ~analog ~settle ~n @@ fun analog ->
   let amplified, memo = front_half t ~analog ~settle ~stimulus ~n in
-  baseband ~slice:true ~settle ~n (modulate ?memo ~signs:true t ~analog amplified)
+  let iq, decimate = baseband_sink ~slice:true n in
+  modulate ?memo ~signs:true t ~analog ~settle ~n amplified decimate;
+  Decimator.finish iq
 
 (* Offset the coherent test tone by a quarter of the band: far enough
    from the carrier bin for clean binning, while the aliased third

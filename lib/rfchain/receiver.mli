@@ -65,9 +65,13 @@ val run :
     section runs {!Decimator.default_config}.  [slice]
     (default true) keeps the digital section's 1-bit input boundary;
     false is the ablation that pretends the digital section accepted
-    analog samples.  The reference path: it memoises nothing.  Raises
-    [Invalid_argument] on an empty [input] or a negative [settle],
-    before any work. *)
+    analog samples.  The reference path: it memoises nothing.  The
+    back half streams: the modulator hands its output on in
+    {!Sdm.block_len}-sample blocks, each copied into [mod_output] and
+    fed to the slice, mixer and CIC integrators ({!Decimator.feed}), so
+    no full-length modulator record is kept besides [mod_output].
+    Raises [Invalid_argument] on an empty [input] or a negative
+    [settle], before any work. *)
 
 val capture_modulator :
   t ->
@@ -83,7 +87,8 @@ val capture_modulator :
     [run t ~analog ?settle ~input:(Sigkit.Waveform.render stimulus n) ()],
     bit for bit, with the same [receiver.runs] / [receiver.samples]
     counts and [receiver.run] span.  It runs the front half and the
-    modulator (calibration buffer included) and no digital section.
+    modulator (calibration buffer included), copying each of the
+    modulator's blocks into the fresh record, and no digital section.
 
     The front half of the chain (stimulus, settle rotation, VGLNA) is
     rendered straight into a workspace slot (6 for a [Tone], 14 for a
@@ -91,7 +96,7 @@ val capture_modulator :
     stimulus bits, [n], [settle] and the applied gain code; a later
     capture of either tap on the same domain with an equal tag reuses
     it and runs only the back half.  For a [Tone] the modulator also
-    keeps its input drive under that tag ({!Sdm.run_into}'s [memo]).
+    keeps its input drive under that tag ({!Sdm.stream}'s [memo]).
     A receiver with an [rf_fault] hook renders and amplifies afresh on
     every call and keeps no drive.  Raises [Invalid_argument] when
     [n < 1] or [settle < 0]. *)
@@ -109,8 +114,8 @@ val capture_baseband :
     {!fs_baseband}, with the same front-half memo, counts, span and
     errors as {!capture_modulator}.
     The digital section reads only the sign of each modulator sample,
-    so the modulator runs as {!Sdm.run_signs_into} (no calibration
-    buffer pass) and no modulator record is copied out. *)
+    so the modulator streams with {!Sdm.stream} [~signs:true] (no
+    calibration buffer pass) and no modulator record is copied out. *)
 
 val test_tone_frequency : t -> n:int -> float
 (** The single-tone test frequency used throughout the evaluation: a

@@ -162,37 +162,42 @@ let hist_mask = hist_len - 1
    noise and 10 the buffer-mode jitter, each tagged with its stream:
    every stream is a fresh split of the die's root, a pure function of
    (die, name), so a die's repeat runs find the draw already there.
-   13 holds the drive of a described input record (below). *)
+   13 holds the drive of a described input record (below), and 7 the
+   block the loop writes. *)
+let block_slot = 7
 let comp_slot = 8
 let input_slot = 9
 let jitter_slot = 10
 let drive_slot = 13
 
-(* The loop's input drive, in a pass of its own: the Gmin stage
-   ([Circuit.Nonlinear.apply], replicated expression for expression)
-   plus the input-referred noise.  Neither depends on the loop state.
-   [u] may be [input] itself. *)
-let drive_into t input u =
-  let n = Array.length input in
-  let noise =
-    Sigkit.Workspace.gaussian (Sigkit.Workspace.get ()) ~slot:input_slot ~len:n
-      (Circuit.Process.noise_stream t.chip ~name:"run.input")
-  in
+(* Samples per block: one cancellation poll at samples 0, 4096, ...,
+   and the length of the block buffer. *)
+let block_len = 4096
+
+let input_noise t n =
+  Sigkit.Workspace.gaussian (Sigkit.Workspace.get ()) ~slot:input_slot ~len:n
+    (Circuit.Process.noise_stream t.chip ~name:"run.input")
+
+(* The loop's input drive for samples [pos, pos + len), into cells
+   [0, len) of [u]: the Gmin stage ([Circuit.Nonlinear.apply],
+   replicated expression for expression) plus the input-referred
+   noise.  Neither depends on the loop state. *)
+let drive_into t input noise ~pos ~len u =
   let in_sigma = t.input_noise_sigma in
   if t.config.gmin_enable then begin
     let gmin = t.gmin in
     let g_a1, g_a2, g_a3, g_rail = Circuit.Nonlinear.coefficients t.gmin_stage in
     let g_railed = Float.is_finite g_rail in
-    for i = 0 to n - 1 do
-      let x = Array.unsafe_get input i in
+    for k = 0 to len - 1 do
+      let x = Array.unsafe_get input (pos + k) in
       let y = (g_a1 *. x) +. (g_a2 *. x *. x) +. (g_a3 *. x *. x *. x) in
       let y = if g_railed then g_rail *. tanh (y /. g_rail) else y in
-      Array.unsafe_set u i ((gmin *. y) +. (in_sigma *. Array.unsafe_get noise i))
+      Array.unsafe_set u k ((gmin *. y) +. (in_sigma *. Array.unsafe_get noise (pos + k)))
     done
   end
   else
-    for i = 0 to n - 1 do
-      Array.unsafe_set u i (0.0 +. (in_sigma *. Array.unsafe_get noise i))
+    for k = 0 to len - 1 do
+      Array.unsafe_set u k (0.0 +. (in_sigma *. Array.unsafe_get noise (pos + k)))
     done
 
 (* What the drive slot holds: the drive of the input record that the
@@ -206,9 +211,6 @@ let same_drive same_input held wanted =
   match held, wanted with
   | Drive a, Drive b -> a.gmin_bias = b.gmin_bias && same_input a.input b.input
   | _ -> false
-
-(* Samples between cancellation polls: one poll at samples 0, 4096, ... *)
-let poll_block = 4096
 
 (* The calibration buffer's transfer. *)
 let[@inline] buffered bgain v = 1.2 *. tanh (bgain *. v /. 1.2)
@@ -224,37 +226,43 @@ let[@inline] sign_guard bgain v = if v < 0.0 && v > -1e-300 then buffered bgain 
 let buffer_sign t v = sign_guard t.buffer_gain v
 
 (* One loop for every configuration word, carrying only the
-   recurrence: the mode bits are loop invariants, the input drive and
-   every noise sample are ready before it, the calibration buffer is a
-   pointwise pass after it, and the cancellation poll runs between
-   blocks, so the per-sample body calls no function.  The recurrences
-   are [Circuit.Resonator.output]/[feed], [Circuit.Comparator.step]
-   and [Circuit.Nonlinear.apply] replicated expression for expression,
-   so the output is bit-identical to composing those modules
-   (test_rfchain keeps that composition as the oracle).  The history
-   shift is a masked circular index.  Array accesses are unsafe: the drive,
-   [output] and the noise buffers all have length >= n (the empty
-   jitter buffer of the clocked modes is never read). *)
-let loop ?memo ~signs t input output =
+   recurrence: the mode bits are loop invariants, each block's input
+   drive and every noise sample are ready before it, the calibration
+   buffer is a pointwise pass over the block after it, and the
+   cancellation poll runs between blocks, so the per-sample body calls
+   no function.  The recurrences are [Circuit.Resonator.output]/[feed],
+   [Circuit.Comparator.step] and [Circuit.Nonlinear.apply] replicated
+   expression for expression, so the output is bit-identical to
+   composing those modules (test_rfchain keeps that composition as the
+   oracle).  The history shift is a masked circular index.  The state
+   lives across blocks; the block buffer holds the drive of sample
+   [i] at cell [i - p] until the loop stores that sample's output
+   there.  Array accesses are unsafe: the noise buffers have length
+   [n] and the block buffer [min block_len n] (the empty jitter buffer
+   of the clocked modes is never read). *)
+let stream ?memo ~signs t input sink =
   let n = Array.length input in
-  if Array.length output < n then invalid_arg "Sdm.run_into: output shorter than input";
   Telemetry.Counter.incr runs;
   Telemetry.Counter.add steps n;
   Telemetry.Span.with_ ~name:"sdm.run" (fun () ->
   let cfg = t.config in
   let clocked = cfg.comp_clock_enable and fb_on = cfg.fb_enable in
   let ws = Sigkit.Workspace.get () in
+  let buf = Sigkit.Workspace.arr ws ~slot:block_slot ~len:(min block_len n) in
   (* Without the Gmin stage the drive is bare noise, one multiply per
      sample: not worth a slot. *)
-  let drive =
+  let fill_drive =
     match memo with
     | Some (input_tag, same_input) when cfg.gmin_enable ->
-      Sigkit.Workspace.tagged ws ~slot:drive_slot ~len:n ~same:(same_drive same_input)
-        (Drive { input = input_tag; gmin_bias = cfg.gmin_bias })
-        (fun u -> drive_into t input u)
+      let drive =
+        Sigkit.Workspace.tagged ws ~slot:drive_slot ~len:n ~same:(same_drive same_input)
+          (Drive { input = input_tag; gmin_bias = cfg.gmin_bias })
+          (fun u -> drive_into t input (input_noise t n) ~pos:0 ~len:n u)
+      in
+      fun p len -> Array.blit drive p buf 0 len
     | _ ->
-      drive_into t input output;
-      output
+      let noise = input_noise t n in
+      fun p len -> drive_into t input noise ~pos:p ~len buf
   in
   (* Without the clock the latch never regenerates: its full
      input-referred noise shows up on the buffered output. *)
@@ -308,19 +316,23 @@ let loop ?memo ~signs t input output =
   let lp_alpha = Circuit.Comparator.buffer_pole_alpha in
   let lp_gain = Circuit.Comparator.buffer_gain and clip = Circuit.Comparator.buffer_clip in
   let gdac = t.gdac and mismatch = t.dac_mismatch in
+  let bgain = t.buffer_gain in
+  (* A clocked decision is exactly +-1, so the buffer takes one of two
+     values, both of the decision's sign. *)
+  let buf_hi = buffered bgain 1.0 and buf_lo = buffered bgain (-1.0) in
   let v_prev = ref 0.0 in
   let hist = Array.make hist_len 0.0 in
   let head = ref 0 in
-  let block = ref 0 in
-  while !block < n do
+  let pos = ref 0 in
+  while !pos < n do
     (* Cancellation point: a deadline or SIGINT stops the capture
        within 4096 samples (raises; never perturbs the recurrence). *)
     Telemetry.Cancel.poll ();
-    let stop = if n - !block < poll_block then n else !block + poll_block in
-    for i = !block to stop - 1 do
-      (* Read first: the drive may be [output], whose cell i is stored
-         last. *)
-      let u = Array.unsafe_get drive i in
+    let p = !pos in
+    let len = if n - p < block_len then n - p else block_len in
+    fill_drive p len;
+    for i = p to p + len - 1 do
+      let u = Array.unsafe_get buf (i - p) in
       (* Forward path first: both resonator outputs depend only on past
          loop inputs, so no algebraic loop arises. *)
       let w1 =
@@ -375,34 +387,32 @@ let loop ?memo ~signs t input output =
           v +. (0.2 *. Array.unsafe_get jitter_buf i *. slope)
         end
       in
-      Array.unsafe_set output i v_sampled
+      Array.unsafe_set buf (i - p) v_sampled
     done;
-    block := stop
-  done;
-  if cfg.cal_buffer_enable then begin
-    let bgain = t.buffer_gain in
-    if clocked then begin
-      (* A clocked decision is exactly +-1, so the buffer takes one of
-         two values, both of the decision's sign. *)
-      if not signs then begin
-        let buf_hi = buffered bgain 1.0 and buf_lo = buffered bgain (-1.0) in
-        for i = 0 to n - 1 do
-          Array.unsafe_set output i (if Array.unsafe_get output i > 0.0 then buf_hi else buf_lo)
-        done
+    if cfg.cal_buffer_enable then begin
+      if clocked then begin
+        if not signs then
+          for k = 0 to len - 1 do
+            Array.unsafe_set buf k (if Array.unsafe_get buf k > 0.0 then buf_hi else buf_lo)
+          done
       end
-    end
-    else if signs then
-      for i = 0 to n - 1 do
-        Array.unsafe_set output i (sign_guard bgain (Array.unsafe_get output i))
-      done
-    else
-      for i = 0 to n - 1 do
-        Array.unsafe_set output i (buffered bgain (Array.unsafe_get output i))
-      done
-  end)
+      else if signs then
+        for k = 0 to len - 1 do
+          Array.unsafe_set buf k (sign_guard bgain (Array.unsafe_get buf k))
+        done
+      else
+        for k = 0 to len - 1 do
+          Array.unsafe_set buf k (buffered bgain (Array.unsafe_get buf k))
+        done
+    end;
+    sink buf p len;
+    pos := p + len
+  done)
 
-let run_into ?memo t input output = loop ?memo ~signs:false t input output
-let run_signs_into ?memo t input output = loop ?memo ~signs:true t input output
+let run_into t input output =
+  if Array.length output < Array.length input then
+    invalid_arg "Sdm.run_into: output shorter than input";
+  stream ~signs:false t input (fun block p len -> Array.blit block 0 output p len)
 
 let run t input =
   let output = Array.make (Array.length input) 0.0 in

@@ -63,45 +63,58 @@ val run : t -> float array -> float array
     is clocked, an analog waveform when it is in buffer mode.  Thin
     allocating wrapper over {!run_into}. *)
 
-val run_into :
-  ?memo:Sigkit.Workspace.tag * (Sigkit.Workspace.tag -> Sigkit.Workspace.tag -> bool) ->
-  t -> float array -> float array -> unit
-(** [run_into t input output] writes the modulator output for [input]
-    into the first [Array.length input] cells of [output] (which must be
-    at least that long; every cell in that range is overwritten, so a
-    stale scratch buffer is fine).  [output] must not alias [input].
-    Uses {!Sigkit.Workspace} slots 8-9 for the comparator and input
-    noise and, in buffer mode, slot 10 for the jitter noise (all via
-    {!Sigkit.Workspace.gaussian}, so a die's repeat runs reuse the
-    draw); bit-identical to {!run}.
+val block_len : int
+(** Samples per block of {!stream}, 4096: the loop polls for
+    cancellation at samples 0, 4096, ... and hands the blocks on in
+    {!Sigkit.Workspace} slot 7, at length [min block_len n] for an
+    [n]-sample record.  {!Vglna.run_inplace} draws its noise in blocks
+    of the same slot and length. *)
 
-    The loop's input drive (the Gmin stage's output plus the input
-    noise) is computed in a pass before the loop, in place into
-    [output].  [memo = (tag, same)] says what [input] is: [tag] must
-    fix this die and every sample of [input], and [same] must hold
-    exactly for tags that fix the same.  With it and the Gmin stage
-    on, the drive goes to slot 13 instead, tagged with [tag] and the
-    word's [gmin_bias], and a repeat finds it there: no drive pass and
-    no input-noise lookup.
+val stream :
+  ?memo:Sigkit.Workspace.tag * (Sigkit.Workspace.tag -> Sigkit.Workspace.tag -> bool) ->
+  signs:bool ->
+  t ->
+  float array ->
+  (float array -> int -> int -> unit) ->
+  unit
+(** [stream ?memo ~signs t input sink] runs the modulator over [input]
+    one block at a time and calls [sink block pos len] after each:
+    cells [0, len) of [block] hold the output samples [pos, pos + len),
+    in order, each block {!block_len} long but the last.  [block] is
+    the slot-7 workspace array, overwritten by the next block: [sink]
+    must copy out what it keeps and must not use slot 7 itself, and
+    [input] must not be that array.  The comparator and input noise
+    come from slots 8-9 and, in buffer mode, the jitter from slot 10
+    (all via {!Sigkit.Workspace.gaussian}, so a die's repeat runs
+    reuse the draw).
+
+    Each block's input drive (the Gmin stage's output plus the input
+    noise) is computed in a pass before the block's loop.  [memo =
+    (tag, same)] says what [input] is: [tag] must fix this die and
+    every sample of [input], and [same] must hold exactly for tags that
+    fix the same.  With it and the Gmin stage on, the whole record's
+    drive goes to slot 13 instead, tagged with [tag] and the word's
+    [gmin_bias], and a repeat finds it there: no drive pass and no
+    input-noise lookup.
 
     With [cal_buffer_enable] set, the calibration buffer
-    [1.2 tanh (bgain v / 1.2)] is a pointwise pass over the loop's
-    output [v] after the loop. *)
+    [1.2 tanh (bgain v / 1.2)] is a pointwise pass over each block's
+    loop output [v].  With [signs], every output cell [x] gives only
+    the same [x >= 0.0] as without (the digital section's 1-bit
+    boundary): the buffer pass is skipped, which keeps every sign,
+    except on the negative samples above -1e-300, the only ones the
+    buffer could round to -0.0, which get the real buffer. *)
 
-val run_signs_into :
-  ?memo:Sigkit.Workspace.tag * (Sigkit.Workspace.tag -> Sigkit.Workspace.tag -> bool) ->
-  t -> float array -> float array -> unit
-(** {!run_into} for a reader of signs only: every output cell [x]
-    gives the same [x >= 0.0] as {!run_into}'s (the digital section's
-    1-bit boundary), with the same slots, memo, counters and span.
-    It skips the calibration buffer pass, which keeps every sign: with
-    the buffer in the path, each loop output is stored as it is except
-    on the negative samples above -1e-300, the only ones the buffer
-    could round to -0.0, which get the real buffer. *)
+val run_into : t -> float array -> float array -> unit
+(** [run_into t input output] writes {!stream}'s output for [input]
+    (without [signs]) into the first [Array.length input] cells of
+    [output], which must be at least that long; every cell in that
+    range is overwritten, so a stale scratch buffer is fine.  Neither
+    array may be the slot-7 block.  Bit-identical to {!run}. *)
 
 val buffer_sign : t -> float -> float
 (** For tests only; nothing in the library calls it.
-    [buffer_sign t v] is what {!run_signs_into} stores for the loop
+    [buffer_sign t v] is what {!stream} [~signs:true] stores for the loop
     output [v] when the calibration buffer is in the path: [v], or
     [1.2 tanh (bgain v / 1.2)] when [-1e-300 < v < 0].  No reachable
     loop output lies in that band, so this is the only way to test the

@@ -74,9 +74,9 @@ let setup t ~code =
     t.setups.(code) <- Some s;
     s
 
-(* Workspace slot for the batched noise draw (see DESIGN §15): the
-   receiver's modulator output, which is dead until the SDM overwrites
-   it after this stage. *)
+(* Workspace slot for the noise draw (see DESIGN §15): the modulator's
+   block buffer, at the modulator's block length.  The modulator runs
+   after this stage, and the record is never that buffer. *)
 let noise_slot = 7
 
 let run_inplace t ~code buf =
@@ -84,21 +84,28 @@ let run_inplace t ~code buf =
   let s = setup t ~code in
   let n = Array.length buf in
   (* The noise stream is freshly split per run (as Noise_source.create
-     would), and gaussian_fill draws the same sequence as the per-sample
-     Noise_source.sample calls it replaces. *)
+     would), and gaussian_fill over consecutive blocks draws the same
+     sequence as the per-sample Noise_source.sample calls it replaces. *)
   let stream = Circuit.Process.noise_stream t.chip ~name:s.noise_name in
-  let nbuf = Sigkit.Workspace.arr (Sigkit.Workspace.get ()) ~slot:noise_slot ~len:n in
-  if nbuf == buf then invalid_arg "Vglna.run_inplace: buf is the noise scratch (workspace slot 7)";
-  Sigkit.Rng.gaussian_fill stream nbuf ~n;
+  let nbuf =
+    Sigkit.Workspace.arr (Sigkit.Workspace.get ()) ~slot:noise_slot ~len:(min Sdm.block_len n)
+  in
   let sigma = s.noise_sigma in
   let a1, a2, a3, rail = Circuit.Nonlinear.coefficients s.stage in
   let railed = Float.is_finite rail in
-  for i = 0 to n - 1 do
-    let x = Array.unsafe_get buf i +. (sigma *. Array.unsafe_get nbuf i) in
-    (* Nonlinear.apply, replicated expression-for-expression so direct
-       float stores keep the loop unboxed. *)
-    let y = (a1 *. x) +. (a2 *. x *. x) +. (a3 *. x *. x *. x) in
-    Array.unsafe_set buf i (if railed then rail *. tanh (y /. rail) else y)
+  let pos = ref 0 in
+  while !pos < n do
+    let p = !pos in
+    let len = min Sdm.block_len (n - p) in
+    Sigkit.Rng.gaussian_fill stream nbuf ~n:len;
+    for i = p to p + len - 1 do
+      let x = Array.unsafe_get buf i +. (sigma *. Array.unsafe_get nbuf (i - p)) in
+      (* Nonlinear.apply, replicated expression-for-expression so direct
+         float stores keep the loop unboxed. *)
+      let y = (a1 *. x) +. (a2 *. x *. x) +. (a3 *. x *. x *. x) in
+      Array.unsafe_set buf i (if railed then rail *. tanh (y /. rail) else y)
+    done;
+    pos := p + len
   done
 
 let run t ~code input =

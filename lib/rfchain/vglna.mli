@@ -38,7 +38,7 @@ val run : t -> code:int -> float array -> float array
 
 val run_inplace : t -> code:int -> float array -> unit
 (** Arena variant: amplify the record in place (the stage is pointwise,
-    so input and output share the buffer).  Uses {!Sigkit.Workspace}
-    slot 7 for the batched noise draw (the receiver's modulator output,
-    dead until the modulator runs); bit-identical to {!run}.  Raises
-    [Invalid_argument] when [buf] is that very slot-7 array. *)
+    so input and output share the buffer).  Draws the noise in blocks
+    of {!Sdm.block_len} samples into {!Sigkit.Workspace} slot 7 (the
+    modulator's block buffer, which runs after this stage), so the
+    record must not be that array; bit-identical to {!run}. *)

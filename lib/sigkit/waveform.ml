@@ -78,8 +78,6 @@ let add a b =
   if Array.length a <> Array.length b then invalid_arg "Waveform.add: length mismatch";
   Array.mapi (fun i x -> x +. b.(i)) a
 
-let scale k = Array.map (fun x -> k *. x)
-
 let rms x =
   let acc = ref 0.0 in
   Array.iter (fun v -> acc := !acc +. (v *. v)) x;

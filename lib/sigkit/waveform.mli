@@ -52,7 +52,6 @@ val two_tone_dbm : p_dbm:float -> f1:float -> f2:float -> fs:float -> int -> flo
 (** [render] of {!dbm_two_tone}. *)
 
 val add : float array -> float array -> float array
-val scale : float -> float array -> float array
 
 val rms : float array -> float
 val peak : float array -> float

@@ -19,8 +19,8 @@
     full map and per-stage liveness argument are in DESIGN §15):
     0-1 free, 2-5 [Spectrum],
     6-14 the [Rfchain] evaluation chain (6 settle-extended record,
-    tagged with its single-tone front half, 7 modulator output and,
-    before the modulator runs, the [Vglna] noise batch, 8-10 [Sdm]
+    tagged with its single-tone front half, 7 the 4096-sample block
+    of the [Vglna] noise and then of the [Sdm] output, 8-10 [Sdm]
     tagged comparator/input noise and buffer-mode jitter, 11-12
     [Decimator] CIC intermediates Q/I, 13 [Sdm] input drive tagged
     with its single-tone front half and Gmin bias, 14 tagged two-tone

@@ -86,20 +86,31 @@ let test_vglna_code_range () =
   Alcotest.check_raises "bad code" (Invalid_argument "Vglna: gain code out of range") (fun () ->
       ignore (Rfchain.Vglna.gain_db lna ~code:16))
 
-(* The VGLNA draws its noise into workspace slot 7 (the modulator
-   output, dead while the front half runs).  Amplifying that very array
-   would overwrite the record with its own noise: refused, untouched. *)
-let test_vglna_noise_slot_guard () =
-  let lna = Rfchain.Vglna.create (chip ()) ~fs:12e9 in
-  let scratch = Sigkit.Workspace.arr (Sigkit.Workspace.get ()) ~slot:7 ~len:64 in
-  Array.iteri (fun i _ -> scratch.(i) <- float_of_int i) scratch;
-  let before = Array.copy scratch in
-  Alcotest.check_raises "slot-7 scratch refused"
-    (Invalid_argument "Vglna.run_inplace: buf is the noise scratch (workspace slot 7)")
-    (fun () -> Rfchain.Vglna.run_inplace lna ~code:8 scratch);
-  Alcotest.(check (array (float 0.0))) "refused buffer untouched" before scratch;
-  Alcotest.(check bool) "a copy of it is amplified" true
-    (Rfchain.Vglna.run lna ~code:8 before <> before)
+(* The VGLNA draws its noise in modulator-sized blocks.  Over a record
+   of several blocks, ending inside one, it must equal the stage
+   composed from the circuit modules, every noise sample drawn per
+   sample from one stream. *)
+let test_vglna_block_noise () =
+  let c = chip () and fs = 12e9 and code = 8 in
+  let lna = Rfchain.Vglna.create c ~fs in
+  let n = (3 * Rfchain.Sdm.block_len) + 1237 in
+  let input = Sigkit.Waveform.tone_dbm ~p_dbm:(-25.0) ~freq:3.02e9 ~fs n in
+  let stage =
+    Circuit.Nonlinear.create
+      ~gain:(Sigkit.Decibel.power_ratio_of_db (Rfchain.Vglna.gain_db lna ~code /. 2.0))
+      ~iip3_dbm:(Rfchain.Vglna.iip3_dbm lna ~code) ~rail:1.4 ()
+  in
+  let noise =
+    Circuit.Noise_source.of_noise_figure c ~name:(Printf.sprintf "vglna.noise%d" code)
+      ~nf_db:(Rfchain.Vglna.noise_figure_db lna ~code) ~fs
+  in
+  let expected =
+    Array.map (fun x -> Circuit.Nonlinear.apply stage (x +. Circuit.Noise_source.sample noise)) input
+  in
+  let got = Array.copy input in
+  Rfchain.Vglna.run_inplace lna ~code got;
+  Alcotest.(check bool) "block-wise noise equals one stream" true
+    (Array.for_all2 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) expected got)
 
 (* ------------------------------------------------------------------ Sdm *)
 
@@ -303,7 +314,7 @@ let sdm_matches_oracle sdm input =
   let first = run () in
   let again = run () in
   let signs = Array.make n Float.nan in
-  Rfchain.Sdm.run_signs_into sdm input signs;
+  Rfchain.Sdm.stream ~signs:true sdm input (fun block p len -> Array.blit block 0 signs p len);
   bits_equal expected first && bits_equal expected again
   && Array.for_all2 (fun e s -> e >= 0.0 = (s >= 0.0)) expected signs
 
@@ -360,7 +371,7 @@ let prop_sdm_oracle_random_words =
 
 (* The buffer-mode jitter is drawn once per (die, length) into a tagged
    slot.  Repeats on one die must stay bit-identical to the first run
-   (and to the oracle) whatever ran in between: the VGLNA's noise batch
+   (and to the oracle) whatever ran in between: the VGLNA's noise block
    in slot 7 (checked to have really been written there), the same
    length on another die (same slot, another stream) and another
    length on this die. *)
@@ -510,7 +521,16 @@ let prop_fused_downconvert_iq =
       Rfchain.Mixer.downconvert_into ~slice src ~pos ~n ~i_out:i_ch ~q_out:q_ch;
       let ri, rq = Rfchain.Decimator.run_iq c (i_ch, q_ch) in
       let fi, fq = Rfchain.Decimator.downconvert_iq ~slice c src ~pos ~n in
-      bits_equal ri fi && bits_equal rq fq)
+      (* The same window fed in random pieces, cut anywhere. *)
+      let s = Rfchain.Decimator.iq ~slice c ~n in
+      let k = ref 0 in
+      while !k < n do
+        let len = min (n - !k) (Random.State.int st 70) in
+        Rfchain.Decimator.feed s src ~pos:(pos + !k) ~len;
+        k := !k + len
+      done;
+      let pi, pq = Rfchain.Decimator.finish s in
+      bits_equal ri fi && bits_equal rq fq && bits_equal ri pi && bits_equal rq pq)
 
 (* ------------------------------------------------------------- Receiver *)
 
@@ -862,6 +882,11 @@ let test_drive_memo_oracle () =
    tap. *)
 type capture_step = { cword : int; cdie : int; cstim : int; cmod : bool }
 
+(* (n, settle) of a record: a settle up to 5000 and a record of up to
+   four modulator blocks, so blocks, mixer periods and CIC groups fall
+   anywhere in the window. *)
+let record_shape_gen = QCheck.Gen.(pair (int_range 1 13_000) (int_range 0 5000))
+
 let capture_case_gen =
   QCheck.Gen.(
     let word =
@@ -882,7 +907,7 @@ let capture_case_gen =
       let* cmod = bool in
       return { cword; cdie; cstim; cmod }
     in
-    pair (array_repeat 3 word) (list_repeat 10 step))
+    triple (array_repeat 3 word) (list_repeat 10 step) record_shape_gen)
 
 (* Each capture, in a random interleaving of words (clocked and
    unclocked comparators, the calibration buffer on and off), two dice,
@@ -890,8 +915,9 @@ let capture_case_gen =
    the matching field of [run ~input] on the rendered stimulus. *)
 let prop_captures_equal_run =
   QCheck.Test.make ~name:"stimulus captures equal run ~input on random words" ~count:25
-    (QCheck.make capture_case_gen ~print:(fun (words, steps) ->
-         String.concat "; "
+    (QCheck.make capture_case_gen ~print:(fun (words, steps, (n, settle)) ->
+         Printf.sprintf "n %d settle %d: " n settle
+         ^ String.concat "; "
            (List.map
               (fun c ->
                 Printf.sprintf "word %Lx die %d stim %d %s"
@@ -899,12 +925,12 @@ let prop_captures_equal_run =
                   c.cdie c.cstim
                   (if c.cmod then "mod" else "baseband"))
               steps)))
-    (fun (words, steps) ->
+    (fun (words, steps, (n, settle)) ->
       let rxs =
         [| Rfchain.Receiver.create (chip ~seed:11 ()) std;
            Rfchain.Receiver.create (chip ~seed:12 ()) std |]
       in
-      let fs = Rfchain.Standards.fs std and n = 2048 and settle = 512 in
+      let fs = Rfchain.Standards.fs std in
       let oracle = Hashtbl.create 16 in
       let expected c =
         let key = (c.cword, c.cdie, c.cstim) in
@@ -977,6 +1003,48 @@ let test_baseband_capture_allocation () =
   if words >= float_of_int n /. 4.0 then
     Alcotest.failf "a warm %d-sample baseband capture allocated %.0f major words" n words
 
+(* The back half streams in modulator blocks.  A long capture of either
+   tap polls for cancellation once per block and leaves no record-long
+   array in slot 7; and the modulator polls at the start of each block,
+   at samples 0, 4096, ..., before it hands the block on. *)
+let test_capture_streams_blocks () =
+  let rx = Rfchain.Receiver.create (chip ()) std in
+  let n = 131_072 and settle = 1024 in
+  let block = Rfchain.Sdm.block_len in
+  let fs = Rfchain.Receiver.fs rx in
+  let freq = Rfchain.Receiver.test_tone_frequency rx ~n in
+  let stimulus = Sigkit.Waveform.dbm_tone ~p_dbm:(-25.0) ~freq ~fs () in
+  let analog = Rfchain.Config.nominal in
+  List.iter
+    (fun (what, capture) ->
+      let polls = counter "cancel.polls" in
+      capture ();
+      Alcotest.(check int) (what ^ ": one poll per block")
+        ((settle + n + block - 1) / block)
+        (counter "cancel.polls" - polls))
+    [
+      ( "baseband",
+        fun () -> ignore (Rfchain.Receiver.capture_baseband rx ~analog ~settle ~stimulus ~n ()) );
+      ( "modulator",
+        fun () -> ignore (Rfchain.Receiver.capture_modulator rx ~analog ~settle ~stimulus ~n ()) );
+    ];
+  let allocations = Sigkit.Workspace.allocations () in
+  ignore (Sigkit.Workspace.arr (Sigkit.Workspace.get ()) ~slot:7 ~len:(settle + n));
+  Alcotest.(check int) "no record-long slot-7 array before" (allocations + 1)
+    (Sigkit.Workspace.allocations ());
+  let sdm = Rfchain.Receiver.sdm_of_config rx analog in
+  let input = oracle_input ~fs ((3 * block) + 5) in
+  let polls = counter "cancel.polls" and next = ref 0 in
+  Rfchain.Sdm.stream ~signs:false sdm input (fun _ pos len ->
+      if pos <> !next * block then Alcotest.failf "block at sample %d" pos;
+      incr next;
+      Alcotest.(check int)
+        (Printf.sprintf "polls before the block at %d" pos)
+        !next
+        (counter "cancel.polls" - polls);
+      Alcotest.(check int) "block length" (min block (Array.length input - pos)) len);
+  Alcotest.(check int) "blocks" 4 !next
+
 (* ------------------------------------------------------ Workspace arena *)
 
 (* The allocating chain, composed from the public per-stage wrappers
@@ -1019,14 +1087,16 @@ let arena_case_gen =
     let* gm_q = int_range 0 40 in
     let* slice = bool in
     let* fault = int_range 0 2 in
-    return (seed, coarse, gain, gm_q, slice, fault))
+    let* shape = record_shape_gen in
+    return (seed, coarse, gain, gm_q, slice, fault, shape))
 
 let prop_arena_chain_identity =
   QCheck.Test.make ~name:"arena-backed Receiver.run equals the allocating stage chain"
     ~count:12
-    (QCheck.make arena_case_gen ~print:(fun (s, c, g, q, sl, f) ->
-         Printf.sprintf "seed=%d coarse=%d gain=%d gm_q=%d slice=%b fault=%d" s c g q sl f))
-    (fun (seed, coarse, gain, gm_q, slice, fault) ->
+    (QCheck.make arena_case_gen ~print:(fun (s, c, g, q, sl, f, (n, settle)) ->
+         Printf.sprintf "seed=%d coarse=%d gain=%d gm_q=%d slice=%b fault=%d n=%d settle=%d" s c
+           g q sl f n settle))
+    (fun (seed, coarse, gain, gm_q, slice, fault, (n, settle)) ->
       let rf_fault input =
         (* Deterministic burst-like perturbation, fresh output array —
            the contract inject.ml's hooks follow. *)
@@ -1046,7 +1116,6 @@ let prop_arena_chain_identity =
         { Rfchain.Config.nominal with cap_coarse = coarse; vglna_gain = gain; gm_q }
       in
       let fs = Rfchain.Receiver.fs rx in
-      let n = 1024 and settle = 256 in
       let input = Sigkit.Waveform.tone_dbm ~p_dbm:(-25.0) ~freq:3.02e9 ~fs n in
       let res = Rfchain.Receiver.run rx ~analog ~settle ~slice ~input () in
       let m, bi, bq = reference_chain rx ~analog ~settle ~slice ~input () in
@@ -1057,10 +1126,10 @@ let prop_arena_chain_identity =
 let test_arena_slots_distinct () =
   (* The chain's documented slot map (DESIGN §15): every stage that is
      live at the same time must hold a physically distinct scratch
-     array, including the slots whose lengths coincide.  Slot 7 serves
-     two stages that are never live together: the VGLNA's noise batch,
-     dead once the front half is amplified, and the modulator output
-     written after it.  Slots 0-1 are owned by no stage. *)
+     array, including the slots whose lengths coincide.  Slot 7 is the
+     block buffer, of the modulator's block length or the record's if
+     shorter: the VGLNA's noise blocks, then the modulator's output
+     blocks.  Slots 0-1 are owned by no stage. *)
   let n = 1024 and settle = 256 in
   let total = settle + n in
   let cic = n / (Rfchain.Decimator.ratio Rfchain.Decimator.default_config / 2) in
@@ -1068,7 +1137,7 @@ let test_arena_slots_distinct () =
   let live =
     [
       ("extended (6)", Sigkit.Workspace.arr ws ~slot:6 ~len:total);
-      ("mod_full, vglna noise (7)", Sigkit.Workspace.arr ws ~slot:7 ~len:total);
+      ("block (7)", Sigkit.Workspace.arr ws ~slot:7 ~len:(min Rfchain.Sdm.block_len total));
       ("sdm comp noise (8)", Sigkit.Workspace.arr ws ~slot:8 ~len:total);
       ("sdm input noise (9)", Sigkit.Workspace.arr ws ~slot:9 ~len:total);
       ("sdm jitter (10)", Sigkit.Workspace.arr ws ~slot:10 ~len:total);
@@ -1174,7 +1243,7 @@ let () =
           Alcotest.test_case "amplifies" `Quick test_vglna_amplifies;
           Alcotest.test_case "NF/IIP3 trends" `Quick test_vglna_nf_trend;
           Alcotest.test_case "code range" `Quick test_vglna_code_range;
-          Alcotest.test_case "noise slot guard" `Quick test_vglna_noise_slot_guard;
+          Alcotest.test_case "block noise equals one stream" `Quick test_vglna_block_noise;
         ] );
       ( "sdm",
         [
@@ -1218,6 +1287,7 @@ let () =
           Alcotest.test_case "memoised ΣΔ drive equals run ~input" `Quick test_drive_memo_oracle;
           Alcotest.test_case "the buffer's sign guard slices as the buffer" `Quick
             test_buffer_sign_guard;
+          Alcotest.test_case "a long capture streams in blocks" `Quick test_capture_streams_blocks;
           Alcotest.test_case "a long baseband capture copies no record" `Quick
             test_baseband_capture_allocation;
         ]
