@@ -269,19 +269,11 @@ let onchip () fast seed standard =
 
 let aging () fast seed standard =
   let ctx = context ~fast ~seed ~standard in
-  let t = Experiments.Aging_study.run ctx in
-  Experiments.Aging_study.print t;
-  List.iter
-    (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name)
-    (Experiments.Aging_study.checks ctx t)
+  Experiments.Aging_study.print (Experiments.Aging_study.run ctx)
 
 let avalanche () fast seed standard =
   let ctx = context ~fast ~seed ~standard in
-  let t = Experiments.Avalanche.run ctx in
-  Experiments.Avalanche.print t;
-  List.iter
-    (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name)
-    (Experiments.Avalanche.checks ctx t)
+  Experiments.Avalanche.print ctx (Experiments.Avalanche.run ctx)
 
 let generality () _fast _seed _standard =
   Experiments.Generality.print (Experiments.Generality.run ())
@@ -339,19 +331,11 @@ let all () fast seed standard keys budget =
   print_newline ();
   Experiments.Onchip_lock.print ctx (Experiments.Onchip_lock.run ctx);
   print_newline ();
-  let aging_t = Experiments.Aging_study.run ctx in
-  Experiments.Aging_study.print aging_t;
-  List.iter
-    (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name)
-    (Experiments.Aging_study.checks ctx aging_t);
+  Experiments.Aging_study.print (Experiments.Aging_study.run ctx);
   print_newline ();
   Experiments.Lot_study.print (Experiments.Lot_study.run ~seed_base:6000 ctx.Experiments.Context.standard);
   print_newline ();
-  let av = Experiments.Avalanche.run ctx in
-  Experiments.Avalanche.print av;
-  List.iter
-    (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name)
-    (Experiments.Avalanche.checks ctx av);
+  Experiments.Avalanche.print ctx (Experiments.Avalanche.run ctx);
   print_newline ();
   Experiments.Generality.print (Experiments.Generality.run ())
 

@@ -29,6 +29,7 @@ let refabricate ?trial_limit t ~attacker_seed =
     account = Engine.Service.Account.make ?limit:trial_limit ();
   }
 
+let refab_standard r = r.refab_standard
 let trials_spent r = Engine.Service.Account.spent r.account
 
 let queries_counter = Telemetry.Counter.make "oracle.queries"

@@ -40,6 +40,9 @@ val try_key_fast : refab -> Rfchain.Config.t -> (float, error) result
 (** Cheaper probe used inside search loops: modulator-output SNR only
     (still one trial — it is one bench measurement). *)
 
+val refab_standard : refab -> Rfchain.Standards.t
+(** The standard the re-fab part is measured against (its oracle's). *)
+
 val trials_spent : refab -> int
 
 val global_queries : unit -> int

@@ -39,7 +39,7 @@ let cap_only_attack ?(seed = 0xCA) ~budget refab =
     recovered_fields = [];
     trials = !trials;
     best_snr_mod_db = !best_snr;
-    success = !best_snr >= 35.0;
+    success = Metrics.Spec.snr_meets (Oracle.refab_standard refab) !best_snr;
     oracle_exhausted = !exhausted;
   }
 
@@ -96,7 +96,7 @@ let tapped_attack ?(seed = 0x7A) ~budget standard ~attacker_seed =
     recovered_fields = recovered;
     trials = !trials;
     best_snr_mod_db = !best_snr;
-    success = !best_snr >= 35.0;
+    success = Metrics.Spec.snr_meets standard !best_snr;
     (* The tapped ablation measures its own die directly — no
        watchdog-armed oracle bench sits in the path. *)
     oracle_exhausted = false;

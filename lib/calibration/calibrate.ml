@@ -169,8 +169,8 @@ let attempt_with ~passes ~refine_sfdr ~offsets rx =
         sfdr_db = (if refine_sfdr then Some sfdr_db else None);
       }
     in
-    let shortfall_db = Metrics.Spec.spec_distance standard m in
-    if shortfall_db > 0.0 then Error (Spec_shortfall { report; shortfall_db }) else Ok report
+    if Metrics.Spec.functional standard m then Ok report
+    else Error (Spec_shortfall { report; shortfall_db = Metrics.Spec.spec_distance standard m })
 
 let attempt ?(passes = 2) ?(refine_sfdr = true) rx =
   attempt_with ~passes ~refine_sfdr ~offsets:default_offsets rx

@@ -13,9 +13,4 @@ let make ~standard ~chip config =
 
 let config t = t.config
 let bits t = Rfchain.Config.to_bits t.config
-let key_width = Rfchain.Config.key_bits
-let equal a b = a.standard = b.standard && a.chip_seed = b.chip_seed && Rfchain.Config.equal a.config b.config
 let hamming_distance a b = Rfchain.Config.hamming_distance a.config b.config
-
-let unlocks _t measurement standard =
-  (Metrics.Spec.check standard measurement).Metrics.Spec.functional

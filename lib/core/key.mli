@@ -16,12 +16,4 @@ val make : standard:Rfchain.Standards.t -> chip:Circuit.Process.chip -> Rfchain.
 
 val config : t -> Rfchain.Config.t
 val bits : t -> int64
-val key_width : int
-(** 64 key bits, the case study's width. *)
-
-val equal : t -> t -> bool
 val hamming_distance : t -> t -> int
-
-val unlocks : t -> Metrics.Spec.measurement -> Rfchain.Standards.t -> bool
-(** Whether measurements taken under this key meet the standard's
-    specification — the operational definition of "unlocked". *)

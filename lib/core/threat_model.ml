@@ -9,8 +9,7 @@ let request standard ~seed config =
     Engine.Request.Full
 
 let evaluate_config standard ~seed config =
-  let m = Engine.Service.eval (request standard ~seed config) in
-  (Metrics.Spec.check standard m).Metrics.Spec.functional
+  Metrics.Spec.functional standard (Engine.Service.eval (request standard ~seed config))
 
 (* One streamed engine grid for a whole (die, config) matrix — the
    lot-study transfer matrix and the security table's transfer column.
@@ -19,7 +18,7 @@ let evaluate_config standard ~seed config =
    list is in point order. *)
 let evaluate_many standard points =
   Engine.Service.eval_batch (List.map (fun (seed, config) -> request standard ~seed config) points)
-  |> List.map (fun m -> (Metrics.Spec.check standard m).Metrics.Spec.functional)
+  |> List.map (Metrics.Spec.functional standard)
 
 (* The paper's cloning claim: a clone is "good-for-nothing if the
    adversary does not know how the design can be programmed".  The

@@ -63,16 +63,16 @@ let run (ctx : Context.t) =
   }
 
 let checks (ctx : Context.t) t =
-  let min_snr = ctx.Context.standard.Rfchain.Standards.min_snr_db in
+  let meets = Metrics.Spec.snr_meets ctx.Context.standard in
   [
     ( "slicing collapses the deceptive key (sliced < 10 dB)",
       t.slicing.deceptive_snr_rx_sliced_db < 10.0 );
     ( "without slicing the deceptive key would survive (> sliced + 10 dB)",
       t.slicing.deceptive_snr_rx_unsliced_db > t.slicing.deceptive_snr_rx_sliced_db +. 10.0 );
     ( "with process variation a stolen key misses spec on another die",
-      t.variation.transfer_snr_with_variation_db < min_snr );
+      not (meets t.variation.transfer_snr_with_variation_db) );
     ( "without process variation keys transfer freely",
-      t.variation.transfer_snr_without_variation_db >= min_snr );
+      meets t.variation.transfer_snr_without_variation_db );
   ]
 
 let print ctx t =
@@ -84,5 +84,4 @@ let print ctx t =
   Printf.printf "die A key on die A: %.1f dB; on die B: %.1f dB (nominal process), %.1f dB (variation off)\n"
     t.variation.own_snr_db t.variation.transfer_snr_with_variation_db
     t.variation.transfer_snr_without_variation_db;
-  List.iter (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name)
-    (checks ctx t)
+  Context.print_checks (checks ctx t)

@@ -33,7 +33,7 @@ let run ?(hours = [ 1e3; 2e4; 1e5 ]) (ctx : Context.t) =
     {
       hours = h;
       snr_db;
-      in_spec = snr_db >= ctx.Context.standard.Rfchain.Standards.min_snr_db;
+      in_spec = Metrics.Spec.snr_meets standard snr_db;
       recalibrated_snr_db = recal.Calibration.Calibrate.snr_mod_db;
       key_drift_bits =
         Rfchain.Config.hamming_distance ctx.Context.golden recal.Calibration.Calibrate.key;
@@ -41,8 +41,7 @@ let run ?(hours = [ 1e3; 2e4; 1e5 ]) (ctx : Context.t) =
   in
   { fresh_snr_db; points = List.map point hours }
 
-let checks (ctx : Context.t) t =
-  ignore ctx;
+let checks t =
   let last = List.nth t.points (List.length t.points - 1) in
   let monotone_loss =
     let rec check prev = function
@@ -70,5 +69,4 @@ let print t =
         (if p.in_spec then "yes" else "NO")
         p.recalibrated_snr_db p.key_drift_bits)
     t.points;
-  (* The checks need the context; callers print them via [checks]. *)
-  ()
+  Context.print_checks (checks t)

@@ -33,6 +33,6 @@ val run : ?hours:float list -> Context.t -> t
 (** Default ages: 1k, 20k, 100k hours (about 2 months, 2 years and a
     decade of continuous use). *)
 
-val checks : Context.t -> t -> (string * bool) list
+val checks : t -> (string * bool) list
 
 val print : t -> unit

@@ -88,7 +88,7 @@ let run ?(distances = [ 1; 2; 4; 8; 16; 32 ]) ?(samples_per_distance = 6) (ctx :
   { golden_snr_db; by_distance; single_bit }
 
 let checks (ctx : Context.t) t =
-  let spec = ctx.Context.standard.Rfchain.Standards.min_snr_db in
+  let meets = Metrics.Spec.snr_meets ctx.Context.standard in
   let d8 = List.find_opt (fun s -> s.distance = 8) t.by_distance in
   let d32 = List.find_opt (fun s -> s.distance = 32) t.by_distance in
   let strong_bits = List.filter (fun b -> b.snr_drop_db > 10.0) t.single_bit in
@@ -99,11 +99,11 @@ let checks (ctx : Context.t) t =
        are not guaranteed broken — but typical 8-bit corruption is. *)
     ( "8 flipped bits break the spec on average",
       match d8 with
-      | Some s -> s.mean_snr_db < spec
+      | Some s -> not (meets s.mean_snr_db)
       | None -> false );
     ( "heavily corrupted keys (32 bits) never work",
       match d32 with
-      | Some s -> s.max_snr_db < spec
+      | Some s -> not (meets s.max_snr_db)
       | None -> false );
     ("several single bits are already fatal (> 10 dB)", List.length strong_bits >= 4);
     ( "strong bits include the mode/coarse-tuning fields",
@@ -112,7 +112,7 @@ let checks (ctx : Context.t) t =
         [ "fb_enable"; "comp_clock_enable"; "gmin_enable"; "cap_coarse"; "loop_delay" ] );
   ]
 
-let print t =
+let print ctx t =
   Printf.printf "# Key-distance avalanche\n";
   Printf.printf "golden key: %.1f dB\n" t.golden_snr_db;
   Printf.printf "# flipped bits   mean SNR   worst-case (max) SNR\n";
@@ -124,4 +124,5 @@ let print t =
     (fun i b ->
       if i < 10 then
         Printf.printf "  bit %2d (%-18s): -%.1f dB\n" b.bit b.field b.snr_drop_db)
-    t.single_bit
+    t.single_bit;
+  Context.print_checks (checks ctx t)

@@ -34,4 +34,4 @@ val run : ?distances:int list -> ?samples_per_distance:int -> Context.t -> t
 
 val checks : Context.t -> t -> (string * bool) list
 
-val print : t -> unit
+val print : Context.t -> t -> unit

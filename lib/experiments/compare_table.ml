@@ -115,5 +115,4 @@ let print t =
         (if o.Core.Threat_model.attacker_success then "SUCCEEDS" else "defeated")
         o.Core.Threat_model.detail)
     t.threat_outcomes;
-  List.iter (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name)
-    (checks t)
+  Context.print_checks (checks t)

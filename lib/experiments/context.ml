@@ -52,3 +52,6 @@ let deceptive_example t =
     (match invalid_ensemble t with
     | c :: _ -> { c with fb_enable = false; comp_clock_enable = false; gmin_enable = true; gm_q = 8 }
     | [] -> assert false)
+
+let print_checks checks =
+  List.iter (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name) checks

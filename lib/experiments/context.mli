@@ -32,3 +32,6 @@ val invalid_ensemble : ?n:int -> t -> Rfchain.Config.t list
 val ensemble_seed : t -> int
 (** The RNG seed behind {!invalid_ensemble} — pass it to
     [Core.Lock_eval.evaluate] to draw the exact same ensemble. *)
+
+val print_checks : (string * bool) list -> unit
+(** Print an experiment's named claims, one [[PASS]]/[[FAIL]] line each. *)

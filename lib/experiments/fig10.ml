@@ -98,5 +98,4 @@ let print t =
        (curve 'o' (fun i -> t.correct_psd_db.(i)) @ curve 'x' (fun i -> t.deceptive_psd_db.(i))));
   Printf.printf "notch depth: correct %.1f dB, deceptive %.1f dB\n" t.notch_depth_correct_db
     t.notch_depth_deceptive_db;
-  List.iter (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name)
-    (checks t)
+  Context.print_checks (checks t)

@@ -82,5 +82,4 @@ let print ctx t =
        (points 'o' t.correct @ points 'x' t.deceptive));
   Printf.printf "dynamic range: correct %.0f dB, locked %.0f dB\n" t.dr_correct_db
     t.dr_deceptive_db;
-  List.iter (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name)
-    (checks ctx t)
+  Context.print_checks (checks ctx t)

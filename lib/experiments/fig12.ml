@@ -43,16 +43,16 @@ let run ?(powers = default_powers) (ctx : Context.t) =
   }
 
 let checks (ctx : Context.t) t =
-  let spec = ctx.Context.standard.Rfchain.Standards.min_sfdr_db in
+  let meets = Metrics.Spec.sfdr_meets ctx.Context.standard in
   let at_25 = List.find_opt (fun p -> p.p_dbm = -25.0) t.points in
   [
     ( "correct key meets the SFDR spec at -25 dBm",
       match at_25 with
-      | Some p -> p.sfdr_correct_db >= spec
+      | Some p -> meets p.sfdr_correct_db
       | None -> false );
     ( "locked circuit misses the SFDR spec at -25 dBm",
       match at_25 with
-      | Some p -> p.sfdr_deceptive_db < spec
+      | Some p -> not (meets p.sfdr_deceptive_db)
       | None -> false );
     ("locked SFDR is much lower on average (> 10 dB gap)", t.mean_gap_db > 10.0);
   ]
@@ -69,5 +69,4 @@ let print ctx t =
        (Ascii_plot.series ~marker:'o' (List.map (fun p -> (p.p_dbm, p.sfdr_correct_db)) t.points)
        @ Ascii_plot.series ~marker:'x' (List.map (fun p -> (p.p_dbm, p.sfdr_deceptive_db)) t.points)));
   Printf.printf "mean SFDR gap: %.1f dB\n" t.mean_gap_db;
-  List.iter (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name)
-    (checks ctx t)
+  Context.print_checks (checks ctx t)

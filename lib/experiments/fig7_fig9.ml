@@ -84,5 +84,4 @@ let print t =
     s.correct_snr_mod_db s.correct_snr_rx_db s.max_invalid_snr_mod_db s.max_invalid_snr_rx_db
     s.invalid_below_0db
     (List.length t.eval.invalid);
-  List.iter (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name)
-    (checks t)
+  Context.print_checks (checks t)

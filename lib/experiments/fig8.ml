@@ -50,5 +50,4 @@ let print t =
   Printf.printf "deceptive key (analog waveform):\n";
   Ascii_plot.print
     (Ascii_plot.render ~height:9 ~x_label:"sample" ~y_range:(-1.3, 1.3) (wave '*' t.deceptive_samples));
-  List.iter (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name)
-    (checks t)
+  Context.print_checks (checks t)

@@ -61,5 +61,4 @@ let print t =
           m.Afe.Afe_chain.thd_db
           (if ok then "in spec" else "broken"))
     t.random_keys;
-  List.iter (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name)
-    (checks t)
+  Context.print_checks (checks t)

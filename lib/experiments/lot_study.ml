@@ -37,7 +37,7 @@ let calibrate_die standard seed =
     snr_mod_db = report.Calibration.Calibrate.snr_mod_db;
     snr_rx_db = report.Calibration.Calibrate.snr_rx_db;
     sfdr_db = report.Calibration.Calibrate.sfdr_db;
-    in_spec = (Metrics.Spec.check standard m).Metrics.Spec.functional;
+    in_spec = Metrics.Spec.functional standard m;
   }
 
 let median_of xs =
@@ -139,5 +139,4 @@ let print t =
   Printf.printf "per-field code spread :";
   List.iter (fun (f, n) -> if n > 1 then Printf.printf " %s:%d" f n) t.field_spread;
   print_newline ();
-  List.iter (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name)
-    (checks t)
+  Context.print_checks (checks t)

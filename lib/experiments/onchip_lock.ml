@@ -44,13 +44,13 @@ let run ?(n_wrong = 6) ?(seed = 404) (ctx : Context.t) =
   }
 
 let checks (ctx : Context.t) t =
-  let spec = ctx.Context.standard.Rfchain.Standards.min_snr_db in
+  let meets = Metrics.Spec.snr_meets ctx.Context.standard in
   [
-    ("self-calibration reaches spec", t.unlocked_snr_db >= spec);
+    ("self-calibration reaches spec", meets t.unlocked_snr_db);
     ( "correct logic key preserves self-calibration",
       Float.abs (t.correct_key_snr_db -. t.unlocked_snr_db) < 0.5 );
     ( "most wrong logic keys leave the chip out of spec",
-      let failing = List.length (List.filter (fun s -> s < spec) t.wrong_key_snrs_db) in
+      let failing = List.length (List.filter (fun s -> not (meets s)) t.wrong_key_snrs_db) in
       2 * failing > List.length t.wrong_key_snrs_db );
   ]
 
@@ -64,5 +64,4 @@ let print ctx t =
   List.iteri
     (fun i snr -> Printf.printf "wrong key %d: self-calibration converged to SNR %6.1f dB\n" i snr)
     t.wrong_key_snrs_db;
-  List.iter (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name)
-    (checks ctx t)
+  Context.print_checks (checks ctx t)

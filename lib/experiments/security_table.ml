@@ -201,5 +201,4 @@ let print t =
   Printf.printf "binary-weighted: %d code(s) hit the target capacitance; unit-switched ablation: %d\n"
     t.cap_unique_codes t.cap_unit_switched_codes;
   Printf.printf "internal-tap ablation leaves %d unknown key bits\n" t.remaining_bits_after_tap;
-  List.iter (fun (name, ok) -> Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name)
-    (checks t)
+  Context.print_checks (checks t)

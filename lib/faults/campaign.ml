@@ -244,7 +244,7 @@ let run ?(dies = 3) ?(seed = 42) ?engine ?interrupt_after standard =
               faults;
               snr_mod_db;
               lock_margin_db;
-              in_spec = lock_margin_db >= 0.0;
+              in_spec = Metrics.Spec.snr_meets standard snr_mod_db;
             })
           cell_points cell_snrs;
       (* Single-bit corruption cliff: flip each key bit on the healthy
@@ -269,7 +269,9 @@ let run ?(dies = 3) ?(seed = 42) ?engine ?interrupt_after standard =
                if Float.is_nan snr then neg_infinity else snr)
       in
       let probes = List.combine bits probe_snrs in
-      let survivor_bits = List.filter (fun (_, snr) -> snr >= min_snr) probes in
+      let survivor_bits =
+        List.filter (fun (_, snr) -> Metrics.Spec.snr_meets standard snr) probes
+      in
       total := !total + List.length survivor_bits;
       let survivor_checks =
         eval_streamed
@@ -278,9 +280,7 @@ let run ?(dies = 3) ?(seed = 42) ?engine ?interrupt_after standard =
                Engine.Request.make ~die:die0 ~standard ~config:(corrupted_of bit)
                  Engine.Request.Full)
              survivor_bits)
-        |> List.map2
-             (fun (bit, _) m -> (bit, (Metrics.Spec.check standard m).Metrics.Spec.functional))
-             survivor_bits
+        |> List.map2 (fun (bit, _) m -> (bit, Metrics.Spec.functional standard m)) survivor_bits
       in
       flips_r :=
         List.map

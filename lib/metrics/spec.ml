@@ -4,20 +4,14 @@ type measurement = {
   sfdr_db : float option;
 }
 
-type verdict = {
-  snr_ok : bool;
-  sfdr_ok : bool;
-  functional : bool;
-}
+(* [>=] is false on nan, so an unmeasurable performance fails. *)
+let snr_meets (standard : Rfchain.Standards.t) snr_db = snr_db >= standard.min_snr_db
+let sfdr_meets (standard : Rfchain.Standards.t) sfdr_db = sfdr_db >= standard.min_sfdr_db
 
-let check (standard : Rfchain.Standards.t) m =
-  let snr_ok = m.snr_mod_db >= standard.min_snr_db && m.snr_rx_db >= standard.min_snr_db in
-  let sfdr_ok =
-    match m.sfdr_db with
-    | None -> true
-    | Some sfdr -> sfdr >= standard.min_sfdr_db
-  in
-  { snr_ok; sfdr_ok; functional = snr_ok && sfdr_ok }
+let functional standard m =
+  snr_meets standard m.snr_mod_db
+  && snr_meets standard m.snr_rx_db
+  && Option.fold ~none:true ~some:(sfdr_meets standard) m.sfdr_db
 
 let shortfall target value = Float.max 0.0 (target -. value)
 

@@ -23,8 +23,7 @@ let deployed_oracle =
 let test_oracle_reference () =
   let oracle = deployed_oracle () in
   let perf = Attacks.Oracle.reference_performance oracle in
-  Alcotest.(check bool) "oracle performs in spec" true
-    (Metrics.Spec.check std perf).Metrics.Spec.functional
+  Alcotest.(check bool) "oracle performs in spec" true (Metrics.Spec.functional std perf)
 
 let test_refab_counts_trials () =
   let oracle = deployed_oracle () in
@@ -154,6 +153,16 @@ let test_cap_only_attack_fails () =
   let r = Attacks.Subblock.cap_only_attack ~budget:60 refab in
   Alcotest.(check bool) "conditioning failure blocks the sub-attack" false r.Attacks.Subblock.success
 
+(* Success is judged against the attacked standard, not bluetooth's
+   35 dB: the same search that clears 35 dB misses a raised bar. *)
+let test_tapped_attack_uses_standard () =
+  let raised = { Rfchain.Standards.bluetooth with min_snr_db = 60.0 } in
+  let r = Attacks.Subblock.tapped_attack ~budget:100 raised ~attacker_seed:781 in
+  let best = r.Attacks.Subblock.best_snr_mod_db in
+  Alcotest.(check bool) (Printf.sprintf "best SNR between 35 and 60 dB (got %.1f)" best) true
+    (best > 35.0 && best < 60.0);
+  Alcotest.(check bool) "misses the raised spec" false r.Attacks.Subblock.success
+
 let () =
   Alcotest.run "attacks"
     [
@@ -184,5 +193,6 @@ let () =
         [
           Alcotest.test_case "remaining key space" `Quick test_remaining_key_space;
           Alcotest.test_case "cap-only fails" `Slow test_cap_only_attack_fails;
+          Alcotest.test_case "tapped success uses the standard" `Slow test_tapped_attack_uses_standard;
         ] );
     ]

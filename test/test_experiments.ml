@@ -75,10 +75,19 @@ let test_onchip_lock_reduced () =
   let t = Experiments.Onchip_lock.run ~n_wrong:2 c in
   assert_checks "onchip" (Experiments.Onchip_lock.checks c t)
 
+let test_ablations () =
+  let c = Lazy.force ctx in
+  assert_checks "ablations" (Experiments.Ablations.checks c (Experiments.Ablations.run c))
+
+let test_avalanche_reduced () =
+  let c = Lazy.force ctx in
+  let t = Experiments.Avalanche.run ~distances:[ 8; 32 ] c in
+  assert_checks "avalanche" (Experiments.Avalanche.checks c t)
+
 let test_aging_reduced () =
   let c = Lazy.force ctx in
   let t = Experiments.Aging_study.run ~hours:[ 1e3; 1e5 ] c in
-  assert_checks "aging" (Experiments.Aging_study.checks c t)
+  assert_checks "aging" (Experiments.Aging_study.checks t)
 
 let test_lot_reduced () =
   let t = Experiments.Lot_study.run ~lot:3 ~seed_base:6100 Rfchain.Standards.max_frequency in
@@ -145,6 +154,8 @@ let () =
         [
           Alcotest.test_case "on-chip lock reduced" `Slow test_onchip_lock_reduced;
           Alcotest.test_case "aging reduced" `Slow test_aging_reduced;
+          Alcotest.test_case "ablations" `Slow test_ablations;
+          Alcotest.test_case "avalanche reduced" `Slow test_avalanche_reduced;
           Alcotest.test_case "lot reduced" `Slow test_lot_reduced;
         ] );
       ( "tables",

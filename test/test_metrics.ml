@@ -100,8 +100,12 @@ let test_spec_check () =
   let std = Rfchain.Standards.max_frequency in
   let good = { Metrics.Spec.snr_mod_db = 45.0; snr_rx_db = 44.0; sfdr_db = Some 40.0 } in
   let bad = { Metrics.Spec.snr_mod_db = 45.0; snr_rx_db = 20.0; sfdr_db = Some 40.0 } in
-  Alcotest.(check bool) "good passes" true (Metrics.Spec.check std good).Metrics.Spec.functional;
-  Alcotest.(check bool) "bad rx fails" false (Metrics.Spec.check std bad).Metrics.Spec.functional;
+  Alcotest.(check bool) "good passes" true (Metrics.Spec.functional std good);
+  Alcotest.(check bool) "bad rx fails" false (Metrics.Spec.functional std bad);
+  Alcotest.(check bool) "bad mod fails" false
+    (Metrics.Spec.functional std { good with Metrics.Spec.snr_mod_db = 10.0 });
+  Alcotest.(check bool) "low SFDR fails" false
+    (Metrics.Spec.functional std { good with Metrics.Spec.sfdr_db = Some 20.0 });
   check_close "distance zero when passing" 0.0 (Metrics.Spec.spec_distance std good);
   check_close "distance counts shortfall" (std.Rfchain.Standards.min_snr_db -. 20.0)
     (Metrics.Spec.spec_distance std bad)
@@ -109,8 +113,25 @@ let test_spec_check () =
 let test_spec_optional_sfdr () =
   let std = Rfchain.Standards.max_frequency in
   let m = { Metrics.Spec.snr_mod_db = 45.0; snr_rx_db = 44.0; sfdr_db = None } in
-  Alcotest.(check bool) "missing SFDR is not a failure" true
-    (Metrics.Spec.check std m).Metrics.Spec.functional
+  Alcotest.(check bool) "missing SFDR is not a failure" true (Metrics.Spec.functional std m)
+
+let test_spec_nan_fails () =
+  let std = Rfchain.Standards.bluetooth in
+  Alcotest.(check bool) "nan SNR misses" false (Metrics.Spec.snr_meets std nan);
+  Alcotest.(check bool) "nan SFDR misses" false (Metrics.Spec.sfdr_meets std nan);
+  Alcotest.(check bool) "SNR at the threshold meets" true
+    (Metrics.Spec.snr_meets std std.Rfchain.Standards.min_snr_db);
+  Alcotest.(check bool) "SFDR at the threshold meets" true
+    (Metrics.Spec.sfdr_meets std std.Rfchain.Standards.min_sfdr_db);
+  let good = { Metrics.Spec.snr_mod_db = 45.0; snr_rx_db = 44.0; sfdr_db = Some 40.0 } in
+  List.iter
+    (fun (what, m) ->
+      Alcotest.(check bool) (what ^ " fails the verdict") false (Metrics.Spec.functional std m))
+    [
+      ("nan SNR(mod)", { good with Metrics.Spec.snr_mod_db = nan });
+      ("nan SNR(rx)", { good with Metrics.Spec.snr_rx_db = nan });
+      ("nan SFDR", { good with Metrics.Spec.sfdr_db = Some nan });
+    ]
 
 let test_measure_counts_trials () =
   let rx = Rfchain.Receiver.create (Circuit.Process.fabricate ~seed:9 ()) Rfchain.Standards.max_frequency in
@@ -134,14 +155,35 @@ let prop_spec_distance_nonneg =
       let m = { Metrics.Spec.snr_mod_db = a; snr_rx_db = b; sfdr_db = Some c } in
       Metrics.Spec.spec_distance Rfchain.Standards.max_frequency m >= 0.0)
 
+(* A performance value: mostly finite around the thresholds, with the
+   non-finite values a dead or faulted die can report. *)
+let performance_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, float_range 0. 80.);
+        (1, oneofl [ nan; infinity; neg_infinity ]);
+        (1, map float_of_int (int_range 30 40));
+      ])
+
+(* The attacks count a key as a success when [spec_distance = 0.0]; this
+   pins that test to the one verdict on every standard and every kind of
+   value. *)
 let prop_spec_functional_iff_zero =
-  QCheck.Test.make ~name:"functional iff zero distance" ~count:200
-    QCheck.(pair (float_range 0. 80.) (float_range 0. 80.))
-    (fun (a, b) ->
-      let m = { Metrics.Spec.snr_mod_db = a; snr_rx_db = b; sfdr_db = None } in
-      let std = Rfchain.Standards.max_frequency in
-      (Metrics.Spec.check std m).Metrics.Spec.functional
-      = (Metrics.Spec.spec_distance std m = 0.0))
+  let gen =
+    QCheck.Gen.(
+      quad (oneofl Rfchain.Standards.all) performance_gen performance_gen
+        (opt performance_gen))
+  in
+  let print (std, a, b, c) =
+    Printf.sprintf "%s mod=%h rx=%h sfdr=%s" std.Rfchain.Standards.name a b
+      (Option.fold ~none:"None" ~some:(Printf.sprintf "%h") c)
+  in
+  QCheck.Test.make ~name:"functional iff zero distance" ~count:1000
+    (QCheck.make ~print gen)
+    (fun (std, a, b, c) ->
+      let m = { Metrics.Spec.snr_mod_db = a; snr_rx_db = b; sfdr_db = c } in
+      Metrics.Spec.functional std m = (Metrics.Spec.spec_distance std m = 0.0))
 
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
@@ -164,6 +206,7 @@ let () =
         [
           Alcotest.test_case "check" `Quick test_spec_check;
           Alcotest.test_case "optional SFDR" `Quick test_spec_optional_sfdr;
+          Alcotest.test_case "nan fails its spec" `Quick test_spec_nan_fails;
         ] );
       ( "measure",
         [
