@@ -22,7 +22,10 @@ let age_hours chip = chip.age_hours
 
 let age chip ~hours =
   if hours < 0.0 then invalid_arg "Process.age: negative hours";
-  { chip with age_hours = chip.age_hours +. hours }
+  (* nan and infinity would reach the resonator as a nan tank. *)
+  let age_hours = chip.age_hours +. hours in
+  if not (Float.is_finite age_hours) then invalid_arg "Process.age: non-finite hours";
+  { chip with age_hours }
 
 (* Environmental (PVT) drift: a correlated shift of every parameter
    away from the corner the die was calibrated at.  Direction and

@@ -23,7 +23,9 @@ val age : chip -> hours:float -> chip
     amount (~0.5% per decade of hours).  The identity (seed, PUF
     entropy) is unchanged — it is the same silicon, just used; this is
     what makes a recycled part drift away from the configuration that
-    was calibrated for it when new. *)
+    was calibrated for it when new.  Raises [Invalid_argument] on
+    negative hours, and on [nan] or infinite hours or an accumulated
+    age that overflows to infinity. *)
 
 val age_hours : chip -> float
 (** Accumulated use (0 for fresh silicon). *)

@@ -42,11 +42,16 @@ let samples = Telemetry.Counter.make "receiver.samples"
 
 (* Workspace slots of the evaluation chain (see DESIGN §15 for the full
    map and aliasing argument).  Every slot but the tagged ones (front
-   halves, ΣΔ noise and drive) is dead again by the time a run
-   returns: the only arrays that escape are the freshly allocated
+   halves, test tone, ΣΔ noise and drive) is dead again by the time a
+   run returns: the only arrays that escape are the freshly allocated
    result fields. *)
 let extended_slot = 6
 let two_tone_slot = 14
+
+(* The single-tone input chain's one long slot, shared with the ΣΔ
+   drive ([Sdm]'s slot 13): it holds the settle-extended test tone
+   until the SDM admits a drive there. *)
+let tone_slot = 13
 
 (* Every entry point: refuse a degenerate record before any work, then
    count and span one run, with the analog word as the knobs see it. *)
@@ -144,11 +149,35 @@ let same_front held wanted =
     && String.equal a.die b.die
   | _ -> false
 
+(* What the tone slot holds: one stimulus record of [n] samples
+   extended by [settle], the same on every die and at every code. *)
+type Sigkit.Workspace.tag += Stimulus of { stimulus : Sigkit.Waveform.stimulus; n : int; settle : int }
+
+let same_stimulus held wanted =
+  match held, wanted with
+  | Stimulus a, Stimulus b ->
+    a.n = b.n && a.settle = b.settle && Sigkit.Waveform.equal_stimulus a.stimulus b.stimulus
+  | _ -> false
+
+(* The settle-extended stimulus into [extended]: a single tone is
+   copied from the tone slot, rendered there first on a miss. *)
+let render ws ~stimulus ~n ~settle extended =
+  let rot = rotation ~n ~settle in
+  match stimulus with
+  | Sigkit.Waveform.Tone _ ->
+    let total = settle + n in
+    let tone =
+      Sigkit.Workspace.tagged ws ~slot:tone_slot ~len:total ~same:same_stimulus
+        (Stimulus { stimulus; n; settle })
+        (Sigkit.Waveform.render_into stimulus ~n ~rot)
+    in
+    Array.blit tone 0 extended 0 total
+  | Sigkit.Waveform.Two_tone _ -> Sigkit.Waveform.render_into stimulus ~n ~rot extended
+
 (* The front half of a capture (stimulus, settle rotation, VGLNA) in
    its tagged slot, and the memo that describes it to the SDM. *)
 let front_half t ~analog ~settle ~stimulus ~n =
   let total = settle + n in
-  let rot = rotation ~n ~settle in
   let code = analog.Config.vglna_gain in
   let ws = Sigkit.Workspace.get () in
   (* Single tones and two-tones keep separate slots: calibration
@@ -160,9 +189,10 @@ let front_half t ~analog ~settle ~stimulus ~n =
   in
   match t.rf_fault with
   | Some f ->
-    (* An opaque hook sits between stimulus and VGLNA: no memo. *)
+    (* An opaque hook sits between stimulus and VGLNA: no front-half
+       memo and no drive, only the tone. *)
     let extended = Sigkit.Workspace.arr ws ~slot ~len:total in
-    Sigkit.Waveform.render_into stimulus ~n ~rot extended;
+    render ws ~stimulus ~n ~settle extended;
     let extended = f extended in
     Vglna.run_inplace t.vglna ~code extended;
     (extended, None)
@@ -172,7 +202,7 @@ let front_half t ~analog ~settle ~stimulus ~n =
     in
     let amplified =
       Sigkit.Workspace.tagged ws ~slot ~len:total ~same:same_front front (fun extended ->
-          Sigkit.Waveform.render_into stimulus ~n ~rot extended;
+          render ws ~stimulus ~n ~settle extended;
           Vglna.run_inplace t.vglna ~code extended)
     in
     (* The SDM keeps one drive, so only single tones get it: a

@@ -91,15 +91,23 @@ val capture_modulator :
     modulator's blocks into the fresh record, and no digital section.
 
     The front half of the chain (stimulus, settle rotation, VGLNA) is
-    rendered straight into a workspace slot (6 for a [Tone], 14 for a
+    computed in a workspace slot (6 for a [Tone], 14 for a
     [Two_tone]) tagged with the die's identity, the sampling rate, the
     stimulus bits, [n], [settle] and the applied gain code; a later
     capture of either tap on the same domain with an equal tag reuses
-    it and runs only the back half.  For a [Tone] the modulator also
-    keeps its input drive under that tag ({!Sdm.stream}'s [memo]).
-    A receiver with an [rf_fault] hook renders and amplifies afresh on
-    every call and keeps no drive.  Raises [Invalid_argument] when
-    [n < 1] or [settle < 0]. *)
+    it and runs only the back half.  A [Tone]'s settle-extended record
+    itself is taken from workspace slot 13, tagged with the stimulus
+    bits, [n] and [settle] and rendered there on a miss, and copied
+    into slot 6 before the VGLNA: it depends on neither the die nor
+    the word, so a front-half miss at another gain code or on another
+    die finds it there.  For a [Tone] the modulator may also keep its
+    input drive in slot 13 under the front half's tag
+    ({!Sdm.stream}'s [memo]), evicting the tone, when the drive is
+    asked for twice in a row.  A receiver with an [rf_fault] hook
+    takes its tone from slot 13 the same way, then applies the hook
+    and amplifies afresh on every call, and keeps no drive.  Two-tones
+    are rendered straight into slot 14.  Raises [Invalid_argument]
+    when [n < 1] or [settle < 0]. *)
 
 val capture_baseband :
   t ->

@@ -162,8 +162,9 @@ let hist_mask = hist_len - 1
    noise and 10 the buffer-mode jitter, each tagged with its stream:
    every stream is a fresh split of the die's root, a pure function of
    (die, name), so a die's repeat runs find the draw already there.
-   13 holds the drive of a described input record (below), and 7 the
-   block the loop writes. *)
+   13 holds the drive of a described input record (below) once it is
+   admitted, and otherwise the receiver's test tone; 7 the block the
+   loop writes. *)
 let block_slot = 7
 let comp_slot = 8
 let input_slot = 9
@@ -249,20 +250,25 @@ let stream ?memo ~signs t input sink =
   let clocked = cfg.comp_clock_enable and fb_on = cfg.fb_enable in
   let ws = Sigkit.Workspace.get () in
   let buf = Sigkit.Workspace.arr ws ~slot:block_slot ~len:(min block_len n) in
+  let per_block () =
+    let noise = input_noise t n in
+    fun p len -> drive_into t input noise ~pos:p ~len buf
+  in
   (* Without the Gmin stage the drive is bare noise, one multiply per
-     sample: not worth a slot. *)
+     sample: not worth a slot.  With it, the slot takes the drive only
+     on its second request in a row, so a one-off drive leaves the
+     receiver's test tone there. *)
   let fill_drive =
     match memo with
-    | Some (input_tag, same_input) when cfg.gmin_enable ->
-      let drive =
-        Sigkit.Workspace.tagged ws ~slot:drive_slot ~len:n ~same:(same_drive same_input)
+    | Some (input_tag, same_input) when cfg.gmin_enable -> (
+      match
+        Sigkit.Workspace.admitted ws ~slot:drive_slot ~len:n ~same:(same_drive same_input)
           (Drive { input = input_tag; gmin_bias = cfg.gmin_bias })
           (fun u -> drive_into t input (input_noise t n) ~pos:0 ~len:n u)
-      in
-      fun p len -> Array.blit drive p buf 0 len
-    | _ ->
-      let noise = input_noise t n in
-      fun p len -> drive_into t input noise ~pos:p ~len buf
+      with
+      | Some drive -> fun p len -> Array.blit drive p buf 0 len
+      | None -> per_block ())
+    | _ -> per_block ()
   in
   (* Without the clock the latch never regenerates: its full
      input-referred noise shows up on the buffered output. *)

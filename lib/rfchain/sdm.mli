@@ -92,10 +92,16 @@ val stream :
     noise) is computed in a pass before the block's loop.  [memo =
     (tag, same)] says what [input] is: [tag] must fix this die and
     every sample of [input], and [same] must hold exactly for tags that
-    fix the same.  With it and the Gmin stage on, the whole record's
-    drive goes to slot 13 instead, tagged with [tag] and the word's
-    [gmin_bias], and a repeat finds it there: no drive pass and no
-    input-noise lookup.
+    fix the same.  With it and the Gmin stage on, the request for the
+    drive of [tag] under the word's [gmin_bias] goes to slot 13
+    ({!Sigkit.Workspace.admitted}): when the slot already holds that
+    drive, it is used as it is, with no drive pass and no input-noise
+    lookup; when the previous such request for slot 13 at this length
+    on this domain asked for the same drive, the whole record's drive
+    is computed into the slot, evicting what it held; otherwise the
+    drive runs per block and the slot keeps what it holds (the
+    receiver's test tone, typically).  The drive values are the same
+    on every path.
 
     With [cal_buffer_enable] set, the calibration buffer
     [1.2 tanh (bgain v / 1.2)] is a pointwise pass over each block's

@@ -22,9 +22,9 @@
     tagged with its single-tone front half, 7 the 4096-sample block
     of the [Vglna] noise and then of the [Sdm] output, 8-10 [Sdm]
     tagged comparator/input noise and buffer-mode jitter, 11-12
-    [Decimator] CIC intermediates Q/I, 13 [Sdm] input drive tagged
-    with its single-tone front half and Gmin bias, 14 tagged two-tone
-    front half), 15 tests. *)
+    [Decimator] CIC intermediates Q/I, 13 the single-tone input
+    chain: the [Receiver]'s settle-extended test tone or an admitted
+    [Sdm] input drive, 14 tagged two-tone front half), 15 tests. *)
 
 type t
 
@@ -47,8 +47,9 @@ val gaussian : t -> slot:int -> len:int -> Rng.t -> float array
     starting position (e.g. a fresh split of the same die and name)
     skips the draw, moves the generator to the end position and
     returns the array unchanged.  The result is read-only, valid until
-    the next {!arr}, [gaussian] or {!tagged} call on that slot and
-    length; {!arr} clears the tag and {!tagged} replaces it. *)
+    the next {!arr}, [gaussian], {!tagged} or {!admitted} call on that
+    slot and length; {!arr} clears the tag and {!tagged} or
+    {!admitted} may replace it. *)
 
 type tag = ..
 (** What a {!tagged} array holds.  Extensible: each owner of a tagged
@@ -64,8 +65,23 @@ val tagged :
     [fill] overwrites the array and then the array is tagged with
     [tag].  [fill] must write every cell it reads back and must not use
     this slot and length itself.  The result is read-only, valid until
-    the next {!arr}, {!gaussian} or [tagged] call on that slot and
-    length, each of which clears or replaces the tag. *)
+    the next {!arr}, {!gaussian}, [tagged] or {!admitted} call on that
+    slot and length, each of which may clear or replace the tag. *)
+
+val admitted :
+  t -> slot:int -> len:int -> same:(tag -> tag -> bool) -> tag -> (float array -> unit) ->
+  float array option
+(** [admitted t ~slot ~len ~same tag fill] is {!tagged} for a memo
+    that must not evict what the slot holds on a one-off request.
+    When the array carries a tag [held] with [same held tag], it is
+    [Some] the array, unchanged.  Otherwise, when the previous
+    [admitted] request on this slot and length asked for a tag [prev]
+    with [same prev tag], [fill] runs as in {!tagged} and the result
+    is [Some] the array; else the slot is left as it is and the
+    result is [None].  Either way [tag] becomes the remembered
+    request.  {!arr} forgets the remembered request as well as the
+    tag; {!gaussian} and {!tagged} keep it.  The result is read-only
+    and valid as long as {!tagged}'s. *)
 
 val allocations : unit -> int
 (** Process-wide count of scratch arrays materialised so far; a steady

@@ -256,6 +256,19 @@ let test_aging_rejects_negative () =
   Alcotest.check_raises "negative hours" (Invalid_argument "Process.age: negative hours")
     (fun () -> ignore (Circuit.Process.age (chip ()) ~hours:(-1.0)))
 
+(* A non-finite age would reach the tank as a nan capacitance: the die
+   is refused where it is aged, as a negative age is, and an aging
+   fault built by hand fails there rather than inside calibration. *)
+let test_aging_rejects_non_finite () =
+  let refused what hours =
+    Alcotest.check_raises what (Invalid_argument "Process.age: non-finite hours") (fun () ->
+        ignore (Circuit.Process.age (chip ()) ~hours))
+  in
+  refused "infinite hours" infinity;
+  refused "nan hours" nan;
+  Alcotest.check_raises "an overflowing total" (Invalid_argument "Process.age: non-finite hours")
+    (fun () -> ignore (Circuit.Process.age (Circuit.Process.age (chip ()) ~hours:max_float) ~hours:max_float))
+
 (* ------------------------------------------------------------ Properties *)
 
 let prop_cap_monotone =
@@ -346,6 +359,7 @@ let () =
           Alcotest.test_case "drifts parameters" `Quick test_aging_drifts_parameters;
           Alcotest.test_case "preserves entropy" `Quick test_aging_preserves_entropy;
           Alcotest.test_case "rejects negative" `Quick test_aging_rejects_negative;
+          Alcotest.test_case "rejects non-finite" `Quick test_aging_rejects_non_finite;
         ] );
       ( "properties",
         qcheck [ prop_cap_monotone; prop_comparator_output_bounded; prop_nonlinear_odd_symmetry ] );

@@ -57,6 +57,18 @@ let test_chip_faults_pass_through_fabric () =
        [ Faults.Fault.pvt Faults.Fault.Mild; Faults.Fault.aging Faults.Fault.Mild ]
     = None)
 
+(* A hand-built aging fault of infinite or nan hours is refused where
+   the die is aged, before any calibration could see a nan tank. *)
+let test_non_finite_aging_refused () =
+  let chip = Circuit.Process.fabricate ~seed:42 () in
+  List.iter
+    (fun hours ->
+      Alcotest.check_raises
+        (Printf.sprintf "aging of %g hours" hours)
+        (Invalid_argument "Process.age: non-finite hours")
+        (fun () -> ignore (Faults.Inject.receiver chip std [ Faults.Fault.Aging { hours } ])))
+    [ infinity; nan ]
+
 (* ----------------------------------------------------------- Determinism *)
 
 let test_deterministic_rewrites () =
@@ -330,6 +342,7 @@ let () =
           Alcotest.test_case "out-of-range stuck bit is a no-op" `Quick test_out_of_range_stuck_is_noop;
           Alcotest.test_case "stuck field covers the whole field" `Quick test_stuck_field_masks_whole_field;
           Alcotest.test_case "chip faults leave the fabric alone" `Quick test_chip_faults_pass_through_fabric;
+          Alcotest.test_case "non-finite aging is refused" `Quick test_non_finite_aging_refused;
         ] );
       ( "determinism",
         [

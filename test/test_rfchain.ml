@@ -773,34 +773,50 @@ let test_front_memo_failed_fill () =
 
 (* -------------------------------------------------------- ΣΔ drive memo *)
 
-(* A probe tag: the test's own marker for "no drive held". *)
-type Sigkit.Workspace.tag += No_drive
+(* A probe tag: the test's own marker for "nothing held". *)
+type Sigkit.Workspace.tag += Nothing_held
 
 (* What slot 13 holds at [len], read without disturbing it: [Some]
    copy of the array while it carries any tag but the probe's, [None]
    otherwise (the slot is then left tagged with the probe, which no
-   drive lookup takes for its own). *)
-let held_drive ~len =
+   tone or drive lookup takes for its own).  [tagged] keeps the
+   remembered drive request, so the probe does not reset admission. *)
+let held_slot13 ~len =
   let held = ref true in
   let a =
     Sigkit.Workspace.tagged (Sigkit.Workspace.get ()) ~slot:13 ~len
-      ~same:(fun h _ -> match h with No_drive -> false | _ -> true)
-      No_drive
+      ~same:(fun h _ -> match h with Nothing_held -> false | _ -> true)
+      Nothing_held
       (fun _ -> held := false)
   in
   if !held then Some (Array.copy a) else None
 
-type drive_case = { drx : int; dcode : int; dbias : int; dgmin : bool; dtwo : bool }
+type drive_case = {
+  drx : int;
+  dcode : int;
+  dbias : int;
+  dgmin : bool;
+  dtwo : bool;
+  dsplit : int;
+}
 
-(* The ΣΔ drive of a single-tone front half with the Gmin stage on is
-   kept in slot 13, tagged with the front and [gmin_bias].  A seeded
-   walk moves one coordinate per step over two dice, an [rf_fault]
-   receiver, two gain codes, two bias codes, Gmin on/off and single-
-   vs two-tone fronts of one length (so a two-tone drive would land on
-   the same array).  Every result must equal the unmemoised
-   [run ~input] bit for bit; a run that may not keep its drive (two-
-   tone, Gmin off, fault hook) must leave slot 13 exactly as it was,
-   and one that may must leave a drive there. *)
+(* What the model says slot 13 holds: the test tone of one (n, settle)
+   split, or the drive of one (receiver, code, bias, split). *)
+type slot13 = Empty | Tone of int | Drive of (int * int * int * int)
+
+(* Slot 13 is the single-tone input chain's one long slot: a capture's
+   front half takes its settle-extended test tone from there (rendered
+   there on a miss), and the ΣΔ keeps a Gmin-on drive there only on
+   the second consecutive request for it, or when the slot already
+   holds it.  A seeded walk moves one coordinate per step over two
+   dice, an [rf_fault] receiver, two gain codes, two bias codes, Gmin
+   on/off, single- vs two-tone fronts and two splits of one settle + n
+   (so every tone, drive and two-tone front of the walk lands on the
+   same length).  Every result must equal the unmemoised [run ~input]
+   bit for bit.  After every capture slot 13 must hold exactly what a
+   model of the slot predicts: a single-tone capture leaves its tone
+   or an admitted drive, a two-tone capture leaves it unchanged, and a
+   drive, when held, is the one first admitted for its case. *)
 let test_drive_memo_oracle () =
   let d1 = chip ~seed:11 () and d2 = chip ~seed:12 () in
   let rf_fault x = Array.mapi (fun i v -> v +. (0.002 *. float_of_int (i land 7))) x in
@@ -812,9 +828,11 @@ let test_drive_memo_oracle () =
     |]
   in
   let codes = [| 4; 11 |] and biases = [| 20; 44 |] in
-  let n = 1537 and settle = 512 in
+  let splits = [| (1537, 512); (1025, 1024) |] in
+  let len = 2049 in
   let fs = Rfchain.Standards.fs std in
-  let stimulus two = front_stimulus ~fs ~n (if two then 2 else 0) in
+  (* One tone for both splits: only the split tells their records apart. *)
+  let stimulus two = front_stimulus ~fs ~n:1537 (if two then 2 else 0) in
   let analog c =
     {
       Rfchain.Config.nominal with
@@ -828,53 +846,125 @@ let test_drive_memo_oracle () =
     match Hashtbl.find_opt oracle c with
     | Some r -> r
     | None ->
+      let n, settle = splits.(c.dsplit) in
       let input = Sigkit.Waveform.render (stimulus c.dtwo) n in
       let r = Rfchain.Receiver.run rxs.(c.drx) ~analog:(analog c) ~settle ~input () in
       Hashtbl.add oracle c r;
       r
   in
+  let tones =
+    Array.map
+      (fun (n, settle) ->
+        let a = Array.make len 0.0 in
+        Sigkit.Waveform.render_into (stimulus false) ~n ~rot:((n - (settle mod n)) mod n) a;
+        a)
+      splits
+  in
   let rng = Random.State.make [| 23 |] in
   let move c =
-    match Random.State.int rng 6 with
+    match Random.State.int rng 7 with
     | 0 -> c
     | 1 -> { c with drx = (c.drx + 1 + Random.State.int rng 2) mod 3 }
     | 2 -> { c with dcode = 1 - c.dcode }
     | 3 -> { c with dbias = 1 - c.dbias }
     | 4 -> { c with dgmin = not c.dgmin }
-    | _ -> { c with dtwo = not c.dtwo }
+    | 5 -> { c with dtwo = not c.dtwo }
+    | _ -> { c with dsplit = 1 - c.dsplit }
   in
-  let cur = ref { drx = 0; dcode = 0; dbias = 0; dgmin = true; dtwo = false } in
+  let cur = ref { drx = 0; dcode = 0; dbias = 0; dgmin = true; dtwo = false; dsplit = 0 } in
   let cases =
-    List.init 200 (fun _ ->
+    List.init 240 (fun _ ->
         let c = !cur in
         cur := move c;
         c)
   in
   List.iter (fun c -> ignore (expected c)) cases;
-  let len = settle + n in
+  (* [Receiver.run] left slot 6 untagged; clear slot 13 and its
+     remembered request. *)
   ignore (Sigkit.Workspace.arr (Sigkit.Workspace.get ()) ~slot:13 ~len);
-  let repeats = ref 0 in
+  let model = ref Empty and asked = ref None and front6 = ref None in
+  let drives = Hashtbl.create 16 in
+  let admitted = ref 0 and reused = ref 0 and found_tone = ref 0 in
+  (* The model's step for one capture of [c]. *)
+  let capture_model c =
+    if not c.dtwo then
+      if c.drx = 2 then begin
+        model := Tone c.dsplit;
+        front6 := None
+      end
+      else begin
+        let front = (c.drx, c.dcode, c.dsplit) in
+        if !front6 <> Some front then begin
+          if !model = Tone c.dsplit then incr found_tone;
+          model := Tone c.dsplit;
+          front6 := Some front
+        end;
+        if c.dgmin then begin
+          let d = (c.drx, c.dcode, c.dbias, c.dsplit) in
+          let again = !asked = Some d in
+          asked := Some d;
+          if !model = Drive d then incr reused
+          else if again then begin
+            incr admitted;
+            model := Drive d
+          end
+        end
+      end
+  in
+  let check what before =
+    let got = held_slot13 ~len in
+    match !model, got with
+    | Empty, None -> ()
+    | Tone k, Some a when bits_equal a tones.(k) -> ()
+    | Drive d, Some a -> (
+      if Array.exists (bits_equal a) tones then Alcotest.failf "%s holds a tone, not a drive" what;
+      match Hashtbl.find_opt drives d with
+      | None -> Hashtbl.add drives d a
+      | Some first ->
+        if not (bits_equal first a) then Alcotest.failf "%s holds another drive" what)
+    | _, _ ->
+      if Option.equal bits_equal before got then Alcotest.failf "%s left slot 13 as it was" what
+      else Alcotest.failf "%s left slot 13 holding something else" what
+  in
   List.iteri
     (fun k c ->
-      let before = held_drive ~len in
+      let n, settle = splits.(c.dsplit) in
+      let what tap =
+        Printf.sprintf "step %d %s (receiver %d, code %d, bias %d, gmin %b, two-tone %b, n=%d)" k
+          tap c.drx codes.(c.dcode) biases.(c.dbias) c.dgmin c.dtwo n
+      in
+      let step tap capture () =
+        let before = held_slot13 ~len in
+        let r = capture () in
+        capture_model c;
+        check (what tap) before;
+        if c.dtwo && not (Option.equal bits_equal before (held_slot13 ~len)) then
+          Alcotest.failf "%s changed slot 13" (what tap);
+        r
+      in
+      let rx = rxs.(c.drx) and analog = analog c and stimulus = stimulus c.dtwo in
+      let m =
+        step "modulator" (fun () ->
+            Rfchain.Receiver.capture_modulator rx ~analog ~settle ~stimulus ~n ())
+      in
+      let b =
+        step "baseband" (fun () ->
+            Rfchain.Receiver.capture_baseband rx ~analog ~settle ~stimulus ~n ())
+      in
       let res =
-        capture_both ~modulator_first:(k land 1 = 0) rxs.(c.drx) ~analog:(analog c) ~settle
-          ~stimulus:(stimulus c.dtwo) ~n ()
+        if k land 1 = 0 then
+          let m = m () in
+          (m, b ())
+        else
+          let b = b () in
+          (m (), b)
       in
-      let after = held_drive ~len in
-      let what =
-        Printf.sprintf "step %d (receiver %d, code %d, bias %d, gmin %b, two-tone %b)" k c.drx
-          codes.(c.dcode) biases.(c.dbias) c.dgmin c.dtwo
-      in
-      if not (same_result (expected c) res) then Alcotest.failf "%s differs from run ~input" what;
-      let unchanged = Option.equal bits_equal before after in
-      if c.drx <> 2 && c.dgmin && not c.dtwo then begin
-        if after = None then Alcotest.failf "%s kept no drive" what;
-        if before <> None && unchanged then incr repeats
-      end
-      else if not unchanged then Alcotest.failf "%s changed the drive slot" what)
+      if not (same_result (expected c) res) then
+        Alcotest.failf "%s differs from run ~input" (what "capture"))
     cases;
-  if !repeats = 0 then Alcotest.fail "the walk never repeated a kept drive"
+  if !admitted = 0 then Alcotest.fail "the walk never admitted a drive";
+  if !reused = 0 then Alcotest.fail "the walk never reused a held drive";
+  if !found_tone = 0 then Alcotest.fail "no front miss of the walk found its tone"
 
 (* ------------------------------------------------------------ Captures *)
 
@@ -1143,7 +1233,7 @@ let test_arena_slots_distinct () =
       ("sdm jitter (10)", Sigkit.Workspace.arr ws ~slot:10 ~len:total);
       ("cic q (11)", Sigkit.Workspace.arr ws ~slot:11 ~len:cic);
       ("cic i (12)", Sigkit.Workspace.arr ws ~slot:12 ~len:cic);
-      ("tagged sdm drive (13)", Sigkit.Workspace.arr ws ~slot:13 ~len:total);
+      ("tagged tone or sdm drive (13)", Sigkit.Workspace.arr ws ~slot:13 ~len:total);
       ("two-tone front (14)", Sigkit.Workspace.arr ws ~slot:14 ~len:total);
     ]
   in
@@ -1162,9 +1252,9 @@ let test_arena_reuse_across_evals () =
   let n = 1024 in
   let input = Sigkit.Waveform.tone_dbm ~p_dbm:(-25.0) ~freq:3.02e9 ~fs n in
   let eval () = ignore (Rfchain.Receiver.run rx ~analog ~input ()) in
-  (* The memoised path, with the drive kept (Gmin on) and computed in
-     place (Gmin off), each at another gain code so every front half
-     and drive is a miss. *)
+  (* The memoised path, with the drive kept (Gmin on: admitted on the
+     second capture) and computed in place (Gmin off), each at another
+     gain code so every front half and drive is a miss. *)
   let stimulus = Sigkit.Waveform.dbm_tone ~p_dbm:(-25.0) ~freq:3.02e9 ~fs () in
   let code = ref 0 in
   let eval_stimulus gmin_enable =

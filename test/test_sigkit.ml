@@ -459,6 +459,59 @@ let test_workspace_one_tag () =
   probed "tagged after a draw, again" 2;
   probed "repeat is a hit" 2
 
+type Sigkit.Workspace.tag += Ask of int
+
+(* [admitted] fills a slot only on the second consecutive request for
+   one tag, hits while the slot holds it, and [arr] forgets both the
+   held tag and the remembered request; [tagged] keeps the latter. *)
+let test_workspace_admitted () =
+  let w = Sigkit.Workspace.get () in
+  let len = 40 in
+  let same a b = match (a, b) with Ask x, Ask y -> x = y | _ -> false in
+  let fills = ref 0 in
+  let ask k =
+    Sigkit.Workspace.admitted w ~slot:15 ~len ~same (Ask k) (fun a ->
+        incr fills;
+        Array.fill a 0 len (float_of_int k))
+  in
+  let check msg ~fills:expected want got =
+    Alcotest.(check int) (msg ^ ": fills") expected !fills;
+    match (want, got) with
+    | None, None -> ()
+    | Some k, Some a ->
+      Alcotest.(check bool) (msg ^ ": holds the fill") true
+        (Array.for_all (Float.equal (float_of_int k)) a)
+    | None, Some _ -> Alcotest.failf "%s: admitted" msg
+    | Some _, None -> Alcotest.failf "%s: refused" msg
+  in
+  ignore (Sigkit.Workspace.arr w ~slot:15 ~len);
+  check "first request" ~fills:0 None (ask 1);
+  check "second consecutive request" ~fills:1 (Some 1) (ask 1);
+  check "held tag" ~fills:1 (Some 1) (ask 1);
+  let held = Option.get (ask 1) in
+  Alcotest.(check bool) "a hit is the same array" true (held == Sigkit.Workspace.arr w ~slot:15 ~len);
+  (* [arr] cleared the held tag and the remembered request alike. *)
+  check "held tag after arr" ~fills:1 None (ask 1);
+  check "repeat after arr" ~fills:2 (Some 1) (ask 1);
+  (* Another tag in between resets the count; the slot keeps its fill. *)
+  check "first request for 2" ~fills:2 None (ask 2);
+  check "a request for 3 in between" ~fills:2 None (ask 3);
+  check "2 after 3" ~fills:2 None (ask 2);
+  check "held 1 after refusals" ~fills:2 (Some 1) (ask 1);
+  check "2 after 1" ~fills:2 None (ask 2);
+  check "2 twice in a row" ~fills:3 (Some 2) (ask 2);
+  (* [arr] alone forgets a refused request. *)
+  check "first request for 4" ~fills:3 None (ask 4);
+  ignore (Sigkit.Workspace.arr w ~slot:15 ~len);
+  check "4 after arr" ~fills:3 None (ask 4);
+  (* [tagged] replaces the held tag but keeps the request. *)
+  ignore
+    (Sigkit.Workspace.tagged w ~slot:15 ~len
+       ~same:(fun _ _ -> false)
+       Probe
+       (fun a -> Array.fill a 0 len 0.0));
+  check "4 after tagged" ~fills:4 (Some 4) (ask 4)
+
 (* Two domains running the workspace-backed measurement path
    concurrently must reproduce the sequential results bit for bit:
    each domain owns a private DLS arena, so there is no sharing to
@@ -733,6 +786,8 @@ let () =
           Alcotest.test_case "workspace gaussian spare hit" `Quick
             test_workspace_gaussian_spare_hit;
           Alcotest.test_case "workspace one tag" `Quick test_workspace_one_tag;
+          Alcotest.test_case "workspace admits on the second request" `Quick
+            test_workspace_admitted;
         ] );
       ( "spectrum",
         [
